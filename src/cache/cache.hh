@@ -48,6 +48,15 @@ struct CacheConfig
      * @param what label for the error message ("L2 cache", ...).
      */
     void validate(const char *what = "cache") const;
+
+    /** Every field in wire order (request codec, configFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using C = CacheConfig;
+        v(&C::sizeBytes, &C::blockBytes, &C::assoc, &C::missLatency);
+    }
 };
 
 /** Result of a cache access. */

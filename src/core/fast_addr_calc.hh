@@ -60,6 +60,15 @@ struct FacConfig
      * cache bandwidth.
      */
     bool speculateRegReg = true;
+
+    /** Every field in wire order (request codec, configFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using C = FacConfig;
+        v(&C::blockBits, &C::setBits, &C::fullTagAdd, &C::speculateRegReg);
+    }
 };
 
 /** Failure-condition bit positions (for statistics/diagnostics). */

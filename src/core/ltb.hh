@@ -32,6 +32,9 @@ enum class LtbPolicy : uint8_t
     Stride,       ///< predict last address + last observed stride
 };
 
+/** Largest valid policy (ser::get range check). */
+constexpr LtbPolicy enumLast(LtbPolicy) { return LtbPolicy::Stride; }
+
 /** Result of one LTB lookup. */
 struct LtbResult
 {

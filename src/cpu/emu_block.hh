@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "isa/inst.hh"
+#include "util/fields.hh"
 
 /**
  * Set by CMake (FACSIM_THREADED_DISPATCH feature test) when the
@@ -42,20 +43,29 @@ enum class EmuEngine : uint8_t
     Threaded,  ///< computed-goto direct threading (GCC/Clang)
 };
 
+/** Largest valid engine (ser::get range check). */
+constexpr EmuEngine enumLast(EmuEngine) { return EmuEngine::Threaded; }
+
 /** Human-readable engine name ("switch" / "threaded"). */
 const char *emuEngineName(EmuEngine e);
 
-/** Translation-layer counters (published as "emu.*" registry stats). */
+/**
+ * Translation-layer counters, published as "emu.*" registry stats
+ * (list: see util/fields.hh).
+ */
+#define FACSIM_EMU_STATS(X)                                                 \
+    X(uint64_t, blocksTranslated, Sum, "", "blocks_translated",             \
+      "basic blocks decoded into handler records")                          \
+    X(uint64_t, blockCacheHits, Sum, "", "block_cache_hits",                \
+      "dispatches served from the cache")                                   \
+    X(uint64_t, blockCacheMisses, Sum, "", "block_cache_misses",            \
+      "dispatches that forced a translation")                               \
+    X(uint64_t, superblockChains, Sum, "", "superblock_chains",             \
+      "block-to-block links bound for direct transfer")
+
 struct EmuTranslationStats
 {
-    /** Basic blocks decoded into handler records. */
-    uint64_t blocksTranslated = 0;
-    /** Block-cache lookups that found an existing block. */
-    uint64_t blockCacheHits = 0;
-    /** Block-cache lookups that had to translate. */
-    uint64_t blockCacheMisses = 0;
-    /** Successor pointers bound (fall-through or direct-target). */
-    uint64_t superblockChains = 0;
+    FACSIM_STATS_FIELDS(EmuTranslationStats, FACSIM_EMU_STATS)
 };
 
 /**

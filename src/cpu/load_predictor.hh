@@ -63,6 +63,16 @@ struct PredictorConfig
      * @param what label for the error message.
      */
     void validate(const char *what = "predictor") const;
+
+    /** Every field in wire order (request codec, configFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using C = PredictorConfig;
+        v(&C::stride, &C::wayMemo, &C::strideEntries, &C::strideConfMax,
+          &C::strideConfThreshold, &C::wayMemoEntries);
+    }
 };
 
 /** Which early-address source produced a speculative access. */

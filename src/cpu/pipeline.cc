@@ -897,32 +897,7 @@ Pipeline::drain()
 void
 Pipeline::saveState(ser::Writer &w) const
 {
-    // Statistics.
-    w.u64(st.cycles);
-    w.u64(st.insts);
-    w.u64(st.loads);
-    w.u64(st.stores);
-    w.u64(st.icacheAccesses);
-    w.u64(st.icacheMisses);
-    w.u64(st.dcacheAccesses);
-    w.u64(st.dcacheMisses);
-    w.u64(st.btbLookups);
-    w.u64(st.btbMispredicts);
-    w.u64(st.loadsSpeculated);
-    w.u64(st.loadSpecFailures);
-    w.u64(st.storesSpeculated);
-    w.u64(st.storeSpecFailures);
-    w.u64(st.extraAccesses);
-    w.u64(st.storeBufferFullStalls);
-    w.u64(st.stallFetch);
-    w.u64(st.stallData);
-    w.u64(st.stallStructural);
-    w.u64(st.stallStoreBuffer);
-    w.u64(st.strideSpeculated);
-    w.u64(st.strideSpecFailures);
-    w.u64(st.predRecoveryCycles);
-    w.u64(st.wayMemoTagReadsSaved);
-    w.u64(st.wayMemoStale);
+    ser::put(w, st);
 
     // Clocks and control flags (all cycle values are absolute).
     w.u64(cycle);
@@ -994,31 +969,7 @@ Pipeline::saveState(ser::Writer &w) const
 void
 Pipeline::loadState(ser::Reader &r)
 {
-    st.cycles = r.u64();
-    st.insts = r.u64();
-    st.loads = r.u64();
-    st.stores = r.u64();
-    st.icacheAccesses = r.u64();
-    st.icacheMisses = r.u64();
-    st.dcacheAccesses = r.u64();
-    st.dcacheMisses = r.u64();
-    st.btbLookups = r.u64();
-    st.btbMispredicts = r.u64();
-    st.loadsSpeculated = r.u64();
-    st.loadSpecFailures = r.u64();
-    st.storesSpeculated = r.u64();
-    st.storeSpecFailures = r.u64();
-    st.extraAccesses = r.u64();
-    st.storeBufferFullStalls = r.u64();
-    st.stallFetch = r.u64();
-    st.stallData = r.u64();
-    st.stallStructural = r.u64();
-    st.stallStoreBuffer = r.u64();
-    st.strideSpeculated = r.u64();
-    st.strideSpecFailures = r.u64();
-    st.predRecoveryCycles = r.u64();
-    st.wayMemoTagReadsSaved = r.u64();
-    st.wayMemoStale = r.u64();
+    ser::get(r, st);
 
     cycle = r.u64();
     fetchReadyCycle = r.u64();

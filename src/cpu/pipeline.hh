@@ -50,6 +50,7 @@
 #include "mem/hierarchy/hierarchy.hh"
 #include "obs/ring.hh"
 #include "obs/trace.hh"
+#include "util/fields.hh"
 
 namespace facsim
 {
@@ -131,58 +132,108 @@ struct PipelineConfig
      * exclusive with facEnabled and oneCycleLoads.
      */
     bool agiOrganization = false;
+
+    /**
+     * Every field in wire order: the request codec and
+     * configFingerprint() both encode exactly this list.
+     */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using C = PipelineConfig;
+        v(&C::fetchWidth, &C::issueWidth, &C::fetchBufferSize, &C::icache,
+          &C::dcache, &C::hierarchy, &C::btbEntries, &C::branchPenalty,
+          &C::storeBufferEntries, &C::maxLoadsPerCycle,
+          &C::maxStoresPerCycle, &C::numIntAlus, &C::numMemUnits,
+          &C::numFpAdders, &C::intAluLat, &C::intMulLat, &C::intDivLat,
+          &C::fpAddLat, &C::fpMulLat, &C::fpDivLat, &C::fpSqrtLat,
+          &C::facEnabled, &C::fac, &C::speculateStores,
+          &C::loadsStallOnStoreConflict, &C::oneCycleLoads,
+          &C::perfectDCache, &C::perfectICache, &C::agiOrganization,
+          &C::pred);
+    }
 };
 
-/** Counters produced by one pipeline run. */
+// Tripwire: PipelineConfig::fields() above must list every field, or
+// configFingerprint() misses it and a checkpoint restore, a live-point
+// farm or a cached result would silently answer for a *different*
+// machine. If the struct grows (or shrinks) this assertion fails. The
+// byte count is for the one supported ABI (LP64 x86-64/AArch64 Linux,
+// which is what CI builds); other ABIs skip the check rather than pin
+// a second number.
+#if defined(__linux__) && defined(__LP64__)
+static_assert(sizeof(PipelineConfig) == 220,
+              "PipelineConfig changed size: list the new field in "
+              "PipelineConfig::fields() (cpu/pipeline.hh) and update this "
+              "tripwire");
+#endif
+
+/**
+ * Counters produced by one pipeline run, one X-macro entry each in
+ * wire order (checkpoint and request codec): X(type, member, merge,
+ * group, key, description), see util/fields.hh.
+ *
+ * Stride-sourced speculation is a subset of loadsSpeculated /
+ * storesSpeculated (the shared speculative-access path); recovery
+ * cycles count the MEM-stage replay each mispredict or stale memoized
+ * way costs; way-memo counters are loads-only. The stall* counters
+ * attribute each cycle in which the *first* issue slot could not issue
+ * to one cause (in-order head blocking makes the head's reason the
+ * cycle's reason); cycles with at least one issue are not counted.
+ */
+#define FACSIM_PIPE_STATS(X)                                                \
+    X(uint64_t, cycles, Sum, "", "cycles", "simulated cycles")              \
+    X(uint64_t, insts, Sum, "", "insts", "instructions issued")             \
+    X(uint64_t, loads, Sum, "", "loads", "load instructions")               \
+    X(uint64_t, stores, Sum, "", "stores", "store instructions")            \
+    X(uint64_t, icacheAccesses, Sum, "icache", "accesses",                  \
+      "I-cache block accesses")                                             \
+    X(uint64_t, icacheMisses, Sum, "icache", "misses", "I-cache misses")    \
+    X(uint64_t, dcacheAccesses, Sum, "dcache", "accesses",                  \
+      "D-cache accesses (ports consumed)")                                  \
+    X(uint64_t, dcacheMisses, Sum, "dcache", "misses",                      \
+      "D-cache (L1) misses")                                                \
+    X(uint64_t, btbLookups, Sum, "btb", "lookups", "BTB predictions made")  \
+    X(uint64_t, btbMispredicts, Sum, "btb", "mispredicts",                  \
+      "control mispredictions")                                             \
+    X(uint64_t, loadsSpeculated, Sum, "fac", "loads_speculated",            \
+      "loads that accessed the cache speculatively in EX")                  \
+    X(uint64_t, loadSpecFailures, Sum, "fac", "load_spec_failures",         \
+      "speculative loads whose FAC verify failed")                          \
+    X(uint64_t, storesSpeculated, Sum, "fac", "stores_speculated",          \
+      "stores entered speculatively into the buffer")                       \
+    X(uint64_t, storeSpecFailures, Sum, "fac", "store_spec_failures",       \
+      "speculative stores whose FAC verify failed")                         \
+    X(uint64_t, extraAccesses, Sum, "fac", "extra_accesses",                \
+      "wasted cache accesses from mispredictions (Table 6)")                \
+    X(uint64_t, storeBufferFullStalls, Sum, "store_buffer", "full_stalls",  \
+      "issue stalls with the buffer full")                                  \
+    X(uint64_t, stallFetch, Sum, "stall", "fetch",                          \
+      "cycles stalled with no fetched inst ready")                          \
+    X(uint64_t, stallData, Sum, "stall", "data",                            \
+      "cycles stalled on operands / WAW")                                   \
+    X(uint64_t, stallStructural, Sum, "stall", "structural",                \
+      "cycles stalled on a unit or cache port")                             \
+    X(uint64_t, stallStoreBuffer, Sum, "stall", "store_buffer",             \
+      "cycles stalled on the store buffer")                                 \
+    X(uint64_t, strideSpeculated, Sum, "pred", "stride_speculated",         \
+      "accesses speculated from the stride table")                          \
+    X(uint64_t, strideSpecFailures, Sum, "pred", "stride_spec_failures",    \
+      "stride-sourced speculations whose verify failed")                    \
+    X(uint64_t, predRecoveryCycles, Sum, "pred", "recovery_cycles",         \
+      "MEM-replay cycles spent recovering mispredictions")                  \
+    X(uint64_t, wayMemoTagReadsSaved, Sum, "pred",                          \
+      "waymemo_tag_reads_saved",                                            \
+      "L1 tag reads skipped via a fresh memoized way")                      \
+    X(uint64_t, wayMemoStale, Sum, "pred", "waymemo_stale",                 \
+      "memoized ways caught stale by the late verify")
+
 struct PipeStats
 {
-    uint64_t cycles = 0;
-    uint64_t insts = 0;
-    uint64_t loads = 0;
-    uint64_t stores = 0;
+    FACSIM_STATS_FIELDS(PipeStats, FACSIM_PIPE_STATS)
 
-    uint64_t icacheAccesses = 0;
-    uint64_t icacheMisses = 0;
-    uint64_t dcacheAccesses = 0;
-    uint64_t dcacheMisses = 0;
-
-    uint64_t btbLookups = 0;
-    uint64_t btbMispredicts = 0;
-
-    uint64_t loadsSpeculated = 0;
-    uint64_t loadSpecFailures = 0;
-    uint64_t storesSpeculated = 0;
-    uint64_t storeSpecFailures = 0;
-    /** Mispredicted speculative accesses actually performed (Table 6). */
-    uint64_t extraAccesses = 0;
-
-    /**
-     * @{ @name Predictor-zoo counters
-     * Stride-sourced speculation is a subset of loadsSpeculated /
-     * storesSpeculated (the shared speculative-access path); recovery
-     * cycles count the MEM-stage replay each mispredict or stale
-     * memoized way costs; way-memo counters are loads-only.
-     */
-    uint64_t strideSpeculated = 0;      ///< speculations sourced by stride
-    uint64_t strideSpecFailures = 0;    ///< ... that mispredicted
-    uint64_t predRecoveryCycles = 0;    ///< MEM replays (all predictors)
-    uint64_t wayMemoTagReadsSaved = 0;  ///< fresh memo: tag read skipped
-    uint64_t wayMemoStale = 0;          ///< stale memo: replayed late
-    /** @} */
-
-    uint64_t storeBufferFullStalls = 0;
-
-    /**
-     * @{ @name Issue-stall attribution
-     * Cycles in which the *first* issue slot could not issue, by cause
-     * (in-order head blocking makes the head's reason the cycle's
-     * reason). Cycles with at least one issue are not counted here.
-     */
-    uint64_t stallFetch = 0;       ///< no fetched instruction was ready
-    uint64_t stallData = 0;        ///< source operands / WAW on dests
-    uint64_t stallStructural = 0;  ///< functional unit or cache port
-    uint64_t stallStoreBuffer = 0; ///< store buffer full
-    /** @} */
+    bool operator==(const PipeStats &) const = default;
 
     double ipc() const
     {

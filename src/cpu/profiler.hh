@@ -23,6 +23,7 @@
 #include "core/ltb.hh"
 #include "cpu/emulator.hh"
 #include "mem/tlb.hh"
+#include "util/fields.hh"
 
 namespace facsim
 {
@@ -52,6 +53,14 @@ struct OffsetHistogram
     std::array<uint64_t, numBuckets> buckets{};
     uint64_t total = 0;
 
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&OffsetHistogram::buckets, &OffsetHistogram::total);
+    }
+
     /** Record one offset value. */
     void add(int32_t offset);
 
@@ -59,21 +68,33 @@ struct OffsetHistogram
     double cumulative(unsigned bits) const;
 };
 
-/** Per-predictor-configuration failure statistics. */
+/** Failure-cause breakdown (index = FacFail bit position). */
+using FacCauseCounts = std::array<uint64_t, 5>;
+
+/**
+ * Per-predictor-configuration failure statistics (list: see
+ * util/fields.hh). The *NoRR counters exclude register+register
+ * accesses ("No R+R").
+ */
+#define FACSIM_FAC_PROFILE(X)                                               \
+    X(FacConfig, config, Keep, "", "", "")                                  \
+    X(uint64_t, loadAttempts, Sum, "", "load_attempts",                     \
+      "loads the predictor attempted")                                      \
+    X(uint64_t, loadFailures, Sum, "", "load_failures",                     \
+      "attempted loads mispredicted")                                       \
+    X(uint64_t, storeAttempts, Sum, "", "store_attempts",                   \
+      "stores the predictor attempted")                                     \
+    X(uint64_t, storeFailures, Sum, "", "store_failures",                   \
+      "attempted stores mispredicted")                                      \
+    X(uint64_t, loadFailuresNoRR, Sum, "", "", "")                          \
+    X(uint64_t, storeFailuresNoRR, Sum, "", "", "")                         \
+    X(uint64_t, loadsNoRR, Sum, "", "", "")                                 \
+    X(uint64_t, storesNoRR, Sum, "", "", "")                                \
+    X(FacCauseCounts, causeCounts, Sum, "", "", "")
+
 struct FacProfile
 {
-    FacConfig config;
-    uint64_t loadAttempts = 0;
-    uint64_t loadFailures = 0;
-    uint64_t storeAttempts = 0;
-    uint64_t storeFailures = 0;
-    /** Failures excluding register+register accesses ("No R+R"). */
-    uint64_t loadFailuresNoRR = 0;
-    uint64_t storeFailuresNoRR = 0;
-    uint64_t loadsNoRR = 0;
-    uint64_t storesNoRR = 0;
-    /** Failure-cause breakdown (index = FacFail bit position). */
-    std::array<uint64_t, 5> causeCounts{};
+    FACSIM_STATS_FIELDS(FacProfile, FACSIM_FAC_PROFILE)
 
     double loadFailRate() const
     {
@@ -107,6 +128,15 @@ struct LtbProfile
     LtbPolicy policy = LtbPolicy::LastAddress;
     uint64_t attempts = 0;   ///< all loads+stores observed
     uint64_t correct = 0;    ///< table hit with the right address
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using L = LtbProfile;
+        v(&L::entries, &L::policy, &L::attempts, &L::correct);
+    }
 
     double failRate() const
     {

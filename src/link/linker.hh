@@ -44,6 +44,16 @@ struct LinkPolicy
     bool alignArraysToSize = false;
     /** Cap for the future-work large alignment. */
     uint32_t largeAlignCap = 16 * 1024;
+
+    /** Wire order (request codec, workloadFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using P = LinkPolicy;
+        v(&P::alignGlobalPointer, &P::alignStatics, &P::maxStaticAlign,
+          &P::alignArraysToSize, &P::largeAlignCap);
+    }
 };
 
 /** Result of linking a program. */

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "mem/hierarchy/mem_port.hh"
+#include "util/fields.hh"
 
 namespace facsim
 {
@@ -27,15 +28,27 @@ struct DramConfig
     unsigned latency = 80;
     /** Minimum cycles between request starts (0 = unconstrained). */
     unsigned issueInterval = 8;
+
+    /** Every field in wire order (request codec, configFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&DramConfig::latency, &DramConfig::issueInterval);
+    }
 };
 
-/** Traffic and contention counters. */
+/** Traffic and contention counters (list: see util/fields.hh). */
+#define FACSIM_DRAM_STATS(X)                                                \
+    X(uint64_t, reads, Sum, "", "reads", "line fills from memory")          \
+    X(uint64_t, writes, Sum, "", "writes", "writebacks to memory")          \
+    X(uint64_t, queuedCycles, Sum, "", "queued_cycles",                     \
+      "FCFS wait before channel start")                                     \
+    X(uint64_t, busyCycles, Sum, "", "busy_cycles", "channel occupancy")
+
 struct DramStats
 {
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-    uint64_t queuedCycles = 0;  ///< total FCFS wait before starting
-    uint64_t busyCycles = 0;    ///< channel occupancy (issueInterval each)
+    FACSIM_STATS_FIELDS(DramStats, FACSIM_DRAM_STATS)
 };
 
 /** Fixed-latency, bandwidth-limited memory level. */
@@ -74,10 +87,7 @@ class DramModel final : public MemLevel
     saveState(ser::Writer &w) const
     {
         w.u64(nextFree);
-        w.u64(st.reads);
-        w.u64(st.writes);
-        w.u64(st.queuedCycles);
-        w.u64(st.busyCycles);
+        ser::put(w, st);
     }
 
     /** Restore state saved by saveState. */
@@ -85,10 +95,7 @@ class DramModel final : public MemLevel
     loadState(ser::Reader &r)
     {
         nextFree = r.u64();
-        st.reads = r.u64();
-        st.writes = r.u64();
-        st.queuedCycles = r.u64();
-        st.busyCycles = r.u64();
+        ser::get(r, st);
     }
 
     const char *name() const override { return "dram"; }

@@ -51,6 +51,13 @@ enum class HierarchyDepth : uint8_t
     L2,    ///< L1 + unified L2 + DRAM backend
 };
 
+/** Largest valid depth (ser::get range check). */
+constexpr HierarchyDepth
+enumLast(HierarchyDepth)
+{
+    return HierarchyDepth::L2;
+}
+
 /**
  * Hierarchy parameters. The L1 geometry itself stays in
  * `PipelineConfig::dcache` (the FAC predictor's field split depends on
@@ -84,28 +91,56 @@ struct HierarchyConfig
 
     /** Die with a clear message unless the parameters are coherent. */
     void validate() const;
+
+    /** Every field in wire order (request codec, configFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using C = HierarchyConfig;
+        v(&C::depth, &C::l1Mshr, &C::l1WbEntries, &C::l2, &C::l2HitLatency,
+          &C::l2Mshr, &C::l2WbEntries, &C::dram, &C::tlbEnabled,
+          &C::tlbEntries, &C::tlbPageBytes, &C::tlbMissPenalty);
+    }
 };
 
-/** Snapshot of one cache level's counters. */
+/**
+ * Snapshot of one cache level's counters (list: see util/fields.hh).
+ * The name is "L1D" or "L2"; the registry re-derives the miss ratio
+ * from the (merged) counts.
+ */
+#define FACSIM_LEVEL_STATS(X)                                               \
+    X(std::string, name, Keep, "", "", "")                                  \
+    X(uint64_t, accesses, Sum, "", "accesses",                              \
+      "demand accesses at this level")                                      \
+    X(uint64_t, misses, Sum, "", "misses", "misses at this level")          \
+    X(uint64_t, writebacks, Sum, "", "writebacks",                          \
+      "dirty victims written below")                                        \
+    X(double, missRatio, Keep, "", "", "")                                  \
+    X(MshrStats, mshr, Sum, "", "mshr", "")                                 \
+    X(uint64_t, wbFullStallCycles, Sum, "", "wb_full_stall_cycles",         \
+      "cycles stalled on a full writeback buffer")
+
 struct LevelStats
 {
-    std::string name;  ///< "L1D", "L2"
-    uint64_t accesses = 0;
-    uint64_t misses = 0;
-    uint64_t writebacks = 0;
-    double missRatio = 0.0;
-    MshrStats mshr;
-    uint64_t wbFullStallCycles = 0;
+    FACSIM_STATS_FIELDS(LevelStats, FACSIM_LEVEL_STATS)
 };
 
-/** Snapshot of the whole hierarchy, exported with timing results. */
+/**
+ * Snapshot of the whole hierarchy, exported with timing results (list:
+ * see util/fields.hh). Levels run outermost first (L1D, then L2) and
+ * merge by name; the DRAM group only exists when hasDram.
+ */
+#define FACSIM_HIERARCHY_STATS(X)                                           \
+    X(std::vector<LevelStats>, levels, ByName, "", "", "")                  \
+    X(bool, hasDram, Any, "", "", "")                                       \
+    X(DramStats, dram, Sum, "", "", "")                                     \
+    X(uint64_t, tlbAccesses, Sum, "tlb", "accesses", "data-TLB probes")     \
+    X(uint64_t, tlbMisses, Sum, "tlb", "misses", "data-TLB misses")
+
 struct HierarchyStats
 {
-    std::vector<LevelStats> levels;  ///< outermost first (L1D, then L2)
-    bool hasDram = false;
-    DramStats dram;
-    uint64_t tlbAccesses = 0;
-    uint64_t tlbMisses = 0;
+    FACSIM_STATS_FIELDS(HierarchyStats, FACSIM_HIERARCHY_STATS)
 
     double
     tlbMissRatio() const

@@ -89,11 +89,7 @@ MshrFile::saveState(ser::Writer &w) const
         w.u32(e.block);
         w.u64(e.fillCycle);
     }
-    w.u64(st.allocations);
-    w.u64(st.merges);
-    w.u64(st.fullStallCycles);
-    w.u32(st.maxOccupancy);
-    w.u64(st.occupancySum);
+    ser::put(w, st);
 }
 
 void
@@ -108,11 +104,7 @@ MshrFile::loadState(ser::Reader &r)
         e.block = r.u32();
         e.fillCycle = r.u64();
     }
-    st.allocations = r.u64();
-    st.merges = r.u64();
-    st.fullStallCycles = r.u64();
-    st.maxOccupancy = r.u32();
-    st.occupancySum = r.u64();
+    ser::get(r, st);
 }
 
 } // namespace facsim

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fields.hh"
 #include "util/serialize.hh"
 
 namespace facsim
@@ -32,16 +33,34 @@ struct MshrConfig
     unsigned entries = 0;
     /** Merge secondary misses into the in-flight entry (vs re-request). */
     bool mergeSecondary = true;
+
+    /** Every field in wire order (request codec, configFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&MshrConfig::entries, &MshrConfig::mergeSecondary);
+    }
 };
 
-/** Counters exposed per level. */
+/**
+ * Counters exposed per level (X-macro list, see util/fields.hh). The
+ * occupancy sum, sampled at each allocation, is shown as its average.
+ */
+#define FACSIM_MSHR_STATS(X)                                                \
+    X(uint64_t, allocations, Sum, "", "allocations",                        \
+      "primary misses that took an entry")                                  \
+    X(uint64_t, merges, Sum, "", "merges",                                  \
+      "secondary misses folded into one fill")                              \
+    X(uint64_t, fullStallCycles, Sum, "", "full_stalls",                    \
+      "cycles waited for a free entry")                                     \
+    X(uint32_t, maxOccupancy, Max, "", "max_occupancy",                     \
+      "peak in-flight fills")                                               \
+    X(uint64_t, occupancySum, Sum, "", "", "")
+
 struct MshrStats
 {
-    uint64_t allocations = 0;     ///< primary misses that took an entry
-    uint64_t merges = 0;          ///< secondary misses folded into one
-    uint64_t fullStallCycles = 0; ///< cycles waited for a free entry
-    unsigned maxOccupancy = 0;    ///< peak in-flight fills
-    uint64_t occupancySum = 0;    ///< occupancy sampled at each allocation
+    FACSIM_STATS_FIELDS(MshrStats, FACSIM_MSHR_STATS)
 
     double
     avgOccupancy() const

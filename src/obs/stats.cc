@@ -1,10 +1,10 @@
 #include "obs/stats.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/sealed.hh"
 
 namespace facsim::obs
 {
@@ -536,14 +536,11 @@ Registry::promDump() const
 void
 Registry::writeFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot write stats dump '%s'", path.c_str());
     bool json = path.size() >= 5 &&
         path.compare(path.size() - 5, 5, ".json") == 0;
-    std::string text = json ? jsonDump() : textDump();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    std::string err;
+    if (!ser::writeFileAtomic(path, json ? jsonDump() : textDump(), &err))
+        fatal("cannot write stats dump: %s", err.c_str());
 }
 
 } // namespace facsim::obs

@@ -362,7 +362,10 @@ class Registry
      */
     std::string promDump() const;
 
-    /** Write jsonDump() or textDump() to @p path by suffix (".json"). */
+    /**
+     * Write jsonDump() or textDump() to @p path by suffix (".json"),
+     * atomically (util/sealed.hh); fatal when the write fails.
+     */
     void writeFile(const std::string &path) const;
 
   private:

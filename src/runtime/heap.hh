@@ -39,6 +39,15 @@ struct HeapPolicy
     bool alignToSize = false;
     /** Cap for alignToSize (one cache's worth by default). */
     uint32_t largeAlignCap = 16 * 1024;
+
+    /** Wire order (request codec, workloadFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using P = HeapPolicy;
+        v(&P::minAlign, &P::roundSizes, &P::alignToSize, &P::largeAlignCap);
+    }
 };
 
 /** Bump allocator over the simulated heap segment. */

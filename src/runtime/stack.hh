@@ -35,6 +35,15 @@ struct StackPolicy
     /** Enable the explicit big-frame alignment technique. */
     bool explicitAlignBigFrames = false;
 
+    /** Wire order (request codec, workloadFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using P = StackPolicy;
+        v(&P::spAlign, &P::maxFrameAlign, &P::explicitAlignBigFrames);
+    }
+
     /** Round a raw frame size per the policy. */
     uint32_t frameSize(uint32_t raw_size) const;
 

@@ -1,11 +1,9 @@
 #include "serve/cache.hh"
 
-#include <cstdio>
-#include <cstring>
-
 #include "obs/prof.hh"
 #include "sim/request_codec.hh"
 #include "util/logging.hh"
+#include "util/sealed.hh"
 #include "util/serialize.hh"
 
 namespace facsim::serve
@@ -14,8 +12,9 @@ namespace facsim::serve
 namespace
 {
 
-const char cacheMagic[8] = {'F', 'A', 'C', 'S', 'I', 'M', 'R', 'C'};
 constexpr uint32_t cacheFileVersion = 1;
+const ser::SealedFormat format{"FACSIMRC", cacheFileVersion,
+                               "result cache"};
 
 } // namespace
 
@@ -116,9 +115,7 @@ bool
 ResultCache::save(const std::string &path) const
 {
     FACSIM_PROF_SCOPE(CacheSave);
-    ser::Writer w;
-    w.bytes(cacheMagic, sizeof(cacheMagic));
-    w.u32(cacheFileVersion);
+    ser::Writer w = ser::sealedWriter(format);
     w.u32(requestCodecVersion);
     {
         std::lock_guard<std::mutex> lk(mu_);
@@ -126,50 +123,28 @@ ResultCache::save(const std::string &path) const
         // Oldest first, so reloading re-inserts in age order and the
         // restored LRU order matches the saved one.
         for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            w.u8(it->key.kind);
-            w.u64(it->key.configFp);
-            w.u64(it->key.workloadFp);
-            w.u64(it->key.requestFp);
+            ser::put(w, it->key);
             w.str(it->payload);
         }
     }
-    uint64_t sum = ser::fnv1a(w.data().data(), w.data().size());
-    ser::Writer tail;
-    tail.u64(sum);
-
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        warn("cannot open result cache '%s' for writing", path.c_str());
+    std::string err;
+    if (!ser::writeSealed(path, w, &err)) {
+        warn("cannot save result cache: %s", err.c_str());
         return false;
     }
-    bool ok =
-        std::fwrite(w.data().data(), 1, w.data().size(), f) ==
-            w.data().size() &&
-        std::fwrite(tail.data().data(), 1, tail.data().size(), f) ==
-            tail.data().size();
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok)
-        warn("short write to result cache '%s'", path.c_str());
-    return ok;
+    return true;
 }
 
 bool
 ResultCache::load(const std::string &path)
 {
     FACSIM_PROF_SCOPE(CacheLoad);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    std::string image;
+    if (!ser::readFile(path, &image))
         return false;  // first run; nothing to warm from
-    std::string data;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, n);
-    bool read_ok = !std::ferror(f);
-    std::fclose(f);
 
-    auto reject = [&](const char *why) {
-        warn("ignoring result cache '%s': %s", path.c_str(), why);
+    auto reject = [&](const std::string &why) {
+        warn("ignoring result cache '%s': %s", path.c_str(), why.c_str());
         std::lock_guard<std::mutex> lk(mu_);
         lru_.clear();
         index_.clear();
@@ -177,35 +152,18 @@ ResultCache::load(const std::string &path)
         return false;
     };
 
-    if (!read_ok)
-        return reject("read error");
-    if (data.size() < sizeof(cacheMagic) + 4 + 4 + 8 + 8 ||
-        std::memcmp(data.data(), cacheMagic, sizeof(cacheMagic)) != 0)
-        return reject("not a facsim result cache");
-
-    size_t body = data.size() - 8;
-    uint64_t stored;
-    std::memcpy(&stored, data.data() + body, 8);
-    if (stored != ser::fnv1a(data.data(), body))
-        return reject("checksum mismatch (corrupt file)");
-
-    ser::TryReader r(data.data(), body);
-    char skip[sizeof(cacheMagic)];
-    r.bytes(skip, sizeof(skip));
-    uint32_t file_version = r.u32();
-    uint32_t codec_version = r.u32();
-    if (!r.ok() || file_version != cacheFileVersion)
-        return reject("unknown cache file version");
-    if (codec_version != requestCodecVersion)
+    std::string defect = ser::sealedDefect(image, format);
+    if (!defect.empty())
+        return reject("it " + defect);
+    std::string_view body = ser::sealedBody(image);
+    ser::TryReader r(body.data(), body.size());
+    if (r.u32() != requestCodecVersion)
         return reject("stale result-codec version (starting cold)");
 
     uint64_t count = r.u64();
     for (uint64_t i = 0; i < count; ++i) {
         CacheKey key;
-        key.kind = r.u8();
-        key.configFp = r.u64();
-        key.workloadFp = r.u64();
-        key.requestFp = r.u64();
+        ser::get(r, key);
         std::string payload = r.str();
         if (!r.ok())
             return reject("truncated entry list");

@@ -17,11 +17,12 @@
  * Eviction: LRU under a byte budget (payload bytes; the fixed per-key
  * overhead is ignored). Thread-safe; every operation takes one mutex.
  *
- * Persistence: save() writes a "FACSIMRC" container (format version,
- * codec version, entry count, entries in LRU order oldest-first, FNV-1a
- * trailer); load() restores it. A missing, corrupt, stale-version or
- * budget-overflowing file never kills the daemon — load() warns and
- * starts cold, because the cache is an accelerator, not a database.
+ * Persistence: save() writes a "FACSIMRC" sealed file (util/sealed.hh:
+ * format version, codec version, entry count, entries in LRU order
+ * oldest-first, FNV-1a trailer); load() restores it. A missing,
+ * corrupt, stale-version or budget-overflowing file never kills the
+ * daemon — load() warns and starts cold, because the cache is an
+ * accelerator, not a database.
  */
 
 #ifndef FACSIM_SERVE_CACHE_HH
@@ -47,6 +48,15 @@ struct CacheKey
     uint64_t requestFp = 0;  ///< FNV-1a of the encoded request body
 
     bool operator==(const CacheKey &o) const = default;
+
+    /** Wire order (cache file entries). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using K = CacheKey;
+        v(&K::kind, &K::configFp, &K::workloadFp, &K::requestFp);
+    }
 };
 
 struct CacheKeyHash
@@ -81,14 +91,17 @@ class ResultCache
     uint64_t bytes() const;
     uint64_t entries() const;
 
-    /** Persist every entry to @p path; warn + false on I/O failure. */
+    /**
+     * Persist every entry to @p path, atomically (util/sealed.hh):
+     * warn + false on I/O failure, leaving any previous file intact.
+     */
     bool save(const std::string &path) const;
 
     /**
-     * Load a previously saved cache. Any defect — unreadable file, bad
-     * magic/checksum, stale cache or codec version, truncated entries —
-     * warns and leaves the cache empty (returns false). A missing file
-     * is silent: a first run is not an error.
+     * Load a previously saved cache. Any defect — bad magic/checksum,
+     * stale cache or codec version, truncated entries — warns and
+     * leaves the cache empty (returns false). A missing or unreadable
+     * file is silent: a first run is not an error.
      */
     bool load(const std::string &path);
 

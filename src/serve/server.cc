@@ -29,6 +29,7 @@
 #include "sim/request_codec.hh"
 #include "sim/runner.hh"
 #include "util/logging.hh"
+#include "util/sealed.hh"
 #include "workloads/registry.hh"
 
 namespace facsim::serve
@@ -526,8 +527,8 @@ void
 Server::writeStatsSnapshot()
 {
     // Snapshot first (under statsMu_, same as a Stats request), then
-    // write to a temp file and rename() it into place so a concurrent
-    // reader of --stats-out never sees a torn dump.
+    // write it atomically so a concurrent reader of --stats-out never
+    // sees a torn dump.
     bool json = opts_.statsOut.size() >= 5 &&
         opts_.statsOut.compare(opts_.statsOut.size() - 5, 5, ".json") == 0;
     std::string text;
@@ -535,17 +536,9 @@ Server::writeStatsSnapshot()
         std::lock_guard<std::mutex> lk(statsMu_);
         text = json ? registry_.jsonDump() : registry_.textDump();
     }
-    std::string tmp = opts_.statsOut + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f) {
-            warn("cannot write stats snapshot '%s'", tmp.c_str());
-            return;
-        }
-        f.write(text.data(), static_cast<std::streamsize>(text.size()));
-    }
-    if (::rename(tmp.c_str(), opts_.statsOut.c_str()) != 0)
-        warn("rename '%s': %s", tmp.c_str(), std::strerror(errno));
+    std::string err;
+    if (!ser::writeFileAtomic(opts_.statsOut, text, &err))
+        warn("cannot write stats snapshot: %s", err.c_str());
 }
 
 void

@@ -1,9 +1,8 @@
 #include "sim/checkpoint.hh"
 
-#include <cstdio>
-
 #include "sim/config.hh"
 #include "util/logging.hh"
+#include "util/sealed.hh"
 #include "util/serialize.hh"
 
 namespace facsim
@@ -12,138 +11,68 @@ namespace facsim
 namespace
 {
 
-const char magic[8] = {'F', 'A', 'C', 'S', 'I', 'M', 'C', 'K'};
+const ser::SealedFormat format{"FACSIMCK", checkpointVersion, "checkpoint"};
 
-void
-writeIdentity(ser::Writer &w, const Machine &m, uint64_t pipe_fp)
+const char *
+kindName(CheckpointKind k)
 {
-    const BuildOptions &o = m.buildOptions();
-    w.str(m.workloadName());
-    w.u64(o.scale);
-    w.u64(o.seed);
-    w.u8(o.policy.softwareSupport ? 1 : 0);
+    return k == CheckpointKind::Timing ? "timing" : "functional";
+}
+
+/** Container start: kind, identity header, pipeline fingerprint. */
+ser::Writer
+begin(CheckpointKind kind, const Machine &m, uint64_t pipe_fp)
+{
+    ser::Writer w = ser::sealedWriter(format);
+    w.u8(static_cast<uint8_t>(kind));
+    ser::put(w, BuildIdentity::of(m));
     w.u64(pipe_fp);
+    return w;
 }
 
 void
-checkIdentity(ser::Reader &r, const Machine &m, uint64_t pipe_fp)
+save(const std::string &path, ser::Writer &w)
 {
-    const BuildOptions &o = m.buildOptions();
-    std::string wl = r.str();
-    uint64_t scale = r.u64();
-    uint64_t seed = r.u64();
-    uint8_t support = r.u8();
-    uint64_t fp = r.u64();
+    std::string err;
+    if (!ser::writeSealed(path, w, &err))
+        fatal("cannot write checkpoint: %s", err.c_str());
+}
 
-    FACSIM_ASSERT(wl == m.workloadName(),
-                  "checkpoint was taken from workload '%s' but this "
-                  "machine runs '%s'",
-                  wl.c_str(), m.workloadName().c_str());
-    FACSIM_ASSERT(scale == o.scale,
-                  "checkpoint scale %llu does not match this build's %llu",
-                  static_cast<unsigned long long>(scale),
-                  static_cast<unsigned long long>(o.scale));
-    FACSIM_ASSERT(seed == o.seed,
-                  "checkpoint seed 0x%llx does not match this build's 0x%llx",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(o.seed));
-    FACSIM_ASSERT((support != 0) == o.policy.softwareSupport,
-                  "checkpoint codegen policy (%s software support) does "
-                  "not match this build",
-                  support ? "with" : "without");
+/** Kind stored in a validated image (fatal when out of range). */
+CheckpointKind
+kindOf(const std::string &path, ser::Reader &r)
+{
+    uint8_t kind = r.u8();
+    FACSIM_ASSERT(kind <= static_cast<uint8_t>(CheckpointKind::Timing),
+                  "checkpoint '%s' has unknown kind %u", path.c_str(), kind);
+    return static_cast<CheckpointKind>(kind);
+}
+
+/**
+ * Open @p path as a @p want checkpoint for @p m and return a Reader
+ * positioned at the first state section; dies on any mismatch.
+ */
+ser::Reader
+openAs(const std::string &path, const std::string &image,
+       CheckpointKind want, const Machine &m, uint64_t pipe_fp)
+{
+    std::string_view body = ser::sealedBody(image);
+    ser::Reader r(body.data(), body.size(), "checkpoint");
+    CheckpointKind got = kindOf(path, r);
+    FACSIM_ASSERT(got == want,
+                  "checkpoint '%s' is a %s checkpoint but a %s restore "
+                  "was requested",
+                  path.c_str(), kindName(got), kindName(want));
+    BuildIdentity id;
+    ser::get(r, id);
+    id.check(m, "checkpoint", path);
+    uint64_t fp = r.u64();
     FACSIM_ASSERT(fp == pipe_fp,
                   "checkpoint pipeline-config fingerprint %016llx does "
                   "not match this run's %016llx",
                   static_cast<unsigned long long>(fp),
                   static_cast<unsigned long long>(pipe_fp));
-}
-
-void
-writeFile(const std::string &path, const ser::Writer &w)
-{
-    // Checksum covers everything before it.
-    uint64_t sum = ser::fnv1a(w.data().data(), w.data().size());
-    ser::Writer tail;
-    tail.u64(sum);
-
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    FACSIM_ASSERT(f, "cannot open checkpoint file '%s' for writing",
-                  path.c_str());
-    bool ok =
-        std::fwrite(w.data().data(), 1, w.data().size(), f) ==
-            w.data().size() &&
-        std::fwrite(tail.data().data(), 1, tail.data().size(), f) ==
-            tail.data().size();
-    ok = std::fclose(f) == 0 && ok;
-    FACSIM_ASSERT(ok, "short write to checkpoint file '%s'", path.c_str());
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    FACSIM_ASSERT(f, "cannot open checkpoint file '%s'", path.c_str());
-    std::string data;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, n);
-    FACSIM_ASSERT(!std::ferror(f), "read error on checkpoint file '%s'",
-                  path.c_str());
-    std::fclose(f);
-    return data;
-}
-
-/**
- * Validate container framing (size, magic, version, checksum) and
- * return a Reader positioned just past the magic+version, with the
- * trailing checksum stripped. @p kind_out receives the stored kind.
- */
-ser::Reader
-openContainer(const std::string &path, const std::string &data,
-              CheckpointKind *kind_out)
-{
-    FACSIM_ASSERT(data.size() >= sizeof(magic) + 4 + 1 + 8,
-                  "'%s' is not a facsim checkpoint (only %zu bytes)",
-                  path.c_str(), data.size());
-    FACSIM_ASSERT(std::memcmp(data.data(), magic, sizeof(magic)) == 0,
-                  "'%s' is not a facsim checkpoint (bad magic)",
-                  path.c_str());
-
-    size_t body = data.size() - 8;
-    uint64_t stored;
-    std::memcpy(&stored, data.data() + body, 8);
-    uint64_t actual = ser::fnv1a(data.data(), body);
-    FACSIM_ASSERT(stored == actual,
-                  "checkpoint '%s' is corrupted: checksum %016llx does "
-                  "not match stored %016llx",
-                  path.c_str(), static_cast<unsigned long long>(actual),
-                  static_cast<unsigned long long>(stored));
-
-    ser::Reader r(data.data(), body, "checkpoint");
-    char skip[sizeof(magic)];
-    r.bytes(skip, sizeof(skip));  // magic, already verified
-    uint32_t version = r.u32();
-    FACSIM_ASSERT(version == checkpointVersion,
-                  "checkpoint '%s' has format version %u; this build "
-                  "reads version %u",
-                  path.c_str(), version, checkpointVersion);
-    uint8_t kind = r.u8();
-    FACSIM_ASSERT(kind <= static_cast<uint8_t>(CheckpointKind::Timing),
-                  "checkpoint '%s' has unknown kind %u", path.c_str(), kind);
-    *kind_out = static_cast<CheckpointKind>(kind);
     return r;
-}
-
-void
-expectKind(const std::string &path, CheckpointKind got, CheckpointKind want)
-{
-    FACSIM_ASSERT(got == want,
-                  "checkpoint '%s' is a %s checkpoint but a %s restore "
-                  "was requested",
-                  path.c_str(),
-                  got == CheckpointKind::Timing ? "timing" : "functional",
-                  want == CheckpointKind::Timing ? "timing" : "functional");
 }
 
 } // namespace
@@ -151,33 +80,26 @@ expectKind(const std::string &path, CheckpointKind got, CheckpointKind want)
 CheckpointKind
 checkpointKindOf(const std::string &path)
 {
-    std::string data = readFile(path);
-    CheckpointKind kind;
-    openContainer(path, data, &kind);
-    return kind;
+    std::string image = ser::loadSealed(path, format);
+    std::string_view body = ser::sealedBody(image);
+    ser::Reader r(body.data(), body.size(), "checkpoint");
+    return kindOf(path, r);
 }
 
 void
 saveFunctionalCheckpoint(const std::string &path, const Machine &m)
 {
-    ser::Writer w;
-    w.bytes(magic, sizeof(magic));
-    w.u32(checkpointVersion);
-    w.u8(static_cast<uint8_t>(CheckpointKind::Functional));
-    writeIdentity(w, m, 0);
+    ser::Writer w = begin(CheckpointKind::Functional, m, 0);
     m.emulator().saveState(w);
     m.memory().saveState(w);
-    writeFile(path, w);
+    save(path, w);
 }
 
 void
 restoreFunctionalCheckpoint(const std::string &path, Machine &m)
 {
-    std::string data = readFile(path);
-    CheckpointKind kind;
-    ser::Reader r = openContainer(path, data, &kind);
-    expectKind(path, kind, CheckpointKind::Functional);
-    checkIdentity(r, m, 0);
+    std::string image = ser::loadSealed(path, format);
+    ser::Reader r = openAs(path, image, CheckpointKind::Functional, m, 0);
     m.emulator().loadState(r);
     m.memory().loadState(r);
     r.expectEnd();
@@ -187,25 +109,20 @@ void
 saveTimingCheckpoint(const std::string &path, const Machine &m,
                      const Pipeline &pipe)
 {
-    ser::Writer w;
-    w.bytes(magic, sizeof(magic));
-    w.u32(checkpointVersion);
-    w.u8(static_cast<uint8_t>(CheckpointKind::Timing));
-    writeIdentity(w, m, configFingerprint(pipe.config()));
+    ser::Writer w =
+        begin(CheckpointKind::Timing, m, configFingerprint(pipe.config()));
     m.emulator().saveState(w);
     m.memory().saveState(w);
     pipe.saveState(w);
-    writeFile(path, w);
+    save(path, w);
 }
 
 void
 restoreTimingCheckpoint(const std::string &path, Machine &m, Pipeline &pipe)
 {
-    std::string data = readFile(path);
-    CheckpointKind kind;
-    ser::Reader r = openContainer(path, data, &kind);
-    expectKind(path, kind, CheckpointKind::Timing);
-    checkIdentity(r, m, configFingerprint(pipe.config()));
+    std::string image = ser::loadSealed(path, format);
+    ser::Reader r = openAs(path, image, CheckpointKind::Timing, m,
+                         configFingerprint(pipe.config()));
     m.emulator().loadState(r);
     m.memory().loadState(r);
     pipe.loadState(r);

@@ -208,90 +208,13 @@ describeConfig(const PipelineConfig &c)
     return s;
 }
 
-// Tripwire: configFingerprint() below must hash every timing-relevant
-// field of PipelineConfig. If the struct grows (or shrinks), this
-// assertion fails and forces whoever changed it to extend the
-// fingerprint — silently un-fingerprinted fields would let a checkpoint
-// restore into, or a cached result answer for, a *different* machine.
-// The byte count is for the one supported ABI (LP64 x86-64/AArch64
-// Linux, which is what CI builds); other ABIs skip the check rather
-// than pin a second number.
-#if defined(__linux__) && defined(__LP64__)
-static_assert(sizeof(PipelineConfig) == 220,
-              "PipelineConfig changed size: update configFingerprint() "
-              "in sim/config.cc (and this tripwire) to cover the new "
-              "field set");
-#endif
-
 uint64_t
 configFingerprint(const PipelineConfig &c)
 {
+    // The request encoding of the config: PipelineConfig::fields(),
+    // whose completeness the sizeof tripwire in cpu/pipeline.hh guards.
     ser::Writer w;
-    w.u32(c.fetchWidth);
-    w.u32(c.issueWidth);
-    w.u32(c.fetchBufferSize);
-
-    auto cacheCfg = [&](const CacheConfig &cc) {
-        w.u32(cc.sizeBytes);
-        w.u32(cc.blockBytes);
-        w.u32(cc.assoc);
-        w.u32(cc.missLatency);
-    };
-    cacheCfg(c.icache);
-    cacheCfg(c.dcache);
-
-    const HierarchyConfig &h = c.hierarchy;
-    w.u8(static_cast<uint8_t>(h.depth));
-    w.u32(h.l1Mshr.entries);
-    w.b(h.l1Mshr.mergeSecondary);
-    w.u32(h.l1WbEntries);
-    cacheCfg(h.l2);
-    w.u32(h.l2HitLatency);
-    w.u32(h.l2Mshr.entries);
-    w.b(h.l2Mshr.mergeSecondary);
-    w.u32(h.l2WbEntries);
-    w.u32(h.dram.latency);
-    w.u32(h.dram.issueInterval);
-    w.b(h.tlbEnabled);
-    w.u32(h.tlbEntries);
-    w.u32(h.tlbPageBytes);
-    w.u32(h.tlbMissPenalty);
-
-    w.u32(c.btbEntries);
-    w.u32(c.branchPenalty);
-    w.u32(c.storeBufferEntries);
-    w.u32(c.maxLoadsPerCycle);
-    w.u32(c.maxStoresPerCycle);
-    w.u32(c.numIntAlus);
-    w.u32(c.numMemUnits);
-    w.u32(c.numFpAdders);
-    w.u32(c.intAluLat);
-    w.u32(c.intMulLat);
-    w.u32(c.intDivLat);
-    w.u32(c.fpAddLat);
-    w.u32(c.fpMulLat);
-    w.u32(c.fpDivLat);
-    w.u32(c.fpSqrtLat);
-
-    w.b(c.facEnabled);
-    w.u32(c.fac.blockBits);
-    w.u32(c.fac.setBits);
-    w.b(c.fac.fullTagAdd);
-    w.b(c.fac.speculateRegReg);
-    w.b(c.speculateStores);
-    w.b(c.loadsStallOnStoreConflict);
-    w.b(c.oneCycleLoads);
-    w.b(c.perfectDCache);
-    w.b(c.perfectICache);
-    w.b(c.agiOrganization);
-
-    w.b(c.pred.stride);
-    w.b(c.pred.wayMemo);
-    w.u32(c.pred.strideEntries);
-    w.u32(c.pred.strideConfMax);
-    w.u32(c.pred.strideConfThreshold);
-    w.u32(c.pred.wayMemoEntries);
-
+    ser::put(w, c);
     return ser::fnv1a(w.data().data(), w.data().size());
 }
 

@@ -92,9 +92,10 @@ std::string describeConfig(const PipelineConfig &config);
  * libraries record the configuration that cut them (sim/lvpt.hh), and
  * the experiment-serving result cache keys on it (serve/cache.hh).
  *
- * Covering every field is enforced by a sizeof tripwire in
- * sim/config.cc: growing PipelineConfig without extending this
- * function is a compile error.
+ * It is the FNV-1a hash of the config's request encoding, i.e. of
+ * PipelineConfig::fields(); a sizeof tripwire next to that list makes
+ * growing PipelineConfig without listing the new field a compile
+ * error.
  */
 uint64_t configFingerprint(const PipelineConfig &cfg);
 

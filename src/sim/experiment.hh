@@ -27,6 +27,14 @@ struct LtbRequest
 {
     unsigned entries = 1024;
     LtbPolicy policy = LtbPolicy::LastAddress;
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&LtbRequest::entries, &LtbRequest::policy);
+    }
 };
 
 /** Inputs for a profile run. */
@@ -42,6 +50,16 @@ struct ProfileRequest
     bool withTlb = false;
     /** Stop after this many instructions (0 = run to completion). */
     uint64_t maxInsts = 0;
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using R = ProfileRequest;
+        v(&R::workload, &R::build, &R::facConfigs, &R::ltbConfigs,
+          &R::withTlb, &R::maxInsts);
+    }
 };
 
 /** Outputs of a profile run. */
@@ -63,6 +81,17 @@ struct ProfileResult
     uint64_t tlbAccesses = 0;
     uint64_t tlbMisses = 0;
     uint64_t memUsageBytes = 0;
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using R = ProfileResult;
+        v(&R::insts, &R::loads, &R::stores, &R::fracGlobal, &R::fracStack,
+          &R::fracGeneral, &R::offsets, &R::fac, &R::ltb, &R::tlbMissRatio,
+          &R::tlbAccesses, &R::tlbMisses, &R::memUsageBytes);
+    }
 };
 
 /** Run a functional profile of one workload. */
@@ -93,6 +122,18 @@ struct TimingRequest
      * panic() and cosim divergence reports print. 0 = off.
      */
     size_t historyRing = 0;
+
+    /**
+     * Wire order (request codec). trace and historyRing are absent on
+     * purpose: see sim/request_codec.hh.
+     */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using R = TimingRequest;
+        v(&R::workload, &R::build, &R::pipe, &R::maxInsts, &R::sampling);
+    }
 };
 
 /** Outputs of a timing run. */
@@ -117,6 +158,16 @@ struct TimingResult
      */
     EmuTranslationStats emu;
     EmuEngine emuEngine = EmuEngine::Switch;
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using R = TimingResult;
+        v(&R::stats, &R::hier, &R::memUsageBytes, &R::sample, &R::emu,
+          &R::emuEngine);
+    }
 
     /** Whole-program cycles: measured, or the sampling estimate. */
     double

@@ -1,11 +1,10 @@
 #include "sim/lvpt.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
 #include "sim/config.hh"
 #include "util/logging.hh"
+#include "util/sealed.hh"
 #include "util/serialize.hh"
 
 namespace facsim
@@ -14,26 +13,11 @@ namespace facsim
 namespace
 {
 
-const char magic[8] = {'F', 'A', 'C', 'S', 'I', 'M', 'L', 'V'};
+const ser::SealedFormat format{"FACSIMLV", lvptLibraryVersion,
+                               "live-point library"};
 
 /** Bytes per index record: startInst, offset, size. */
 constexpr size_t indexRecordBytes = 24;
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    FACSIM_ASSERT(f, "cannot open live-point library '%s'", path.c_str());
-    std::string data;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, n);
-    FACSIM_ASSERT(!std::ferror(f), "read error on live-point library '%s'",
-                  path.c_str());
-    std::fclose(f);
-    return data;
-}
 
 } // namespace
 
@@ -69,17 +53,6 @@ warmStateFingerprint(const PipelineConfig &c)
     return ser::fnv1a(w.data().data(), w.data().size());
 }
 
-BuildOptions
-LvptIdentity::buildOptions() const
-{
-    BuildOptions b;
-    b.policy = softwareSupport ? CodeGenPolicy::withSupport()
-                               : CodeGenPolicy::baseline();
-    b.scale = scale;
-    b.seed = seed;
-    return b;
-}
-
 LvptBuildResult
 buildLvptLibrary(const std::string &path, const LvptBuildRequest &req)
 {
@@ -112,18 +85,12 @@ buildLvptLibrary(const std::string &path, const LvptBuildRequest &req)
     }
 
     // Compose the container: header, index, blobs, checksum trailer.
-    ser::Writer w;
-    w.bytes(magic, sizeof(magic));
-    w.u32(lvptLibraryVersion);
-    w.str(m.workloadName());
-    w.u64(req.build.scale);
-    w.u64(req.build.seed);
-    w.u8(req.build.policy.softwareSupport ? 1 : 0);
-    w.u64(warmStateFingerprint(req.pipe));
-    w.u64(configFingerprint(req.pipe));
-    w.u64(req.sampling.period);
-    w.u64(req.sampling.detail);
-    w.u64(req.sampling.warmup);
+    const LvptIdentity id{BuildIdentity::of(m),
+                          warmStateFingerprint(req.pipe),
+                          configFingerprint(req.pipe)};
+    ser::Writer w = ser::sealedWriter(format);
+    ser::put(w, id);
+    ser::put(w, req.sampling);
     w.u64(total());
     w.u64(blobs.size());
 
@@ -137,71 +104,28 @@ buildLvptLibrary(const std::string &path, const LvptBuildRequest &req)
     for (const auto &b : blobs)
         w.bytes(b.second.data(), b.second.size());
 
-    uint64_t sum = ser::fnv1a(w.data().data(), w.data().size());
-    ser::Writer tail;
-    tail.u64(sum);
-
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    FACSIM_ASSERT(f, "cannot open live-point library '%s' for writing",
-                  path.c_str());
-    bool ok =
-        std::fwrite(w.data().data(), 1, w.data().size(), f) ==
-            w.data().size() &&
-        std::fwrite(tail.data().data(), 1, tail.data().size(), f) ==
-            tail.data().size();
-    ok = std::fclose(f) == 0 && ok;
-    FACSIM_ASSERT(ok, "short write to live-point library '%s'",
-                  path.c_str());
+    std::string err;
+    if (!ser::writeSealed(path, w, &err))
+        fatal("cannot write live-point library: %s", err.c_str());
 
     LvptBuildResult res;
     res.entries = blobs.size();
     res.totalInsts = total();
-    res.libraryBytes = w.data().size() + tail.data().size();
+    res.libraryBytes = w.data().size();
     return res;
 }
 
 LvptLibrary::LvptLibrary(const std::string &path)
-    : path_(path), data_(readWholeFile(path))
+    : path_(path), data_(ser::loadSealed(path, format))
 {
-    FACSIM_ASSERT(data_.size() >= sizeof(magic) + 4 + 8,
-                  "'%s' is not a facsim live-point library (only %zu "
-                  "bytes)", path_.c_str(), data_.size());
-    FACSIM_ASSERT(std::memcmp(data_.data(), magic, sizeof(magic)) == 0,
-                  "'%s' is not a facsim live-point library (bad magic)",
-                  path_.c_str());
-
-    size_t body = data_.size() - 8;
-    uint64_t stored;
-    std::memcpy(&stored, data_.data() + body, 8);
-    uint64_t actual = ser::fnv1a(data_.data(), body);
-    FACSIM_ASSERT(stored == actual,
-                  "live-point library '%s' is corrupted: checksum %016llx "
-                  "does not match stored %016llx",
-                  path_.c_str(), static_cast<unsigned long long>(actual),
-                  static_cast<unsigned long long>(stored));
-
-    ser::Reader r(data_.data(), body, "live-point library");
-    char skip[sizeof(magic)];
-    r.bytes(skip, sizeof(skip));
-    uint32_t version = r.u32();
-    FACSIM_ASSERT(version == lvptLibraryVersion,
-                  "live-point library '%s' has stale format version %u; "
-                  "this build reads version %u — rebuild it with mklib",
-                  path_.c_str(), version, lvptLibraryVersion);
-
-    id_.workload = r.str();
-    id_.scale = r.u64();
-    id_.seed = r.u64();
-    id_.softwareSupport = r.u8() != 0;
-    id_.warmFingerprint = r.u64();
-    id_.buildFingerprint = r.u64();
-    sampling_.period = r.u64();
-    sampling_.detail = r.u64();
-    sampling_.warmup = r.u64();
+    std::string_view body = ser::sealedBody(data_);
+    ser::Reader r(body.data(), body.size(), "live-point library");
+    ser::get(r, id_);
+    ser::get(r, sampling_);
     totalInsts_ = r.u64();
 
     uint64_t count = r.u64();
-    FACSIM_ASSERT(count * indexRecordBytes <= data_.size(),
+    FACSIM_ASSERT(count <= r.remaining() / indexRecordBytes,
                   "live-point library '%s' has a truncated index: %llu "
                   "entries indexed but the file holds %zu bytes",
                   path_.c_str(), static_cast<unsigned long long>(count),
@@ -232,21 +156,7 @@ LvptLibrary::restoreEntry(size_t i, Machine &m, Pipeline &pipe) const
                   "live-point %zu requested but '%s' has %zu entries", i,
                   path_.c_str(), entries_.size());
 
-    const BuildOptions &o = m.buildOptions();
-    FACSIM_ASSERT(id_.workload == m.workloadName(),
-                  "live-point library '%s' was cut from workload '%s' "
-                  "but this machine runs '%s'",
-                  path_.c_str(), id_.workload.c_str(),
-                  m.workloadName().c_str());
-    FACSIM_ASSERT(id_.scale == o.scale && id_.seed == o.seed &&
-                      id_.softwareSupport == o.policy.softwareSupport,
-                  "live-point library '%s' build identity (scale %llu, "
-                  "seed 0x%llx, %s software support) does not match this "
-                  "machine",
-                  path_.c_str(),
-                  static_cast<unsigned long long>(id_.scale),
-                  static_cast<unsigned long long>(id_.seed),
-                  id_.softwareSupport ? "with" : "without");
+    id_.check(m, "live-point library", path_);
     uint64_t fp = warmStateFingerprint(pipe.config());
     FACSIM_ASSERT(fp == id_.warmFingerprint,
                   "live-point library '%s' warm-structure fingerprint "
@@ -257,8 +167,10 @@ LvptLibrary::restoreEntry(size_t i, Machine &m, Pipeline &pipe) const
                   static_cast<unsigned long long>(fp));
 
     const Entry &e = entries_[i];
-    // The 8-byte trailer is not addressable payload.
-    FACSIM_ASSERT(e.size > 0 && e.offset + e.size <= data_.size() - 8,
+    // The 8-byte trailer is not addressable payload. Compared without
+    // adding offset + size, which could wrap.
+    const uint64_t end = data_.size() - 8;
+    FACSIM_ASSERT(e.size > 0 && e.offset <= end && e.size <= end - e.offset,
                   "live-point entry %zu of '%s' is missing or out of "
                   "bounds (offset %llu + %llu bytes vs %zu-byte file)",
                   i, path_.c_str(),

@@ -72,13 +72,9 @@ constexpr uint32_t lvptLibraryVersion = 2;
  */
 uint64_t warmStateFingerprint(const PipelineConfig &cfg);
 
-/** Who a library belongs to (mirrors the checkpoint identity header). */
-struct LvptIdentity
+/** Who a library belongs to: the build identity plus fingerprints. */
+struct LvptIdentity : BuildIdentity
 {
-    std::string workload;
-    uint64_t scale = 1;
-    uint64_t seed = 0;
-    bool softwareSupport = false;
     uint64_t warmFingerprint = 0;
     /**
      * configFingerprint() of the full PipelineConfig the creation pass
@@ -89,8 +85,14 @@ struct LvptIdentity
      */
     uint64_t buildFingerprint = 0;
 
-    /** BuildOptions reproducing the machine the library was cut from. */
-    BuildOptions buildOptions() const;
+    /** Wire order (library header). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        BuildIdentity::fields(v);
+        v(&LvptIdentity::warmFingerprint, &LvptIdentity::buildFingerprint);
+    }
 };
 
 /** Inputs for the one-time library-creation pass. */

@@ -41,6 +41,14 @@ struct BuildOptions
     uint64_t scale = 1;
     /** Seed for workload data generation (deterministic runs). */
     uint64_t seed = 0x5eed;
+
+    /** Wire order (request codec, workloadFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&BuildOptions::policy, &BuildOptions::scale, &BuildOptions::seed);
+    }
 };
 
 /** A fully built, ready-to-run simulated system. */
@@ -87,6 +95,41 @@ class Machine
     LinkedImage img;
     std::unique_ptr<Heap> heap_;
     std::unique_ptr<Emulator> emu;
+};
+
+/**
+ * Who a saved simulation belongs to: the workload and the build that
+ * ran it. Checkpoints and live-point libraries both lead with it, and
+ * a restore refuses a machine built any other way.
+ */
+struct BuildIdentity
+{
+    std::string workload;
+    uint64_t scale = 1;
+    uint64_t seed = 0;
+    bool softwareSupport = false;
+
+    /** The identity of @p m. */
+    static BuildIdentity of(const Machine &m);
+
+    /** BuildOptions reproducing the machine (policy from the marker). */
+    BuildOptions buildOptions() const;
+
+    /**
+     * Die naming @p what ("checkpoint", ...) and @p path unless @p m
+     * was built to this identity.
+     */
+    void check(const Machine &m, const char *what,
+               const std::string &path) const;
+
+    /** Wire order (checkpoint and live-point library headers). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using B = BuildIdentity;
+        v(&B::workload, &B::scale, &B::seed, &B::softwareSupport);
+    }
 };
 
 } // namespace facsim

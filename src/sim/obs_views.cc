@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -20,19 +21,29 @@ lowered(const std::string &s)
     return out;
 }
 
+/**
+ * Register every field of @p s that its list gives a key: u64 counters
+ * as live views, other numbers as formulas, nested lists as subgroups.
+ * Formulas over several fields stay with the callers.
+ */
+template <fields::StatListed S>
 void
-registerMshrStats(obs::Group &g, const MshrStats &m)
+registerFields(obs::Group &g, const S &s)
 {
-    g.counterView("allocations", "primary misses that took an entry",
-                  &m.allocations);
-    g.counterView("merges", "secondary misses folded into one fill",
-                  &m.merges);
-    g.counterView("full_stalls", "cycles waited for a free entry",
-                  &m.fullStallCycles);
-    g.formula("max_occupancy", "peak in-flight fills",
-              [&m] { return static_cast<double>(m.maxOccupancy); });
-    g.formula("avg_occupancy", "mean occupancy at allocation",
-              [&m] { return m.avgOccupancy(); });
+    S::statFields([&](auto m, const fields::Meta &meta) {
+        if (!*meta.key)
+            return;
+        obs::Group &dst = *meta.group ? g.group(meta.group) : g;
+        const auto &v = s.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (fields::StatListed<T>)
+            registerFields(dst.group(meta.key), v);
+        else if constexpr (std::is_same_v<T, uint64_t>)
+            dst.counterView(meta.key, meta.desc, &v);
+        else if constexpr (std::is_arithmetic_v<T>)
+            dst.formula(meta.key, meta.desc,
+                        [p = &v] { return static_cast<double>(*p); });
+    });
 }
 
 } // anonymous namespace
@@ -40,49 +51,16 @@ registerMshrStats(obs::Group &g, const MshrStats &m)
 void
 registerPipeStats(obs::Group &g, const PipeStats &st)
 {
-    g.counterView("cycles", "simulated cycles", &st.cycles);
-    g.counterView("insts", "instructions issued", &st.insts);
-    g.counterView("loads", "load instructions", &st.loads);
-    g.counterView("stores", "store instructions", &st.stores);
+    registerFields(g, st);
     g.formula("ipc", "instructions per cycle", [&st] { return st.ipc(); });
-
-    obs::Group &ic = g.group("icache");
-    ic.counterView("accesses", "I-cache block accesses",
-                   &st.icacheAccesses);
-    ic.counterView("misses", "I-cache misses", &st.icacheMisses);
-
-    obs::Group &dc = g.group("dcache");
-    dc.counterView("accesses", "D-cache accesses (ports consumed)",
-                   &st.dcacheAccesses);
-    dc.counterView("misses", "D-cache (L1) misses", &st.dcacheMisses);
-    dc.formula("miss_ratio", "L1 data miss ratio",
-               [&st] { return st.dcacheMissRatio(); });
-
-    obs::Group &btb = g.group("btb");
-    btb.counterView("lookups", "BTB predictions made", &st.btbLookups);
-    btb.counterView("mispredicts", "control mispredictions",
-                    &st.btbMispredicts);
-
-    obs::Group &fac = g.group("fac");
-    fac.counterView("loads_speculated",
-                    "loads that accessed the cache speculatively in EX",
-                    &st.loadsSpeculated);
-    fac.counterView("load_spec_failures",
-                    "speculative loads whose FAC verify failed",
-                    &st.loadSpecFailures);
-    fac.counterView("stores_speculated",
-                    "stores entered speculatively into the buffer",
-                    &st.storesSpeculated);
-    fac.counterView("store_spec_failures",
-                    "speculative stores whose FAC verify failed",
-                    &st.storeSpecFailures);
-    fac.counterView("extra_accesses",
-                    "wasted cache accesses from mispredictions (Table 6)",
-                    &st.extraAccesses);
-    fac.formula("mispredicts", "all FAC verification failures", [&st] {
-        return static_cast<double>(st.loadSpecFailures +
+    g.group("dcache").formula("miss_ratio", "L1 data miss ratio",
+                              [&st] { return st.dcacheMissRatio(); });
+    g.group("fac").formula("mispredicts", "all FAC verification failures",
+                           [&st] {
+                               return static_cast<double>(
+                                   st.loadSpecFailures +
                                    st.storeSpecFailures);
-    });
+                           });
 
     obs::Group &pred = g.group("pred");
     pred.formula("attempts", "speculative accesses from any source", [&st] {
@@ -95,39 +73,9 @@ registerPipeStats(obs::Group &g, const PipeStats &st)
     });
     pred.formula("fail_rate", "failures / attempts (0 when no attempts)",
                  [&st] { return st.predFailRate(); });
-    pred.counterView("stride_speculated",
-                     "accesses speculated from the stride table",
-                     &st.strideSpeculated);
-    pred.counterView("stride_spec_failures",
-                     "stride-sourced speculations whose verify failed",
-                     &st.strideSpecFailures);
     pred.formula("stride_fail_rate",
                  "stride failures / attempts (0 when no attempts)",
                  [&st] { return st.strideFailRate(); });
-    pred.counterView("recovery_cycles",
-                     "MEM-replay cycles spent recovering mispredictions",
-                     &st.predRecoveryCycles);
-    pred.counterView("waymemo_tag_reads_saved",
-                     "L1 tag reads skipped via a fresh memoized way",
-                     &st.wayMemoTagReadsSaved);
-    pred.counterView("waymemo_stale",
-                     "memoized ways caught stale by the late verify",
-                     &st.wayMemoStale);
-
-    obs::Group &stall = g.group("stall");
-    stall.counterView("fetch", "cycles stalled with no fetched inst ready",
-                      &st.stallFetch);
-    stall.counterView("data", "cycles stalled on operands / WAW",
-                      &st.stallData);
-    stall.counterView("structural",
-                      "cycles stalled on a unit or cache port",
-                      &st.stallStructural);
-    stall.counterView("store_buffer", "cycles stalled on the store buffer",
-                      &st.stallStoreBuffer);
-
-    g.group("store_buffer")
-        .counterView("full_stalls", "issue stalls with the buffer full",
-                     &st.storeBufferFullStalls);
 }
 
 void
@@ -135,34 +83,20 @@ registerHierarchyStats(obs::Group &g, const HierarchyStats &hs)
 {
     for (const LevelStats &lvl : hs.levels) {
         obs::Group &lg = g.group(lowered(lvl.name));
-        lg.counterView("accesses", "demand accesses at this level",
-                       &lvl.accesses);
-        lg.counterView("misses", "misses at this level", &lvl.misses);
-        lg.counterView("writebacks", "dirty victims written below",
-                       &lvl.writebacks);
+        registerFields(lg, lvl);
         lg.formula("miss_ratio", "per-level miss ratio", [&lvl] {
             return lvl.accesses
                 ? static_cast<double>(lvl.misses) / lvl.accesses : 0.0;
         });
-        lg.counterView("wb_full_stall_cycles",
-                       "cycles stalled on a full writeback buffer",
-                       &lvl.wbFullStallCycles);
-        registerMshrStats(lg.group("mshr"), lvl.mshr);
+        lg.group("mshr").formula("avg_occupancy",
+                                 "mean occupancy at allocation",
+                                 [&lvl] { return lvl.mshr.avgOccupancy(); });
     }
-    if (hs.hasDram) {
-        obs::Group &dg = g.group("dram");
-        dg.counterView("reads", "line fills from memory", &hs.dram.reads);
-        dg.counterView("writes", "writebacks to memory", &hs.dram.writes);
-        dg.counterView("queued_cycles", "FCFS wait before channel start",
-                       &hs.dram.queuedCycles);
-        dg.counterView("busy_cycles", "channel occupancy",
-                       &hs.dram.busyCycles);
-    }
-    obs::Group &tg = g.group("tlb");
-    tg.counterView("accesses", "data-TLB probes", &hs.tlbAccesses);
-    tg.counterView("misses", "data-TLB misses", &hs.tlbMisses);
-    tg.formula("miss_ratio", "data-TLB miss ratio",
-               [&hs] { return hs.tlbMissRatio(); });
+    if (hs.hasDram)
+        registerFields(g.group("dram"), hs.dram);
+    registerFields(g, hs);
+    g.group("tlb").formula("miss_ratio", "data-TLB miss ratio",
+                           [&hs] { return hs.tlbMissRatio(); });
 }
 
 void
@@ -180,14 +114,7 @@ registerProfileStats(obs::Group &g, const ProfileResult &pr)
     for (size_t i = 0; i < pr.fac.size(); ++i) {
         const FacProfile &fp = pr.fac[i];
         obs::Group &fg = g.group(strprintf("fac%zu", i));
-        fg.counterView("load_attempts", "loads the predictor attempted",
-                      &fp.loadAttempts);
-        fg.counterView("load_failures", "attempted loads mispredicted",
-                      &fp.loadFailures);
-        fg.counterView("store_attempts", "stores the predictor attempted",
-                      &fp.storeAttempts);
-        fg.counterView("store_failures", "attempted stores mispredicted",
-                      &fp.storeFailures);
+        registerFields(fg, fp);
         fg.formula("load_fail_rate", "Table 3 load failure rate",
                    [&fp] { return fp.loadFailRate(); });
         fg.formula("store_fail_rate", "Table 3 store failure rate",
@@ -202,17 +129,7 @@ void
 registerEmulatorStats(obs::Group &g, const EmuTranslationStats &ts,
                       EmuEngine engine)
 {
-    g.counterView("blocks_translated",
-                  "basic blocks decoded into handler records",
-                  &ts.blocksTranslated);
-    g.counterView("block_cache_hits", "dispatches served from the cache",
-                  &ts.blockCacheHits);
-    g.counterView("block_cache_misses",
-                  "dispatches that forced a translation",
-                  &ts.blockCacheMisses);
-    g.counterView("superblock_chains",
-                  "block-to-block links bound for direct transfer",
-                  &ts.superblockChains);
+    registerFields(g, ts);
     g.scalar("dispatch_engine", "active engine (0=switch, 1=threaded)")
         .set(engine == EmuEngine::Threaded ? 1.0 : 0.0);
 }
@@ -238,60 +155,8 @@ StatsAccum::add(const TimingResult &r)
     ++runs_;
     memUsageBytes_ = std::max(memUsageBytes_, r.memUsageBytes);
 
-    const PipeStats &s = r.stats;
-    pipe_.cycles += s.cycles;
-    pipe_.insts += s.insts;
-    pipe_.loads += s.loads;
-    pipe_.stores += s.stores;
-    pipe_.icacheAccesses += s.icacheAccesses;
-    pipe_.icacheMisses += s.icacheMisses;
-    pipe_.dcacheAccesses += s.dcacheAccesses;
-    pipe_.dcacheMisses += s.dcacheMisses;
-    pipe_.btbLookups += s.btbLookups;
-    pipe_.btbMispredicts += s.btbMispredicts;
-    pipe_.loadsSpeculated += s.loadsSpeculated;
-    pipe_.loadSpecFailures += s.loadSpecFailures;
-    pipe_.storesSpeculated += s.storesSpeculated;
-    pipe_.storeSpecFailures += s.storeSpecFailures;
-    pipe_.extraAccesses += s.extraAccesses;
-    pipe_.storeBufferFullStalls += s.storeBufferFullStalls;
-    pipe_.stallFetch += s.stallFetch;
-    pipe_.stallData += s.stallData;
-    pipe_.stallStructural += s.stallStructural;
-    pipe_.stallStoreBuffer += s.stallStoreBuffer;
-    pipe_.strideSpeculated += s.strideSpeculated;
-    pipe_.strideSpecFailures += s.strideSpecFailures;
-    pipe_.predRecoveryCycles += s.predRecoveryCycles;
-    pipe_.wayMemoTagReadsSaved += s.wayMemoTagReadsSaved;
-    pipe_.wayMemoStale += s.wayMemoStale;
-
-    for (const LevelStats &lvl : r.hier.levels) {
-        LevelStats *dst = nullptr;
-        for (LevelStats &have : hier_.levels)
-            if (have.name == lvl.name)
-                dst = &have;
-        if (!dst) {
-            hier_.levels.push_back(lvl);
-            continue;
-        }
-        dst->accesses += lvl.accesses;
-        dst->misses += lvl.misses;
-        dst->writebacks += lvl.writebacks;
-        dst->wbFullStallCycles += lvl.wbFullStallCycles;
-        dst->mshr.allocations += lvl.mshr.allocations;
-        dst->mshr.merges += lvl.mshr.merges;
-        dst->mshr.fullStallCycles += lvl.mshr.fullStallCycles;
-        dst->mshr.maxOccupancy =
-            std::max(dst->mshr.maxOccupancy, lvl.mshr.maxOccupancy);
-        dst->mshr.occupancySum += lvl.mshr.occupancySum;
-    }
-    hier_.hasDram = hier_.hasDram || r.hier.hasDram;
-    hier_.dram.reads += r.hier.dram.reads;
-    hier_.dram.writes += r.hier.dram.writes;
-    hier_.dram.queuedCycles += r.hier.dram.queuedCycles;
-    hier_.dram.busyCycles += r.hier.dram.busyCycles;
-    hier_.tlbAccesses += r.hier.tlbAccesses;
-    hier_.tlbMisses += r.hier.tlbMisses;
+    fields::merge(pipe_, r.stats);
+    fields::merge(hier_, r.hier);
 }
 
 void
@@ -312,12 +177,8 @@ StatsAccum::add(const ProfileResult &r)
     for (size_t i = 0; i < r.fac.size(); ++i) {
         if (i >= prof_.fac.size())
             prof_.fac.push_back(r.fac[i]);
-        else {
-            prof_.fac[i].loadAttempts += r.fac[i].loadAttempts;
-            prof_.fac[i].loadFailures += r.fac[i].loadFailures;
-            prof_.fac[i].storeAttempts += r.fac[i].storeAttempts;
-            prof_.fac[i].storeFailures += r.fac[i].storeFailures;
-        }
+        else
+            fields::merge(prof_.fac[i], r.fac[i]);
     }
     // Class fractions re-derive from the merged totals at dump time;
     // they are stored per run, so recompute a loads-weighted blend.

@@ -3,605 +3,58 @@
 namespace facsim
 {
 
-namespace
-{
-
-// Sanity cap for every decoded vector: a frame or cache file claiming
-// more elements than this is corrupt or hostile, not a real sweep.
-constexpr uint64_t maxVectorLen = 4096;
-
-bool
-vectorLen(ser::TryReader &r, uint64_t *n, const char *what)
-{
-    *n = r.u64();
-    if (r.ok() && *n > maxVectorLen)
-        r.fail(std::string("unreasonable ") + what + " count");
-    return r.ok();
-}
-
-// --- shared nested structures ---------------------------------------
-
-void
-encodeCodeGenPolicy(ser::Writer &w, const CodeGenPolicy &p)
-{
-    w.b(p.softwareSupport);
-    w.b(p.link.alignGlobalPointer);
-    w.b(p.link.alignStatics);
-    w.u32(p.link.maxStaticAlign);
-    w.b(p.link.alignArraysToSize);
-    w.u32(p.link.largeAlignCap);
-    w.u32(p.stack.spAlign);
-    w.u32(p.stack.maxFrameAlign);
-    w.b(p.stack.explicitAlignBigFrames);
-    w.u32(p.heap.minAlign);
-    w.b(p.heap.roundSizes);
-    w.b(p.heap.alignToSize);
-    w.u32(p.heap.largeAlignCap);
-    w.b(p.roundStructs);
-    w.u32(p.structPadCap);
-    w.b(p.sortFrameScalars);
-}
-
-void
-decodeCodeGenPolicy(ser::TryReader &r, CodeGenPolicy *p)
-{
-    p->softwareSupport = r.b();
-    p->link.alignGlobalPointer = r.b();
-    p->link.alignStatics = r.b();
-    p->link.maxStaticAlign = r.u32();
-    p->link.alignArraysToSize = r.b();
-    p->link.largeAlignCap = r.u32();
-    p->stack.spAlign = r.u32();
-    p->stack.maxFrameAlign = r.u32();
-    p->stack.explicitAlignBigFrames = r.b();
-    p->heap.minAlign = r.u32();
-    p->heap.roundSizes = r.b();
-    p->heap.alignToSize = r.b();
-    p->heap.largeAlignCap = r.u32();
-    p->roundStructs = r.b();
-    p->structPadCap = r.u32();
-    p->sortFrameScalars = r.b();
-}
-
-void
-encodeBuildOptions(ser::Writer &w, const BuildOptions &b)
-{
-    encodeCodeGenPolicy(w, b.policy);
-    w.u64(b.scale);
-    w.u64(b.seed);
-}
-
-void
-decodeBuildOptions(ser::TryReader &r, BuildOptions *b)
-{
-    decodeCodeGenPolicy(r, &b->policy);
-    b->scale = r.u64();
-    b->seed = r.u64();
-}
-
-void
-encodeFacConfig(ser::Writer &w, const FacConfig &f)
-{
-    w.u32(f.blockBits);
-    w.u32(f.setBits);
-    w.b(f.fullTagAdd);
-    w.b(f.speculateRegReg);
-}
-
-void
-decodeFacConfig(ser::TryReader &r, FacConfig *f)
-{
-    f->blockBits = r.u32();
-    f->setBits = r.u32();
-    f->fullTagAdd = r.b();
-    f->speculateRegReg = r.b();
-}
-
-void
-encodeCacheConfig(ser::Writer &w, const CacheConfig &c)
-{
-    w.u32(c.sizeBytes);
-    w.u32(c.blockBytes);
-    w.u32(c.assoc);
-    w.u32(c.missLatency);
-}
-
-void
-decodeCacheConfig(ser::TryReader &r, CacheConfig *c)
-{
-    c->sizeBytes = r.u32();
-    c->blockBytes = r.u32();
-    c->assoc = r.u32();
-    c->missLatency = r.u32();
-}
-
-void
-encodePipelineConfig(ser::Writer &w, const PipelineConfig &c)
-{
-    w.u32(c.fetchWidth);
-    w.u32(c.issueWidth);
-    w.u32(c.fetchBufferSize);
-    encodeCacheConfig(w, c.icache);
-    encodeCacheConfig(w, c.dcache);
-
-    const HierarchyConfig &h = c.hierarchy;
-    w.u8(static_cast<uint8_t>(h.depth));
-    w.u32(h.l1Mshr.entries);
-    w.b(h.l1Mshr.mergeSecondary);
-    w.u32(h.l1WbEntries);
-    encodeCacheConfig(w, h.l2);
-    w.u32(h.l2HitLatency);
-    w.u32(h.l2Mshr.entries);
-    w.b(h.l2Mshr.mergeSecondary);
-    w.u32(h.l2WbEntries);
-    w.u32(h.dram.latency);
-    w.u32(h.dram.issueInterval);
-    w.b(h.tlbEnabled);
-    w.u32(h.tlbEntries);
-    w.u32(h.tlbPageBytes);
-    w.u32(h.tlbMissPenalty);
-
-    w.u32(c.btbEntries);
-    w.u32(c.branchPenalty);
-    w.u32(c.storeBufferEntries);
-    w.u32(c.maxLoadsPerCycle);
-    w.u32(c.maxStoresPerCycle);
-    w.u32(c.numIntAlus);
-    w.u32(c.numMemUnits);
-    w.u32(c.numFpAdders);
-    w.u32(c.intAluLat);
-    w.u32(c.intMulLat);
-    w.u32(c.intDivLat);
-    w.u32(c.fpAddLat);
-    w.u32(c.fpMulLat);
-    w.u32(c.fpDivLat);
-    w.u32(c.fpSqrtLat);
-
-    w.b(c.facEnabled);
-    encodeFacConfig(w, c.fac);
-    w.b(c.speculateStores);
-    w.b(c.loadsStallOnStoreConflict);
-    w.b(c.oneCycleLoads);
-    w.b(c.perfectDCache);
-    w.b(c.perfectICache);
-    w.b(c.agiOrganization);
-
-    w.b(c.pred.stride);
-    w.b(c.pred.wayMemo);
-    w.u32(c.pred.strideEntries);
-    w.u32(c.pred.strideConfMax);
-    w.u32(c.pred.strideConfThreshold);
-    w.u32(c.pred.wayMemoEntries);
-}
-
-void
-decodePipelineConfig(ser::TryReader &r, PipelineConfig *c)
-{
-    c->fetchWidth = r.u32();
-    c->issueWidth = r.u32();
-    c->fetchBufferSize = r.u32();
-    decodeCacheConfig(r, &c->icache);
-    decodeCacheConfig(r, &c->dcache);
-
-    HierarchyConfig &h = c->hierarchy;
-    uint8_t depth = r.u8();
-    if (r.ok() && depth > static_cast<uint8_t>(HierarchyDepth::L2)) {
-        r.fail("unknown hierarchy depth");
-        return;
-    }
-    h.depth = static_cast<HierarchyDepth>(depth);
-    h.l1Mshr.entries = r.u32();
-    h.l1Mshr.mergeSecondary = r.b();
-    h.l1WbEntries = r.u32();
-    decodeCacheConfig(r, &h.l2);
-    h.l2HitLatency = r.u32();
-    h.l2Mshr.entries = r.u32();
-    h.l2Mshr.mergeSecondary = r.b();
-    h.l2WbEntries = r.u32();
-    h.dram.latency = r.u32();
-    h.dram.issueInterval = r.u32();
-    h.tlbEnabled = r.b();
-    h.tlbEntries = r.u32();
-    h.tlbPageBytes = r.u32();
-    h.tlbMissPenalty = r.u32();
-
-    c->btbEntries = r.u32();
-    c->branchPenalty = r.u32();
-    c->storeBufferEntries = r.u32();
-    c->maxLoadsPerCycle = r.u32();
-    c->maxStoresPerCycle = r.u32();
-    c->numIntAlus = r.u32();
-    c->numMemUnits = r.u32();
-    c->numFpAdders = r.u32();
-    c->intAluLat = r.u32();
-    c->intMulLat = r.u32();
-    c->intDivLat = r.u32();
-    c->fpAddLat = r.u32();
-    c->fpMulLat = r.u32();
-    c->fpDivLat = r.u32();
-    c->fpSqrtLat = r.u32();
-
-    c->facEnabled = r.b();
-    decodeFacConfig(r, &c->fac);
-    c->speculateStores = r.b();
-    c->loadsStallOnStoreConflict = r.b();
-    c->oneCycleLoads = r.b();
-    c->perfectDCache = r.b();
-    c->perfectICache = r.b();
-    c->agiOrganization = r.b();
-
-    c->pred.stride = r.b();
-    c->pred.wayMemo = r.b();
-    c->pred.strideEntries = r.u32();
-    c->pred.strideConfMax = r.u32();
-    c->pred.strideConfThreshold = r.u32();
-    c->pred.wayMemoEntries = r.u32();
-}
-
-void
-encodeMetricEstimate(ser::Writer &w, const MetricEstimate &m)
-{
-    w.f64(m.mean);
-    w.f64(m.halfWidth);
-    w.u64(m.n);
-    w.b(m.insufficient);
-}
-
-void
-decodeMetricEstimate(ser::TryReader &r, MetricEstimate *m)
-{
-    m->mean = r.f64();
-    m->halfWidth = r.f64();
-    m->n = r.u64();
-    m->insufficient = r.b();
-}
-
-void
-encodeOffsetHistogram(ser::Writer &w, const OffsetHistogram &h)
-{
-    for (uint64_t b : h.buckets)
-        w.u64(b);
-    w.u64(h.total);
-}
-
-void
-decodeOffsetHistogram(ser::TryReader &r, OffsetHistogram *h)
-{
-    for (uint64_t &b : h->buckets)
-        b = r.u64();
-    h->total = r.u64();
-}
-
-void
-encodeMshrStats(ser::Writer &w, const MshrStats &m)
-{
-    w.u64(m.allocations);
-    w.u64(m.merges);
-    w.u64(m.fullStallCycles);
-    w.u32(m.maxOccupancy);
-    w.u64(m.occupancySum);
-}
-
-void
-decodeMshrStats(ser::TryReader &r, MshrStats *m)
-{
-    m->allocations = r.u64();
-    m->merges = r.u64();
-    m->fullStallCycles = r.u64();
-    m->maxOccupancy = r.u32();
-    m->occupancySum = r.u64();
-}
-
-} // namespace
-
-// --- requests -------------------------------------------------------
+// Every layout is the struct's field list (fields() next to each
+// struct); put()/get() walk it, range-check enums and cap vectors.
 
 void
 encodeProfileRequest(ser::Writer &w, const ProfileRequest &req)
 {
-    w.str(req.workload);
-    encodeBuildOptions(w, req.build);
-    w.u64(req.facConfigs.size());
-    for (const FacConfig &f : req.facConfigs)
-        encodeFacConfig(w, f);
-    w.u64(req.ltbConfigs.size());
-    for (const LtbRequest &l : req.ltbConfigs) {
-        w.u32(l.entries);
-        w.u8(static_cast<uint8_t>(l.policy));
-    }
-    w.b(req.withTlb);
-    w.u64(req.maxInsts);
-}
-
-bool
-decodeProfileRequest(ser::TryReader &r, ProfileRequest *req)
-{
-    req->workload = r.str();
-    decodeBuildOptions(r, &req->build);
-    uint64_t n;
-    if (!vectorLen(r, &n, "FAC config"))
-        return false;
-    req->facConfigs.resize(n);
-    for (FacConfig &f : req->facConfigs)
-        decodeFacConfig(r, &f);
-    if (!vectorLen(r, &n, "LTB config"))
-        return false;
-    req->ltbConfigs.resize(n);
-    for (LtbRequest &l : req->ltbConfigs) {
-        l.entries = r.u32();
-        uint8_t pol = r.u8();
-        if (r.ok() && pol > static_cast<uint8_t>(LtbPolicy::Stride)) {
-            r.fail("unknown LTB policy");
-            return false;
-        }
-        l.policy = static_cast<LtbPolicy>(pol);
-    }
-    req->withTlb = r.b();
-    req->maxInsts = r.u64();
-    return r.ok();
+    ser::put(w, req);
 }
 
 void
 encodeTimingRequest(ser::Writer &w, const TimingRequest &req)
 {
-    w.str(req.workload);
-    encodeBuildOptions(w, req.build);
-    encodePipelineConfig(w, req.pipe);
-    w.u64(req.maxInsts);
-    w.u64(req.sampling.period);
-    w.u64(req.sampling.detail);
-    w.u64(req.sampling.warmup);
-    // trace / historyRing deliberately absent (see request_codec.hh).
+    ser::put(w, req);
+}
+
+bool
+decodeProfileRequest(ser::TryReader &r, ProfileRequest *req)
+{
+    ser::get(r, *req);
+    return r.ok();
 }
 
 bool
 decodeTimingRequest(ser::TryReader &r, TimingRequest *req)
 {
-    req->workload = r.str();
-    decodeBuildOptions(r, &req->build);
-    decodePipelineConfig(r, &req->pipe);
-    req->maxInsts = r.u64();
-    req->sampling.period = r.u64();
-    req->sampling.detail = r.u64();
-    req->sampling.warmup = r.u64();
+    ser::get(r, *req);
     return r.ok();
 }
-
-// --- results --------------------------------------------------------
 
 void
 encodeProfileResult(ser::Writer &w, const ProfileResult &res)
 {
-    w.u64(res.insts);
-    w.u64(res.loads);
-    w.u64(res.stores);
-    w.f64(res.fracGlobal);
-    w.f64(res.fracStack);
-    w.f64(res.fracGeneral);
-    for (const OffsetHistogram &h : res.offsets)
-        encodeOffsetHistogram(w, h);
-    w.u64(res.fac.size());
-    for (const FacProfile &f : res.fac) {
-        encodeFacConfig(w, f.config);
-        w.u64(f.loadAttempts);
-        w.u64(f.loadFailures);
-        w.u64(f.storeAttempts);
-        w.u64(f.storeFailures);
-        w.u64(f.loadFailuresNoRR);
-        w.u64(f.storeFailuresNoRR);
-        w.u64(f.loadsNoRR);
-        w.u64(f.storesNoRR);
-        for (uint64_t c : f.causeCounts)
-            w.u64(c);
-    }
-    w.u64(res.ltb.size());
-    for (const LtbProfile &l : res.ltb) {
-        w.u32(l.entries);
-        w.u8(static_cast<uint8_t>(l.policy));
-        w.u64(l.attempts);
-        w.u64(l.correct);
-    }
-    w.f64(res.tlbMissRatio);
-    w.u64(res.tlbAccesses);
-    w.u64(res.tlbMisses);
-    w.u64(res.memUsageBytes);
-}
-
-bool
-decodeProfileResult(ser::TryReader &r, ProfileResult *res)
-{
-    res->insts = r.u64();
-    res->loads = r.u64();
-    res->stores = r.u64();
-    res->fracGlobal = r.f64();
-    res->fracStack = r.f64();
-    res->fracGeneral = r.f64();
-    for (OffsetHistogram &h : res->offsets)
-        decodeOffsetHistogram(r, &h);
-    uint64_t n;
-    if (!vectorLen(r, &n, "FAC profile"))
-        return false;
-    res->fac.resize(n);
-    for (FacProfile &f : res->fac) {
-        decodeFacConfig(r, &f.config);
-        f.loadAttempts = r.u64();
-        f.loadFailures = r.u64();
-        f.storeAttempts = r.u64();
-        f.storeFailures = r.u64();
-        f.loadFailuresNoRR = r.u64();
-        f.storeFailuresNoRR = r.u64();
-        f.loadsNoRR = r.u64();
-        f.storesNoRR = r.u64();
-        for (uint64_t &c : f.causeCounts)
-            c = r.u64();
-    }
-    if (!vectorLen(r, &n, "LTB profile"))
-        return false;
-    res->ltb.resize(n);
-    for (LtbProfile &l : res->ltb) {
-        l.entries = r.u32();
-        uint8_t pol = r.u8();
-        if (r.ok() && pol > static_cast<uint8_t>(LtbPolicy::Stride)) {
-            r.fail("unknown LTB policy");
-            return false;
-        }
-        l.policy = static_cast<LtbPolicy>(pol);
-        l.attempts = r.u64();
-        l.correct = r.u64();
-    }
-    res->tlbMissRatio = r.f64();
-    res->tlbAccesses = r.u64();
-    res->tlbMisses = r.u64();
-    res->memUsageBytes = r.u64();
-    return r.ok();
+    ser::put(w, res);
 }
 
 void
 encodeTimingResult(ser::Writer &w, const TimingResult &res)
 {
-    const PipeStats &s = res.stats;
-    w.u64(s.cycles);
-    w.u64(s.insts);
-    w.u64(s.loads);
-    w.u64(s.stores);
-    w.u64(s.icacheAccesses);
-    w.u64(s.icacheMisses);
-    w.u64(s.dcacheAccesses);
-    w.u64(s.dcacheMisses);
-    w.u64(s.btbLookups);
-    w.u64(s.btbMispredicts);
-    w.u64(s.loadsSpeculated);
-    w.u64(s.loadSpecFailures);
-    w.u64(s.storesSpeculated);
-    w.u64(s.storeSpecFailures);
-    w.u64(s.extraAccesses);
-    w.u64(s.storeBufferFullStalls);
-    w.u64(s.stallFetch);
-    w.u64(s.stallData);
-    w.u64(s.stallStructural);
-    w.u64(s.stallStoreBuffer);
-    w.u64(s.strideSpeculated);
-    w.u64(s.strideSpecFailures);
-    w.u64(s.predRecoveryCycles);
-    w.u64(s.wayMemoTagReadsSaved);
-    w.u64(s.wayMemoStale);
+    ser::put(w, res);
+}
 
-    const HierarchyStats &h = res.hier;
-    w.u64(h.levels.size());
-    for (const LevelStats &lv : h.levels) {
-        w.str(lv.name);
-        w.u64(lv.accesses);
-        w.u64(lv.misses);
-        w.u64(lv.writebacks);
-        w.f64(lv.missRatio);
-        encodeMshrStats(w, lv.mshr);
-        w.u64(lv.wbFullStallCycles);
-    }
-    w.b(h.hasDram);
-    w.u64(h.dram.reads);
-    w.u64(h.dram.writes);
-    w.u64(h.dram.queuedCycles);
-    w.u64(h.dram.busyCycles);
-    w.u64(h.tlbAccesses);
-    w.u64(h.tlbMisses);
-
-    w.u64(res.memUsageBytes);
-
-    const SampleEstimate &e = res.sample;
-    w.b(e.enabled);
-    w.u64(e.windows);
-    w.u64(e.measuredInsts);
-    w.u64(e.measuredCycles);
-    w.u64(e.warmupInsts);
-    w.u64(e.drainInsts);
-    w.u64(e.fastForwardInsts);
-    w.u64(e.totalInsts);
-    encodeMetricEstimate(w, e.cpi);
-    encodeMetricEstimate(w, e.ipc);
-
-    w.u64(res.emu.blocksTranslated);
-    w.u64(res.emu.blockCacheHits);
-    w.u64(res.emu.blockCacheMisses);
-    w.u64(res.emu.superblockChains);
-    w.u8(static_cast<uint8_t>(res.emuEngine));
+bool
+decodeProfileResult(ser::TryReader &r, ProfileResult *res)
+{
+    ser::get(r, *res);
+    return r.ok();
 }
 
 bool
 decodeTimingResult(ser::TryReader &r, TimingResult *res)
 {
-    PipeStats &s = res->stats;
-    s.cycles = r.u64();
-    s.insts = r.u64();
-    s.loads = r.u64();
-    s.stores = r.u64();
-    s.icacheAccesses = r.u64();
-    s.icacheMisses = r.u64();
-    s.dcacheAccesses = r.u64();
-    s.dcacheMisses = r.u64();
-    s.btbLookups = r.u64();
-    s.btbMispredicts = r.u64();
-    s.loadsSpeculated = r.u64();
-    s.loadSpecFailures = r.u64();
-    s.storesSpeculated = r.u64();
-    s.storeSpecFailures = r.u64();
-    s.extraAccesses = r.u64();
-    s.storeBufferFullStalls = r.u64();
-    s.stallFetch = r.u64();
-    s.stallData = r.u64();
-    s.stallStructural = r.u64();
-    s.stallStoreBuffer = r.u64();
-    s.strideSpeculated = r.u64();
-    s.strideSpecFailures = r.u64();
-    s.predRecoveryCycles = r.u64();
-    s.wayMemoTagReadsSaved = r.u64();
-    s.wayMemoStale = r.u64();
-
-    HierarchyStats &h = res->hier;
-    uint64_t n;
-    if (!vectorLen(r, &n, "hierarchy level"))
-        return false;
-    h.levels.resize(n);
-    for (LevelStats &lv : h.levels) {
-        lv.name = r.str();
-        lv.accesses = r.u64();
-        lv.misses = r.u64();
-        lv.writebacks = r.u64();
-        lv.missRatio = r.f64();
-        decodeMshrStats(r, &lv.mshr);
-        lv.wbFullStallCycles = r.u64();
-    }
-    h.hasDram = r.b();
-    h.dram.reads = r.u64();
-    h.dram.writes = r.u64();
-    h.dram.queuedCycles = r.u64();
-    h.dram.busyCycles = r.u64();
-    h.tlbAccesses = r.u64();
-    h.tlbMisses = r.u64();
-
-    res->memUsageBytes = r.u64();
-
-    SampleEstimate &e = res->sample;
-    e.enabled = r.b();
-    e.windows = r.u64();
-    e.measuredInsts = r.u64();
-    e.measuredCycles = r.u64();
-    e.warmupInsts = r.u64();
-    e.drainInsts = r.u64();
-    e.fastForwardInsts = r.u64();
-    e.totalInsts = r.u64();
-    decodeMetricEstimate(r, &e.cpi);
-    decodeMetricEstimate(r, &e.ipc);
-
-    res->emu.blocksTranslated = r.u64();
-    res->emu.blockCacheHits = r.u64();
-    res->emu.blockCacheMisses = r.u64();
-    res->emu.superblockChains = r.u64();
-    uint8_t eng = r.u8();
-    if (r.ok() && eng > static_cast<uint8_t>(EmuEngine::Threaded)) {
-        r.fail("unknown emulator engine");
-        return false;
-    }
-    res->emuEngine = static_cast<EmuEngine>(eng);
+    ser::get(r, *res);
     return r.ok();
 }
 
@@ -610,7 +63,7 @@ workloadFingerprint(const std::string &workload, const BuildOptions &build)
 {
     ser::Writer w;
     w.str(workload);
-    encodeBuildOptions(w, build);
+    ser::put(w, build);
     return ser::fnv1a(w.data().data(), w.data().size());
 }
 

@@ -6,12 +6,14 @@
  * disk-backed result cache (serve/cache.hh), so a response replayed
  * from the cache is byte-for-byte the response the cold run produced.
  *
- * Encoders write onto a ser::Writer. Decoders read from a
- * ser::TryReader — the *non-fatal* reader — because both consumers
- * decode untrusted bytes (a client frame, a cache file from an older
- * run): a malformed stream must surface as `!r.ok()` with an error
- * message, never abort the daemon. Decoders validate enum ranges and
- * cap vector lengths for the same reason.
+ * Each layout is its struct's field list, in wire order (`fields()`
+ * next to the struct; see util/serialize.hh). Encoders write onto a
+ * ser::Writer. Decoders read from a ser::TryReader — the *non-fatal*
+ * reader — because both consumers decode untrusted bytes (a client
+ * frame, a cache file from an older run): a malformed stream must
+ * surface as `!r.ok()` with an error message, never abort the daemon.
+ * Decoders validate enum ranges and cap vector lengths for the same
+ * reason.
  *
  * Deliberately excluded from TimingRequest: the trace options and the
  * crash-dump history ring. Both are host-side observability attached to

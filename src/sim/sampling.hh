@@ -40,6 +40,15 @@ struct SamplingConfig
 
     bool enabled() const { return period != 0; }
 
+    /** Wire order (request codec, live-point library header). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using S = SamplingConfig;
+        v(&S::period, &S::detail, &S::warmup);
+    }
+
     /**
      * Die with a usage message unless the parameters are coherent:
      * detail >= 1 and warmup + detail <= period.
@@ -63,6 +72,15 @@ struct MetricEstimate
      * estimate is exact" — consumers report the CI as unavailable.
      */
     bool insufficient = true;
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using M = MetricEstimate;
+        v(&M::mean, &M::halfWidth, &M::n, &M::insufficient);
+    }
 
     /** True when @p value lies inside the confidence interval. */
     bool
@@ -113,6 +131,17 @@ struct SampleEstimate
     MetricEstimate cpi;
     /** Per-window instructions-per-cycle estimate. */
     MetricEstimate ipc;
+
+    /** Wire order (request codec). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using S = SampleEstimate;
+        v(&S::enabled, &S::windows, &S::measuredInsts, &S::measuredCycles,
+          &S::warmupInsts, &S::drainInsts, &S::fastForwardInsts,
+          &S::totalInsts, &S::cpi, &S::ipc);
+    }
 
     /** Whole-program cycle estimate: mean CPI scaled to every inst. */
     double estCycles() const { return cpi.mean * totalInsts; }

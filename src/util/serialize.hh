@@ -1,23 +1,26 @@
 /**
  * @file
- * Header-only binary serialization used by the checkpoint subsystem
- * (sim/checkpoint.hh). Kept in util/ and fully inline so that low-level
- * structures (Cache, Btb, Tlb, MshrFile, ...) can implement
- * saveState()/loadState() without linking against the sim layer.
+ * Header-only binary serialization: the Writer and the two readers
+ * behind checkpoints, live-point libraries, the request codec and the
+ * result cache, plus put()/get() for structs with a field list. Kept
+ * in util/ and fully inline so that low-level structures (Cache, Btb,
+ * Tlb, MshrFile, ...) can implement saveState()/loadState() without
+ * linking against the sim layer.
  *
  * The encoding is fixed-width little-endian with no alignment; strings
- * and byte blocks are length-prefixed. Readers are bounds-checked: any
- * read past the end of the buffer dies through fatal() with a message
- * naming the checkpoint as truncated, which is how corrupt files are
- * rejected (see tests/test_checkpoint.cc).
+ * and byte blocks are length-prefixed. Both readers are bounds-checked:
+ * TryReader latches the first failure for untrusted input, Reader dies
+ * through fatal() for the simulator's own files.
  */
 
 #ifndef FACSIM_UTIL_SERIALIZE_HH
 #define FACSIM_UTIL_SERIALIZE_HH
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/logging.hh"
@@ -100,118 +103,12 @@ class Writer
     std::string buf_;
 };
 
-/** Bounds-checked decoder over a byte buffer (not owned). */
-class Reader
-{
-  public:
-    /**
-     * @param data encoded stream (must outlive the Reader).
-     * @param len stream length in bytes.
-     * @param what label for error messages ("checkpoint", ...).
-     */
-    Reader(const void *data, size_t len, const char *what = "checkpoint")
-        : p_(static_cast<const uint8_t *>(data)), len_(len), what_(what)
-    {
-    }
-
-    uint8_t
-    u8()
-    {
-        need(1);
-        return p_[off_++];
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v;
-        need(4);
-        std::memcpy(&v, p_ + off_, 4);
-        off_ += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v;
-        need(8);
-        std::memcpy(&v, p_ + off_, 8);
-        off_ += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        double v;
-        need(8);
-        std::memcpy(&v, p_ + off_, 8);
-        off_ += 8;
-        return v;
-    }
-
-    bool b() { return u8() != 0; }
-
-    std::string
-    str()
-    {
-        uint64_t n = u64();
-        // Strings in checkpoints are identifiers; a huge length means
-        // the stream is corrupt, not that someone saved a 16 MB name.
-        FACSIM_ASSERT(n <= (1u << 24),
-                      "%s corrupt: unreasonable string length %llu",
-                      what_, static_cast<unsigned long long>(n));
-        need(n);
-        std::string s(reinterpret_cast<const char *>(p_ + off_),
-                      static_cast<size_t>(n));
-        off_ += static_cast<size_t>(n);
-        return s;
-    }
-
-    void
-    bytes(void *out, size_t n)
-    {
-        need(n);
-        std::memcpy(out, p_ + off_, n);
-        off_ += n;
-    }
-
-    size_t offset() const { return off_; }
-    size_t remaining() const { return len_ - off_; }
-
-    /** Die unless the whole stream was consumed (trailing-junk check). */
-    void
-    expectEnd() const
-    {
-        if (off_ != len_) {
-            fatal("%s corrupt: %zu trailing byte(s) after the last "
-                  "section", what_, len_ - off_);
-        }
-    }
-
-  private:
-    void
-    need(size_t n) const
-    {
-        if (off_ + n > len_) {
-            fatal("%s truncated: needed %zu byte(s) at offset %zu but "
-                  "only %zu remain", what_, n, off_, len_ - off_);
-        }
-    }
-
-    const uint8_t *p_;
-    size_t len_;
-    const char *what_;
-    size_t off_ = 0;
-};
-
 /**
- * Non-fatal variant of Reader for *untrusted* input (the experiment
- * service's wire frames and cache files): instead of dying through
- * fatal(), the first out-of-bounds read latches a failure flag and an
- * error message, and every subsequent read returns zero without
- * touching the buffer. Callers check ok() once after decoding a whole
+ * Bounds-checked decoder over a byte buffer (not owned), for untrusted
+ * input (the experiment service's wire frames and cache files): the
+ * first out-of-bounds read or fail() latches a failure flag and an
+ * error message, and every later read returns zero without touching
+ * the buffer. Callers check ok() once after decoding a whole
  * structure; a daemon must reject a malformed frame with a protocol
  * error, never abort.
  */
@@ -223,55 +120,18 @@ class TryReader
     {
     }
 
-    uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return p_[off_++];
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v;
-        if (!need(4))
-            return 0;
-        std::memcpy(&v, p_ + off_, 4);
-        off_ += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v;
-        if (!need(8))
-            return 0;
-        std::memcpy(&v, p_ + off_, 8);
-        off_ += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        double v;
-        if (!need(8))
-            return 0.0;
-        std::memcpy(&v, p_ + off_, 8);
-        off_ += 8;
-        return v;
-    }
-
+    uint8_t u8() { return scalar<uint8_t>(); }
+    uint32_t u32() { return scalar<uint32_t>(); }
+    uint64_t u64() { return scalar<uint64_t>(); }
+    double f64() { return scalar<double>(); }
     bool b() { return u8() != 0; }
 
     std::string
     str()
     {
         uint64_t n = u64();
-        // Same sanity cap as Reader: a huge length means a corrupt or
-        // hostile stream, not a real identifier.
+        // Strings are identifiers; a huge length means a corrupt or
+        // hostile stream, not that someone saved a 16 MB name.
         if (ok_ && n > (1u << 24)) {
             fail("unreasonable string length");
             return std::string();
@@ -298,6 +158,8 @@ class TryReader
     void
     fail(const std::string &why)
     {
+        if (fatalWhat_)
+            fatal("%s corrupt: %s", fatalWhat_, why.c_str());
         if (ok_) {
             ok_ = false;
             error_ = why;
@@ -310,17 +172,43 @@ class TryReader
     size_t remaining() const { return len_ - off_; }
     bool atEnd() const { return off_ == len_; }
 
+  protected:
+    /** Set by Reader: failures die through fatal() naming the stream. */
+    const char *fatalWhat_ = nullptr;
+
   private:
+    template <class T>
+    T
+    scalar()
+    {
+        T v{};
+        if (need(sizeof(T))) {
+            std::memcpy(&v, p_ + off_, sizeof(T));
+            off_ += sizeof(T);
+        }
+        return v;
+    }
+
     bool
     need(size_t n)
     {
+        if (ok_ && n <= len_ - off_) [[likely]]
+            return true;
+        return overrun(n);
+    }
+
+    /** need()'s failure path, kept out of line so reads stay small. */
+    [[gnu::noinline, gnu::cold]] bool
+    overrun(size_t n)
+    {
         if (!ok_)
             return false;
-        if (off_ + n > len_) {
-            fail("truncated stream");
-            return false;
+        if (fatalWhat_) {
+            fatal("%s truncated: needed %zu byte(s) at offset %zu but "
+                  "only %zu remain", fatalWhat_, n, off_, len_ - off_);
         }
-        return true;
+        fail("truncated stream");
+        return false;
     }
 
     const uint8_t *p_;
@@ -329,6 +217,148 @@ class TryReader
     bool ok_ = true;
     std::string error_;
 };
+
+/**
+ * The fatal variant, for files the simulator wrote itself (checkpoints,
+ * live-point libraries): any read past the end, or any fail(), dies
+ * through fatal() with a message naming the stream, which is how
+ * corrupt files are rejected (see tests/test_checkpoint.cc).
+ */
+class Reader : public TryReader
+{
+  public:
+    /**
+     * @param data encoded stream (must outlive the Reader).
+     * @param len stream length in bytes.
+     * @param what label for error messages ("checkpoint", ...).
+     */
+    Reader(const void *data, size_t len, const char *what = "checkpoint")
+        : TryReader(data, len)
+    {
+        fatalWhat_ = what;
+    }
+
+    /** Die unless the whole stream was consumed (trailing-junk check). */
+    void
+    expectEnd() const
+    {
+        if (!atEnd()) {
+            fatal("%s corrupt: %zu trailing byte(s) after the last "
+                  "section", fatalWhat_, remaining());
+        }
+    }
+};
+
+// ---------------------------------------------------------------------
+// Field lists
+//
+// A struct that names its members in wire order,
+//
+//     template <class V>
+//     static void fields(V &&v) { v(&S::a, &S::b, ...); }
+//
+// is encoded by put() and decoded by get() with no per-field code. A
+// member may be a scalar (bool, uint8_t, uint32_t, uint64_t, double), a
+// std::string, a one-byte enum (range-checked on decode against
+// enumLast(), found next to the enum), a std::array, a std::vector
+// (u64 length prefix), or another field-listed struct.
+
+template <class T>
+concept FieldListed = requires { T::fields([](auto...) {}); };
+
+template <class T>
+struct IsVector : std::false_type
+{
+};
+template <class E, class A>
+struct IsVector<std::vector<E, A>> : std::true_type
+{
+};
+
+template <class T>
+struct IsArray : std::false_type
+{
+};
+template <class E, size_t N>
+struct IsArray<std::array<E, N>> : std::true_type
+{
+};
+
+/** Cap on a decoded vector: more elements means a corrupt stream. */
+constexpr uint64_t maxVectorLen = 4096;
+
+template <class T>
+void
+put(Writer &w, const T &v)
+{
+    if constexpr (FieldListed<T>) {
+        T::fields([&](auto... m) { (put(w, v.*m), ...); });
+    } else if constexpr (std::is_enum_v<T>) {
+        static_assert(sizeof(T) == 1, "wire enums are one byte");
+        w.u8(static_cast<uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, bool>) {
+        w.b(v);
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+        w.u8(v);
+    } else if constexpr (std::is_same_v<T, uint32_t>) {
+        w.u32(v);
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+        w.u64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        w.f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        w.str(v);
+    } else if constexpr (IsVector<T>::value) {
+        w.u64(v.size());
+        for (const auto &e : v)
+            put(w, e);
+    } else {
+        static_assert(IsArray<T>::value, "no wire encoding for this type");
+        for (const auto &e : v)
+            put(w, e);
+    }
+}
+
+/** Decode what put() wrote; failures latch in (or kill through) @p r. */
+template <class T>
+void
+get(TryReader &r, T &v)
+{
+    if constexpr (FieldListed<T>) {
+        T::fields([&](auto... m) { (get(r, v.*m), ...); });
+    } else if constexpr (std::is_enum_v<T>) {
+        uint8_t raw = r.u8();
+        if (raw > static_cast<uint8_t>(enumLast(T{})))
+            r.fail("enum value out of range");
+        else
+            v = static_cast<T>(raw);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        v = r.b();
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+        v = r.u8();
+    } else if constexpr (std::is_same_v<T, uint32_t>) {
+        v = r.u32();
+    } else if constexpr (std::is_same_v<T, uint64_t>) {
+        v = r.u64();
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = r.f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v = r.str();
+    } else if constexpr (IsVector<T>::value) {
+        uint64_t n = r.u64();
+        if (n > maxVectorLen) {
+            r.fail("unreasonable element count");
+            return;
+        }
+        v.resize(n);
+        for (auto &e : v)
+            get(r, e);
+    } else {
+        static_assert(IsArray<T>::value, "no wire decoding for this type");
+        for (auto &e : v)
+            get(r, e);
+    }
+}
 
 } // namespace facsim::ser
 

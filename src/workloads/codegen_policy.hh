@@ -47,6 +47,16 @@ struct CodeGenPolicy
      */
     bool sortFrameScalars = false;
 
+    /** Wire order (request codec, workloadFingerprint). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using P = CodeGenPolicy;
+        v(&P::softwareSupport, &P::link, &P::stack, &P::heap,
+          &P::roundStructs, &P::structPadCap, &P::sortFrameScalars);
+    }
+
     /** Normal compilation (no fast-address-calculation optimization). */
     static CodeGenPolicy baseline();
     /** Full Section 5.1 software support. */

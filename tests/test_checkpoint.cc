@@ -15,6 +15,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
+#include "tests/field_diff.hh"
 #include "util/serialize.hh"
 
 using namespace facsim;
@@ -61,31 +62,6 @@ patchAndReseal(std::string data, size_t offset, char value)
     return data;
 }
 
-void
-expectStatsEqual(const PipeStats &a, const PipeStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.icacheAccesses, b.icacheAccesses);
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
-    EXPECT_EQ(a.dcacheAccesses, b.dcacheAccesses);
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
-    EXPECT_EQ(a.btbLookups, b.btbLookups);
-    EXPECT_EQ(a.btbMispredicts, b.btbMispredicts);
-    EXPECT_EQ(a.loadsSpeculated, b.loadsSpeculated);
-    EXPECT_EQ(a.loadSpecFailures, b.loadSpecFailures);
-    EXPECT_EQ(a.storesSpeculated, b.storesSpeculated);
-    EXPECT_EQ(a.storeSpecFailures, b.storeSpecFailures);
-    EXPECT_EQ(a.extraAccesses, b.extraAccesses);
-    EXPECT_EQ(a.storeBufferFullStalls, b.storeBufferFullStalls);
-    EXPECT_EQ(a.stallFetch, b.stallFetch);
-    EXPECT_EQ(a.stallData, b.stallData);
-    EXPECT_EQ(a.stallStructural, b.stallStructural);
-    EXPECT_EQ(a.stallStoreBuffer, b.stallStoreBuffer);
-}
-
 PipelineConfig
 timingConfig()
 {
@@ -98,11 +74,16 @@ timingConfig()
     return c;
 }
 
-} // namespace
-
-TEST(CheckpointTest, TimingRestoreIsBitIdentical)
+/**
+ * Save a compress run under @p cfg at an arbitrary mid-flight boundary
+ * (no drain), restore it into a fresh machine and pipeline, and check
+ * the restored pipeline state and the finished run are bit-identical to
+ * an uninterrupted one. Returns the statistics at the save point.
+ */
+PipeStats
+checkTimingRestore(const PipelineConfig &cfg, const char *file)
 {
-    const std::string path = tmpPath("timing.ckpt");
+    const std::string path = tmpPath(file);
     const uint64_t saveAt = 30000;
     const uint64_t total = 70000;
     BuildOptions b;
@@ -110,41 +91,60 @@ TEST(CheckpointTest, TimingRestoreIsBitIdentical)
 
     // Uninterrupted reference run.
     Machine mRef(workload("compress"), b);
-    Pipeline pRef(timingConfig(), mRef.emulator());
+    Pipeline pRef(cfg, mRef.emulator());
     PipeStats ref = pRef.run(total);
 
     // Run to an arbitrary mid-flight boundary (no drain), save.
+    PipeStats atSave;
+    ser::Writer saved;
     {
         Machine m1(workload("compress"), b);
-        Pipeline p1(timingConfig(), m1.emulator());
-        p1.run(saveAt);
+        Pipeline p1(cfg, m1.emulator());
+        atSave = p1.run(saveAt);
+        p1.saveState(saved);
         saveTimingCheckpoint(path, m1, p1);
     }
 
-    // Fresh machine + pipeline, restore, finish.
+    // Fresh machine + pipeline, restore: every pipeline byte (stats,
+    // in-flight state, hierarchy, predictor tables) crossed, then finish.
     Machine m2(workload("compress"), b);
-    Pipeline p2(timingConfig(), m2.emulator());
+    Pipeline p2(cfg, m2.emulator());
     restoreTimingCheckpoint(path, m2, p2);
     EXPECT_EQ(p2.stats().insts, saveAt);
+    ser::Writer restored;
+    p2.saveState(restored);
+    EXPECT_TRUE(restored.data() == saved.data());
     PipeStats resumed = p2.run(total);
 
-    expectStatsEqual(resumed, ref);
+    EXPECT_TRUE(resumed == ref) << test::fieldDiff(resumed, ref);
     EXPECT_EQ(p2.currentCycle(), pRef.currentCycle());
     EXPECT_EQ(m2.emulator().instCount(), mRef.emulator().instCount());
     EXPECT_EQ(m2.emulator().pc(), mRef.emulator().pc());
     EXPECT_EQ(m2.memUsageBytes(), mRef.memUsageBytes());
 
-    // Hierarchy counters (all levels + TLB) must match too.
-    HierarchyStats ha = p2.hierarchyStats();
-    HierarchyStats hb = pRef.hierarchyStats();
-    ASSERT_EQ(ha.levels.size(), hb.levels.size());
-    for (size_t i = 0; i < ha.levels.size(); ++i) {
-        EXPECT_EQ(ha.levels[i].accesses, hb.levels[i].accesses);
-        EXPECT_EQ(ha.levels[i].misses, hb.levels[i].misses);
-        EXPECT_EQ(ha.levels[i].writebacks, hb.levels[i].writebacks);
-    }
-    EXPECT_EQ(ha.tlbAccesses, hb.tlbAccesses);
-    EXPECT_EQ(ha.tlbMisses, hb.tlbMisses);
+    // Hierarchy counters (all levels, MSHRs, DRAM, TLB) must match too.
+    EXPECT_EQ(test::fieldDiff(p2.hierarchyStats(), pRef.hierarchyStats()),
+              "");
+    return atSave;
+}
+
+} // namespace
+
+TEST(CheckpointTest, TimingRestoreIsBitIdentical)
+{
+    checkTimingRestore(timingConfig(), "timing.ckpt");
+}
+
+TEST(CheckpointTest, ZooTimingRestoreIsBitIdentical)
+{
+    // The predictor zoo on the deep hierarchy: stride and way-memo
+    // tables and their counters cross the restore while live.
+    PipelineConfig cfg = predictorPipelineConfig("fac+stride+waymemo", 32);
+    cfg.hierarchy = timingConfig().hierarchy;
+    PipeStats atSave = checkTimingRestore(cfg, "timing_zoo.ckpt");
+    EXPECT_GT(atSave.strideSpeculated, 0u);
+    EXPECT_GT(atSave.predRecoveryCycles, 0u);
+    EXPECT_GT(atSave.wayMemoTagReadsSaved, 0u);
 }
 
 TEST(CheckpointTest, TimingRestoreRunToCompletion)
@@ -168,7 +168,7 @@ TEST(CheckpointTest, TimingRestoreRunToCompletion)
     restoreTimingCheckpoint(path, m2, p2);
     PipeStats resumed = p2.run(0);
 
-    expectStatsEqual(resumed, ref);
+    EXPECT_TRUE(resumed == ref) << test::fieldDiff(resumed, ref);
     EXPECT_TRUE(p2.done());
 }
 

@@ -26,6 +26,14 @@ struct PolicyCase
     LinkPolicy pol;
 };
 
+// Without this gtest prints the raw bytes of the case, name pointer and
+// padding included, so the listed test names would change from run to run.
+void
+PrintTo(const PolicyCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class LinkerPropertyTest : public ::testing::TestWithParam<PolicyCase>
 {
 };

@@ -65,6 +65,16 @@ patchAndReseal(std::string data, size_t offset, char value)
     return data;
 }
 
+/** Overwrite the u64 at @p offset and re-seal the trailing checksum. */
+std::string
+patchU64AndReseal(std::string data, size_t offset, uint64_t value)
+{
+    std::memcpy(&data[offset], &value, 8);
+    uint64_t sum = ser::fnv1a(data.data(), data.size() - 8);
+    std::memcpy(&data[data.size() - 8], &sum, 8);
+    return data;
+}
+
 SamplingConfig
 smallSampling()
 {
@@ -240,6 +250,13 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
     spew(trunc, patchAndReseal(data, countOff + 6, 0x01));
     EXPECT_DEATH(LvptLibrary{trunc}, "truncated index");
 
+    // A count whose byte size wraps: 24 * (2^61 + 5) is 120 modulo
+    // 2^64. Must die cleanly, not pass the bound and throw out of
+    // reserve().
+    const std::string wrap = tmpPath("wrapindex.lvpt");
+    spew(wrap, patchU64AndReseal(data, countOff, (1ull << 61) + 5));
+    EXPECT_DEATH(LvptLibrary{wrap}, "truncated index");
+
     // A single damaged entry: entry 1's payload offset points far past
     // the end of the file. The library still *opens* (entry framing is
     // validated lazily), and the farm dies when it reaches that entry.
@@ -249,6 +266,20 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
     EXPECT_DEATH(
         {
             LvptLibrary lib(missing);
+            FarmRequest req;
+            req.pipe = baselineConfig(32);
+            runFarm(lib, req);
+        },
+        "entry 1 of .* is missing or out of bounds");
+
+    // An entry offset near 2^64, so offset + size wraps to a small
+    // number: the restore must refuse it, not read out of bounds.
+    const std::string wild = tmpPath("wildentry.lvpt");
+    spew(wild, patchU64AndReseal(data, countOff + 8 + 24 * 1 + 8,
+                                 ~uint64_t{0} - 15));
+    EXPECT_DEATH(
+        {
+            LvptLibrary lib(wild);
             FarmRequest req;
             req.pipe = baselineConfig(32);
             runFarm(lib, req);

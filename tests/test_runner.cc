@@ -12,6 +12,7 @@
 
 #include "sim/config.hh"
 #include "sim/runner.hh"
+#include "tests/field_diff.hh"
 
 namespace facsim
 {
@@ -58,31 +59,6 @@ profileSweep()
 }
 
 void
-expectSameStats(const PipeStats &a, const PipeStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.icacheAccesses, b.icacheAccesses);
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
-    EXPECT_EQ(a.dcacheAccesses, b.dcacheAccesses);
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
-    EXPECT_EQ(a.btbLookups, b.btbLookups);
-    EXPECT_EQ(a.btbMispredicts, b.btbMispredicts);
-    EXPECT_EQ(a.loadsSpeculated, b.loadsSpeculated);
-    EXPECT_EQ(a.loadSpecFailures, b.loadSpecFailures);
-    EXPECT_EQ(a.storesSpeculated, b.storesSpeculated);
-    EXPECT_EQ(a.storeSpecFailures, b.storeSpecFailures);
-    EXPECT_EQ(a.extraAccesses, b.extraAccesses);
-    EXPECT_EQ(a.storeBufferFullStalls, b.storeBufferFullStalls);
-    EXPECT_EQ(a.stallFetch, b.stallFetch);
-    EXPECT_EQ(a.stallData, b.stallData);
-    EXPECT_EQ(a.stallStructural, b.stallStructural);
-    EXPECT_EQ(a.stallStoreBuffer, b.stallStoreBuffer);
-}
-
-void
 expectSameProfile(const ProfileResult &a, const ProfileResult &b)
 {
     EXPECT_EQ(a.insts, b.insts);
@@ -96,16 +72,8 @@ expectSameProfile(const ProfileResult &a, const ProfileResult &b)
         EXPECT_EQ(a.offsets[c].buckets, b.offsets[c].buckets);
     }
     ASSERT_EQ(a.fac.size(), b.fac.size());
-    for (size_t f = 0; f < a.fac.size(); ++f) {
-        EXPECT_EQ(a.fac[f].loadAttempts, b.fac[f].loadAttempts);
-        EXPECT_EQ(a.fac[f].loadFailures, b.fac[f].loadFailures);
-        EXPECT_EQ(a.fac[f].storeAttempts, b.fac[f].storeAttempts);
-        EXPECT_EQ(a.fac[f].storeFailures, b.fac[f].storeFailures);
-        EXPECT_EQ(a.fac[f].loadFailuresNoRR, b.fac[f].loadFailuresNoRR);
-        EXPECT_EQ(a.fac[f].storeFailuresNoRR,
-                  b.fac[f].storeFailuresNoRR);
-        EXPECT_EQ(a.fac[f].causeCounts, b.fac[f].causeCounts);
-    }
+    for (size_t f = 0; f < a.fac.size(); ++f)
+        EXPECT_EQ(test::fieldDiff(a.fac[f], b.fac[f]), "");
     ASSERT_EQ(a.ltb.size(), b.ltb.size());
     for (size_t l = 0; l < a.ltb.size(); ++l) {
         EXPECT_EQ(a.ltb[l].attempts, b.ltb[l].attempts);
@@ -128,7 +96,9 @@ TEST(Runner, TimingDeterminism)
     ASSERT_EQ(parallel.size(), reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
         SCOPED_TRACE(reqs[i].workload + (i % 2 ? " fac" : " base"));
-        expectSameStats(serial[i].stats, parallel[i].stats);
+        EXPECT_TRUE(serial[i].stats == parallel[i].stats)
+            << test::fieldDiff(serial[i].stats, parallel[i].stats);
+        EXPECT_EQ(test::fieldDiff(serial[i].hier, parallel[i].hier), "");
         EXPECT_EQ(serial[i].memUsageBytes, parallel[i].memUsageBytes);
     }
     EXPECT_EQ(serial_rep.jobs, 1u);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +35,7 @@
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/request_codec.hh"
+#include "util/sealed.hh"
 #include "util/serialize.hh"
 
 using namespace facsim;
@@ -495,6 +497,63 @@ TEST(ServeCache, CorruptOrMissingFilesStartCold)
     sv::ResultCache d(1 << 20);
     EXPECT_FALSE(d.load(junk));
     EXPECT_EQ(d.entries(), 0u);
+}
+
+namespace
+{
+
+bool
+exists(const std::string &path)
+{
+    return ::access(path.c_str(), F_OK) == 0;
+}
+
+std::string
+slurpFile(const std::string &path)
+{
+    std::string data;
+    EXPECT_TRUE(ser::readFile(path, &data)) << path;
+    return data;
+}
+
+} // namespace
+
+TEST(ServeCache, SaveIsAtomicAndFailedSavesKeepTheOldFile)
+{
+    const std::string path = tmpPath("atomic.facsimrc");
+    std::remove(path.c_str());
+    sv::ResultCache a(1 << 20);
+    a.insert({1, 0, 10, 11}, "first");
+    ASSERT_TRUE(a.save(path));
+    EXPECT_FALSE(exists(path + ".tmp"));
+    const std::string good = slurpFile(path);
+
+    // Into a directory that does not exist: reported, not ignored.
+    sv::ResultCache b(1 << 20);
+    b.insert({2, 0, 20, 21}, "second");
+    EXPECT_FALSE(b.save(tmpPath("no-such-dir/atomic.facsimrc")));
+
+    // A write that cannot start (the temp name is taken by a
+    // directory) fails without touching the previous good file.
+    ASSERT_EQ(::mkdir((path + ".tmp").c_str(), 0700), 0);
+    EXPECT_FALSE(b.save(path));
+    ASSERT_EQ(::rmdir((path + ".tmp").c_str()), 0);
+    EXPECT_EQ(slurpFile(path), good);
+
+    sv::ResultCache c(1 << 20);
+    ASSERT_TRUE(c.load(path));
+    std::string out;
+    EXPECT_TRUE(c.lookup({1, 0, 10, 11}, &out));
+    EXPECT_EQ(out, "first");
+    EXPECT_FALSE(c.lookup({2, 0, 20, 21}, &out));
+
+    // A successful save replaces the file and leaves no temp behind.
+    ASSERT_TRUE(b.save(path));
+    EXPECT_FALSE(exists(path + ".tmp"));
+    sv::ResultCache d(1 << 20);
+    ASSERT_TRUE(d.load(path));
+    EXPECT_TRUE(d.lookup({2, 0, 20, 21}, &out));
+    EXPECT_EQ(out, "second");
 }
 
 // ---------------------------------------------------------------------

@@ -142,7 +142,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -170,6 +169,7 @@
 #include "serve/server.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
+#include "util/sealed.hh"
 #include "verify/fuzz.hh"
 
 using namespace facsim;
@@ -228,12 +228,10 @@ struct CliOptions
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string text;
+    if (!ser::readFile(path, &text))
         fatal("cannot open '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    return text;
 }
 
 CliOptions
