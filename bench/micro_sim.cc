@@ -99,6 +99,23 @@ BM_PipelineRate(benchmark::State &state)
 }
 BENCHMARK(BM_PipelineRate)->Unit(benchmark::kMillisecond);
 
+// The same loop on a miss-bound program: tomcatv spends about 68% of
+// its cycles stalled on data (grep above: about 6%), so this one times
+// the stall path — the idle-cycle skip — rather than the issue path.
+void
+BM_PipelineStallRate(benchmark::State &state)
+{
+    for (auto _ : state) {
+        state.PauseTiming();
+        Machine m(workload("tomcatv"), BuildOptions{});
+        Pipeline pipe(facPipelineConfig(32), m.emulator());
+        state.ResumeTiming();
+        pipe.run(200'000);
+    }
+    state.SetItemsProcessed(state.iterations() * 200'000);
+}
+BENCHMARK(BM_PipelineStallRate)->Unit(benchmark::kMillisecond);
+
 // Timing model on the baseline (non-FAC) machine — the other half of
 // every speedup experiment's work.
 void

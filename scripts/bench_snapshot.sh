@@ -6,9 +6,11 @@
 #   bench_snapshot.sh [build-dir] [noprof-build-dir]
 #                     (defaults: build, build-noprof)
 #
-# Runs BM_EmulatorStep / BM_EmulatorRate / BM_PipelineRate from
-# bench/micro_sim and records the steady-state instruction rate of each
-# (items_per_second = simulated insts per host second). Note: the
+# Runs BM_EmulatorStep / BM_EmulatorRate / BM_PipelineRate /
+# BM_PipelineStallRate from bench/micro_sim and records the steady-state
+# instruction rate of each (items_per_second = simulated insts per host
+# second). BM_PipelineRate (grep) times the issue path, the stall-bound
+# BM_PipelineStallRate (tomcatv) the idle-cycle skip. Note: the
 # min-time value is deliberately suffix-less — older google-benchmark
 # releases reject the "0.3s" spelling.
 #
@@ -47,7 +49,7 @@ SERVE_COLD=$(mktemp)
 SERVE_WARM=$(mktemp)
 trap 'rm -f "$RAW" "$RAW_NOPROF" "$SERVE_COLD" "$SERVE_WARM"' EXIT
 
-"$BIN" --benchmark_filter='BM_EmulatorStep|BM_EmulatorRate|BM_PipelineRate' \
+"$BIN" --benchmark_filter='BM_EmulatorStep|BM_EmulatorRate|BM_PipelineRate|BM_PipelineStallRate' \
        --benchmark_min_time=0.3 \
        --benchmark_format=json > "$RAW"
 

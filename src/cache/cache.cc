@@ -6,34 +6,31 @@
 namespace facsim
 {
 
-unsigned
-CacheConfig::blockBits() const
+std::string
+CacheConfig::check(const char *what) const
 {
-    return log2i(blockBytes);
-}
-
-unsigned
-CacheConfig::setBits() const
-{
-    return log2i(static_cast<uint64_t>(sizeBytes) / assoc);
+    if (!isPow2(sizeBytes) || !isPow2(blockBytes) || !isPow2(assoc))
+        return strprintf("%s geometry must be powers of two "
+                         "(size=%u block=%u assoc=%u)",
+                         what, sizeBytes, blockBytes, assoc);
+    if (blockBytes < 4)
+        return strprintf("%s block (%uB) smaller than one word", what,
+                         blockBytes);
+    if (blockBytes > sizeBytes)
+        return strprintf("%s block (%uB) larger than the cache (%uB)",
+                         what, blockBytes, sizeBytes);
+    if (static_cast<uint64_t>(blockBytes) * assoc > sizeBytes)
+        return strprintf("%s too small for its associativity "
+                         "(size=%u block=%u assoc=%u needs at least one "
+                         "set)", what, sizeBytes, blockBytes, assoc);
+    return {};
 }
 
 void
 CacheConfig::validate(const char *what) const
 {
-    FACSIM_ASSERT(isPow2(sizeBytes) && isPow2(blockBytes) && isPow2(assoc),
-                  "%s geometry must be powers of two "
-                  "(size=%u block=%u assoc=%u)",
-                  what, sizeBytes, blockBytes, assoc);
-    FACSIM_ASSERT(blockBytes >= 4,
-                  "%s block (%uB) smaller than one word", what, blockBytes);
-    FACSIM_ASSERT(blockBytes <= sizeBytes,
-                  "%s block (%uB) larger than the cache (%uB)",
-                  what, blockBytes, sizeBytes);
-    FACSIM_ASSERT(static_cast<uint64_t>(blockBytes) * assoc <= sizeBytes,
-                  "%s too small for its associativity "
-                  "(size=%u block=%u assoc=%u needs at least one set)",
-                  what, sizeBytes, blockBytes, assoc);
+    if (std::string err = check(what); !err.empty())
+        panic("%s", err.c_str());
 }
 
 Cache::Cache(const CacheConfig &config)

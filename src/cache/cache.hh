@@ -19,8 +19,10 @@
 #define FACSIM_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "util/bits.hh"
 #include "util/serialize.hh"
 
 namespace facsim
@@ -35,18 +37,26 @@ struct CacheConfig
     unsigned missLatency = 6;  ///< cycles; consumed by the pipeline
 
     /** Block-offset field width B. */
-    unsigned blockBits() const;
+    unsigned blockBits() const { return log2i(blockBytes); }
     /** Total set-field width S (2^S bytes spanned by index+offset). */
-    unsigned setBits() const;
+    unsigned
+    setBits() const
+    {
+        return assoc ? log2i(static_cast<uint64_t>(sizeBytes) / assoc) : 0;
+    }
     /** Number of sets. */
     uint32_t numSets() const { return sizeBytes / blockBytes / assoc; }
 
     /**
-     * Die with a clear message unless the geometry is coherent:
-     * size/block/assoc powers of two, block at least one word and no
-     * larger than the cache, and enough sets for the associativity.
+     * Empty when the geometry is coherent — size/block/assoc powers of
+     * two, block at least one word and no larger than the cache, and
+     * enough sets for the associativity — else what is wrong with it.
+     * Never aborts: the experiment daemon rejects requests with it.
      * @param what label for the error message ("L2 cache", ...).
      */
+    std::string check(const char *what = "cache") const;
+
+    /** Die with check()'s message unless the geometry is coherent. */
     void validate(const char *what = "cache") const;
 
     /** Every field in wire order (request codec, configFingerprint). */

@@ -33,12 +33,6 @@ StoreBuffer::front() const
     return entries.front();
 }
 
-bool
-StoreBuffer::canRetire() const
-{
-    return !entries.empty() && entries.front().addrValid;
-}
-
 void
 StoreBuffer::pop()
 {

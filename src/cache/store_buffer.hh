@@ -65,7 +65,11 @@ class StoreBuffer
      * True if the oldest entry may retire: its address must be valid (a
      * mispredicted store cannot retire until re-executed).
      */
-    bool canRetire() const;
+    bool
+    canRetire() const
+    {
+        return !entries.empty() && entries.front().addrValid;
+    }
 
     /** Remove the oldest entry (after the cache write completed). */
     void pop();

@@ -113,8 +113,64 @@ class FastAddrCalc
      *        (already sign-extended).
      * @param offset_from_reg true for register+register addressing.
      */
-    FacResult predict(uint32_t base, int32_t offset,
-                      bool offset_from_reg) const;
+    FacResult
+    predict(uint32_t base, int32_t offset, bool offset_from_reg) const
+    {
+        FacResult r;
+
+        if (offset_from_reg && !cfg.speculateRegReg)
+            return r;  // not attempted: normal 2-cycle access
+        r.attempted = true;
+
+        const uint32_t uofs = static_cast<uint32_t>(offset);
+        const unsigned B = cfg.blockBits;
+
+        if (offset < 0 && !offset_from_reg) {
+            // Small negative constant: the decoder inverts the sign-
+            // extended set-index/tag bits (all ones for offsets > -2^B),
+            // so the upper bits of the prediction are just the base's.
+            // The block-offset adder still computes the low bits; a
+            // missing carry-out is a borrow, i.e. the access left the
+            // base's cache block.
+            uint32_t blk_sum = (base & maskB) + (uofs & maskB);
+            r.predictedAddr = (base & ~maskB) | (blk_sum & maskB);
+
+            bool upper_all_ones = (uofs | maskB) == 0xffffffffu;
+            bool no_borrow = (blk_sum >> B) != 0;
+            if (!upper_all_ones || !no_borrow)
+                r.failMask |= facFailLargeNegConst;
+            r.success = r.failMask == facFailNone;
+            return r;
+        }
+
+        // Positive constant or register offset (negative register
+        // offsets run through the same datapath but are failed by the
+        // verifier below).
+        const uint32_t blk_sum = (base & maskB) + (uofs & maskB);
+        const uint32_t base_idx = (base >> B) & maskIdx;
+        const uint32_t ofs_idx = (uofs >> B) & maskIdx;
+        const uint32_t base_tag = base >> tagShift;
+        const uint32_t ofs_tag = uofs >> tagShift;
+
+        const uint32_t pred_idx = base_idx | ofs_idx;
+        const uint32_t pred_tag =
+            cfg.fullTagAdd ? (base_tag + ofs_tag) : (base_tag | ofs_tag);
+
+        r.predictedAddr = (pred_tag << tagShift) | (pred_idx << B) |
+            (blk_sum & maskB);
+
+        if ((blk_sum >> B) != 0)
+            r.failMask |= facFailOverflow;
+        if ((base_idx & ofs_idx) != 0)
+            r.failMask |= facFailGenCarry;
+        if (!cfg.fullTagAdd && (base_tag & ofs_tag) != 0)
+            r.failMask |= facFailGenCarryTag;
+        if (offset_from_reg && offset < 0)
+            r.failMask |= facFailNegIndexReg;
+
+        r.success = r.failMask == facFailNone;
+        return r;
+    }
 
     /** The configuration in force. */
     const FacConfig &config() const { return cfg; }

@@ -6,22 +6,30 @@
 namespace facsim
 {
 
+std::string
+PredictorConfig::check(const char *what) const
+{
+    if (!strideEntries || !isPow2(strideEntries))
+        return strprintf("%s stride table entries must be a positive "
+                         "power of two (got %u)", what, strideEntries);
+    if (!wayMemoEntries || !isPow2(wayMemoEntries))
+        return strprintf("%s way-memo table entries must be a positive "
+                         "power of two (got %u)", what, wayMemoEntries);
+    if (strideConfMax < 1)
+        return strprintf("%s stride confidence ceiling must be at "
+                         "least 1", what);
+    if (strideConfThreshold < 1 || strideConfThreshold > strideConfMax)
+        return strprintf("%s stride confidence threshold (%u) must lie "
+                         "in [1, %u]", what, strideConfThreshold,
+                         strideConfMax);
+    return {};
+}
+
 void
 PredictorConfig::validate(const char *what) const
 {
-    FACSIM_ASSERT(strideEntries && isPow2(strideEntries),
-                  "%s stride table entries must be a positive power of "
-                  "two (got %u)", what, strideEntries);
-    FACSIM_ASSERT(wayMemoEntries && isPow2(wayMemoEntries),
-                  "%s way-memo table entries must be a positive power "
-                  "of two (got %u)", what, wayMemoEntries);
-    FACSIM_ASSERT(strideConfMax >= 1,
-                  "%s stride confidence ceiling must be at least 1",
-                  what);
-    FACSIM_ASSERT(strideConfThreshold >= 1 &&
-                  strideConfThreshold <= strideConfMax,
-                  "%s stride confidence threshold (%u) must lie in "
-                  "[1, %u]", what, strideConfThreshold, strideConfMax);
+    if (std::string err = check(what); !err.empty())
+        panic("%s", err.c_str());
 }
 
 StridePredictor::StridePredictor(const PredictorConfig &cfg)
@@ -30,18 +38,6 @@ StridePredictor::StridePredictor(const PredictorConfig &cfg)
 {
     cfg.validate();
     table_.resize(size_);
-}
-
-StridePredictor::Lookup
-StridePredictor::predict(uint32_t pc) const
-{
-    const Entry &e = table_[indexOf(pc)];
-    Lookup l;
-    if (e.valid && e.tag == pc >> 2 && e.conf >= confThreshold_) {
-        l.confident = true;
-        l.predictedAddr = e.lastAddr + static_cast<uint32_t>(e.stride);
-    }
-    return l;
 }
 
 void
@@ -116,15 +112,6 @@ WayMemo::WayMemo(const PredictorConfig &cfg)
     table_.resize(size_);
 }
 
-int
-WayMemo::lookup(uint32_t pc, uint32_t block_addr) const
-{
-    const Entry &e = table_[indexOf(pc)];
-    if (e.valid && e.tag == pc >> 2 && e.blockAddr == block_addr)
-        return static_cast<int>(e.way);
-    return -1;
-}
-
 void
 WayMemo::train(uint32_t pc, uint32_t block_addr, uint32_t way)
 {
@@ -176,56 +163,6 @@ LoadPredictor::LoadPredictor(bool fac_enabled, const FacConfig &fc,
       wayMemo_(pc)
 {
     cfg_.validate();
-}
-
-PredResult
-LoadPredictor::predict(uint32_t pc, uint32_t base, int32_t offset,
-                       bool offset_from_reg, uint32_t eff_addr) const
-{
-    PredResult r;
-    if (cfg_.stride) {
-        StridePredictor::Lookup l = stride_.predict(pc);
-        if (l.confident) {
-            r.attempted = true;
-            r.source = PredSource::Stride;
-            r.predictedAddr = l.predictedAddr;
-            r.success = l.predictedAddr == eff_addr;
-            return r;
-        }
-    }
-    if (facEnabled_) {
-        FacResult fr = fac_.predict(base, offset, offset_from_reg);
-        if (fr.attempted) {
-            r.attempted = true;
-            r.source = PredSource::Fac;
-            r.predictedAddr = fr.predictedAddr;
-            r.success = fr.success;
-            r.facFailMask = fr.failMask;
-        }
-    }
-    return r;
-}
-
-void
-LoadPredictor::train(uint32_t pc, uint32_t eff_addr)
-{
-    if (cfg_.stride)
-        stride_.train(pc, eff_addr);
-}
-
-int
-LoadPredictor::memoWay(uint32_t pc, uint32_t block_addr) const
-{
-    if (!cfg_.wayMemo)
-        return -1;
-    return wayMemo_.lookup(pc, block_addr);
-}
-
-void
-LoadPredictor::trainWay(uint32_t pc, uint32_t block_addr, uint32_t way)
-{
-    if (cfg_.wayMemo)
-        wayMemo_.train(pc, block_addr, way);
 }
 
 void

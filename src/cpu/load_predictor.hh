@@ -29,6 +29,7 @@
 #define FACSIM_CPU_LOAD_PREDICTOR_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/fast_addr_calc.hh"
@@ -57,11 +58,14 @@ struct PredictorConfig
     bool anyEnabled() const { return stride || wayMemo; }
 
     /**
-     * Die with a clear message unless the knobs are coherent: table
-     * sizes positive powers of two, confidence threshold within
-     * [1, strideConfMax]. Same contract as CacheConfig::validate().
+     * Empty when the knobs are coherent — table sizes positive powers
+     * of two, confidence threshold within [1, strideConfMax] — else
+     * what is wrong. Same contract as CacheConfig::check().
      * @param what label for the error message.
      */
+    std::string check(const char *what = "predictor") const;
+
+    /** Die with check()'s message unless the knobs are coherent. */
     void validate(const char *what = "predictor") const;
 
     /** Every field in wire order (request codec, configFingerprint). */
@@ -117,7 +121,17 @@ class StridePredictor
     };
 
     /** Look up the memory instruction at @p pc; no state change. */
-    Lookup predict(uint32_t pc) const;
+    Lookup
+    predict(uint32_t pc) const
+    {
+        const Entry &e = table_[indexOf(pc)];
+        Lookup l;
+        if (e.valid && e.tag == pc >> 2 && e.conf >= confThreshold_) {
+            l.confident = true;
+            l.predictedAddr = e.lastAddr + static_cast<uint32_t>(e.stride);
+        }
+        return l;
+    }
 
     /** Train with the architectural address (every load/store). */
     void train(uint32_t pc, uint32_t eff_addr);
@@ -164,7 +178,14 @@ class WayMemo
      * Memoized way for @p pc at block-aligned @p block_addr, or -1
      * when the table has no matching entry.
      */
-    int lookup(uint32_t pc, uint32_t block_addr) const;
+    int
+    lookup(uint32_t pc, uint32_t block_addr) const
+    {
+        const Entry &e = table_[indexOf(pc)];
+        if (e.valid && e.tag == pc >> 2 && e.blockAddr == block_addr)
+            return static_cast<int>(e.way);
+        return -1;
+    }
 
     /** Record the resolved way after the access completed. */
     void train(uint32_t pc, uint32_t block_addr, uint32_t way);
@@ -214,20 +235,59 @@ class LoadPredictor
      * @param eff_addr the architectural effective address (used only
      *        to compute the verify signal, as the pipeline does).
      */
-    PredResult predict(uint32_t pc, uint32_t base, int32_t offset,
-                       bool offset_from_reg, uint32_t eff_addr) const;
+    PredResult
+    predict(uint32_t pc, uint32_t base, int32_t offset,
+            bool offset_from_reg, uint32_t eff_addr) const
+    {
+        PredResult r;
+        if (cfg_.stride) {
+            StridePredictor::Lookup l = stride_.predict(pc);
+            if (l.confident) {
+                r.attempted = true;
+                r.source = PredSource::Stride;
+                r.predictedAddr = l.predictedAddr;
+                r.success = l.predictedAddr == eff_addr;
+                return r;
+            }
+        }
+        if (facEnabled_) {
+            FacResult fr = fac_.predict(base, offset, offset_from_reg);
+            if (fr.attempted) {
+                r.attempted = true;
+                r.source = PredSource::Fac;
+                r.predictedAddr = fr.predictedAddr;
+                r.success = fr.success;
+                r.facFailMask = fr.failMask;
+            }
+        }
+        return r;
+    }
 
     /**
      * Train the stride table; call exactly once per executed
      * load/store, in program order (after predict()).
      */
-    void train(uint32_t pc, uint32_t eff_addr);
+    void
+    train(uint32_t pc, uint32_t eff_addr)
+    {
+        if (cfg_.stride)
+            stride_.train(pc, eff_addr);
+    }
 
     /** Way-memo lookup (see WayMemo::lookup); -1 when disabled. */
-    int memoWay(uint32_t pc, uint32_t block_addr) const;
+    int
+    memoWay(uint32_t pc, uint32_t block_addr) const
+    {
+        return cfg_.wayMemo ? wayMemo_.lookup(pc, block_addr) : -1;
+    }
 
     /** Way-memo training; no-op when disabled. */
-    void trainWay(uint32_t pc, uint32_t block_addr, uint32_t way);
+    void
+    trainWay(uint32_t pc, uint32_t block_addr, uint32_t way)
+    {
+        if (cfg_.wayMemo)
+            wayMemo_.train(pc, block_addr, way);
+    }
 
     /** Invalidate every table. */
     void reset();

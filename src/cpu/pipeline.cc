@@ -1,6 +1,7 @@
 #include "cpu/pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "isa/disasm.hh"
 #include "obs/debug.hh"
@@ -9,42 +10,95 @@
 namespace facsim
 {
 
+std::string
+PipelineConfig::check() const
+{
+    struct Bound
+    {
+        const char *name;
+        unsigned value, lo, hi;
+    };
+    const Bound bounds[] = {
+        {"fetchWidth", fetchWidth, 1, widthCap},
+        {"issueWidth", issueWidth, 1, widthCap},
+        {"fetchBufferSize", fetchBufferSize, 1, fetchBufferCap},
+        {"numIntAlus", numIntAlus, 1, unitCap},
+        {"numMemUnits", numMemUnits, 1, unitCap},
+        {"numFpAdders", numFpAdders, 1, unitCap},
+        {"maxLoadsPerCycle", maxLoadsPerCycle, 1, widthCap},
+        {"maxStoresPerCycle", maxStoresPerCycle, 1, widthCap},
+        {"storeBufferEntries", storeBufferEntries, 1, UINT32_MAX},
+        {"intAluLat", intAluLat, 0, latencyCap},
+        {"intMulLat", intMulLat, 0, latencyCap},
+        {"intDivLat", intDivLat, 0, latencyCap},
+        {"fpAddLat", fpAddLat, 0, latencyCap},
+        {"fpMulLat", fpMulLat, 0, latencyCap},
+        {"fpDivLat", fpDivLat, 0, latencyCap},
+        {"fpSqrtLat", fpSqrtLat, 0, latencyCap},
+    };
+    for (const Bound &b : bounds)
+        if (b.value < b.lo || b.value > b.hi)
+            return strprintf("%s must lie in [%u, %u] (got %u)", b.name,
+                             b.lo, b.hi, b.value);
+
+    for (std::string err : {icache.check("I-cache"),
+                            dcache.check("data cache"), hierarchy.check(),
+                            pred.check()})
+        if (!err.empty())
+            return err;
+    if (fac.blockBits < 1 || fac.blockBits >= fac.setBits ||
+        fac.setBits >= 32)
+        return strprintf("FAC fields must satisfy 1 <= B < S < 32 "
+                         "(B=%u S=%u)", fac.blockBits, fac.setBits);
+
+    if (agiOrganization && (facEnabled || oneCycleLoads))
+        return "the AGI organisation is an alternative to fast address "
+               "calculation, not a companion";
+    if (agiOrganization && pred.anyEnabled())
+        return "the AGI organisation removes the load-use hazard the "
+               "predictor zoo targets; they are alternatives, not "
+               "companions";
+    if (pred.wayMemo && !facEnabled)
+        return "way memoization only skips the tag read on confident FAC "
+               "hits; enable FAC to use it";
+    if (pred.wayMemo && perfectDCache)
+        return "way memoization is meaningless with a perfect data cache "
+               "(no tag array to skip)";
+    if (facEnabled && (fac.blockBits != dcache.blockBits() ||
+                       fac.setBits != dcache.setBits()))
+        return strprintf("FAC field widths must match the data cache "
+                         "geometry (B=%u S=%u vs cache B=%u S=%u)",
+                         fac.blockBits, fac.setBits, dcache.blockBits(),
+                         dcache.setBits());
+    return {};
+}
+
+namespace
+{
+
+/** @p config, or a panic naming what check() found wrong with it. */
+const PipelineConfig &
+checked(const PipelineConfig &config)
+{
+    if (std::string err = config.check(); !err.empty())
+        panic("%s", err.c_str());
+    return config;
+}
+
+} // anonymous namespace
+
 Pipeline::Pipeline(const PipelineConfig &config, Emulator &emulator)
-    : cfg(config), emu(emulator), icache(cfg.icache),
+    : cfg(checked(config)), emu(emulator), icache(cfg.icache),
       dmem(cfg.dcache, cfg.hierarchy), btb(cfg.btbEntries),
       sbuf(cfg.storeBufferEntries),
       predictor(cfg.facEnabled, cfg.fac, cfg.pred)
 {
-    if (cfg.agiOrganization) {
-        FACSIM_ASSERT(!cfg.facEnabled && !cfg.oneCycleLoads,
-                      "the AGI organisation is an alternative to fast "
-                      "address calculation, not a companion");
-        FACSIM_ASSERT(!cfg.pred.anyEnabled(),
-                      "the AGI organisation removes the load-use hazard "
-                      "the predictor zoo targets; they are alternatives, "
-                      "not companions");
-    }
-    if (cfg.pred.wayMemo) {
-        FACSIM_ASSERT(cfg.facEnabled,
-                      "way memoization only skips the tag read on "
-                      "confident FAC hits; enable FAC to use it");
-        FACSIM_ASSERT(!cfg.perfectDCache,
-                      "way memoization is meaningless with a perfect "
-                      "data cache (no tag array to skip)");
-    }
-    if (cfg.facEnabled) {
-        FACSIM_ASSERT(cfg.fac.blockBits == cfg.dcache.blockBits() &&
-                      cfg.fac.setBits == cfg.dcache.setBits(),
-                      "FAC field widths must match the data cache "
-                      "geometry (B=%u S=%u vs cache B=%u S=%u)",
-                      cfg.fac.blockBits, cfg.fac.setBits,
-                      cfg.dcache.blockBits(), cfg.dcache.setBits());
-    }
-    fus[fuIntAlu].assign(cfg.numIntAlus, 0);
-    fus[fuMem].assign(cfg.numMemUnits, 0);
-    fus[fuFpAdd].assign(cfg.numFpAdders, 0);
-    fus[fuIntMulDiv].assign(1, 0);
-    fus[fuFpMulDiv].assign(1, 0);
+    fbufMask = std::bit_ceil(cfg.fetchBufferSize) - 1;
+    addrSlack = cfg.agiOrganization ? 1 : 0;
+    const unsigned units[numFuClasses] = {
+        cfg.numIntAlus, cfg.numMemUnits, cfg.numFpAdders, 1, 1};
+    for (unsigned c = 0; c < numFuClasses; ++c)
+        fuBegin[c + 1] = fuBegin[c] + units[c];
 }
 
 Pipeline::~Pipeline()
@@ -105,18 +159,6 @@ Pipeline::recordInst(const FetchedInst &fi, bool spec, bool spec_failed,
     }
 }
 
-unsigned &
-Pipeline::readPortsAt(uint64_t t)
-{
-    return readPorts[t % portWindow];
-}
-
-unsigned &
-Pipeline::tagReadsAt(uint64_t t)
-{
-    return tagReads[t % portWindow];
-}
-
 MemResult
 Pipeline::dcacheReadAt(uint64_t t, uint32_t addr)
 {
@@ -135,131 +177,110 @@ Pipeline::dcacheReadAt(uint64_t t, uint32_t addr)
     return r;
 }
 
-void
-Pipeline::setIntReady(int r, uint64_t t)
+Pipeline::Timing
+Pipeline::bind(const Inst &in) const
 {
-    if (r > 0)
-        intReady[static_cast<unsigned>(r)] = t;
-}
+    auto ireg = [](uint8_t r) { return r; };
+    auto freg = [](uint8_t r) { return static_cast<uint8_t>(fpSlot0 + r); };
 
-void
-Pipeline::setFpReady(int r, uint64_t t)
-{
-    if (r >= 0)
-        fpReady[static_cast<unsigned>(r)] = t;
-}
-
-unsigned
-Pipeline::fuClassOf(const Inst &in) const
-{
-    if (isMem(in.op))
-        return fuMem;
-    switch (in.op) {
-      case Op::MUL: case Op::DIV: case Op::REM:
-        return fuIntMulDiv;
-      case Op::MUL_D: case Op::DIV_D: case Op::SQRT_D:
-        return fuFpMulDiv;
-      case Op::ADD_D: case Op::SUB_D: case Op::ABS_D: case Op::NEG_D:
-      case Op::MOV_D: case Op::CVT_D_W: case Op::CVT_W_D:
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        return fuFpAdd;
-      default:
-        return fuIntAlu;
-    }
-}
-
-bool
-Pipeline::fuAvailable(unsigned cls) const
-{
-    for (uint64_t t : fus[cls])
-        if (t <= cycle)
-            return true;
-    return false;
-}
-
-void
-Pipeline::takeFu(unsigned cls, unsigned busy)
-{
-    for (uint64_t &t : fus[cls]) {
-        if (t <= cycle) {
-            t = cycle + busy;
-            return;
-        }
-    }
-    panic("takeFu with no available unit in class %u", cls);
-}
-
-bool
-Pipeline::sourcesReady(const Inst &in) const
-{
-    auto iok = [&](uint8_t r) { return intReady[r] <= cycle; };
-    auto fok = [&](uint8_t r) { return fpReady[r] <= cycle; };
-    // AGI address-use hazard: the address-generation stage sits one
-    // stage above the ALU, so address operands must be ready a cycle
-    // earlier than compute operands.
-    uint64_t addr_slack = cfg.agiOrganization ? 1 : 0;
-    auto iok_addr = [&](uint8_t r) {
-        return intReady[r] + addr_slack <= cycle || intReady[r] == 0;
-    };
+    Timing t{{noSlot, noSlot}, {noSlot, noSlot}, noSlot, noSlot, noSlot,
+             Kind::Alu, fuIntAlu, 1, 1};
+    if (int d = intDest(in); d >= 0)
+        t.dst = ireg(static_cast<uint8_t>(d));
+    else if (int fd = fpDest(in); fd >= 0)
+        t.dst = freg(static_cast<uint8_t>(fd));
 
     if (isMem(in.op)) {
-        if (!iok_addr(in.rs))
-            return false;
-        if (in.amode == AMode::RegReg && !iok_addr(in.rd))
-            return false;
+        t.kind = isLoad(in.op) ? Kind::Load : Kind::Store;
+        t.fu = fuMem;
+        t.addr[0] = ireg(in.rs);
+        if (in.amode == AMode::RegReg)
+            t.addr[1] = ireg(in.rd);
         if (isStore(in.op))
-            return isFpMem(in.op) ? fok(in.rt) : iok(in.rt);
-        return true;
+            t.src[0] = isFpMem(in.op) ? freg(in.rt) : ireg(in.rt);
+        if (in.amode == AMode::PostInc && in.rs != reg::zero)
+            t.base = ireg(in.rs);
+        return t;
     }
+    if (isControl(in.op))
+        t.kind = Kind::Control;  // links (JAL/JALR) are due at issue+1
 
     switch (in.op) {
-      case Op::NOP: case Op::HALT: case Op::J: case Op::JAL:
-      case Op::LUI:
-        return true;
+      case Op::NOP:
+        t.kind = Kind::Nop;
+        break;
+      case Op::HALT:
+        t.kind = Kind::Halt;
+        break;
+      case Op::J: case Op::JAL: case Op::LUI:
+        break;
       case Op::BC1T: case Op::BC1F:
-        return fpccReady <= cycle;
-      case Op::BEQ: case Op::BNE:
-        return iok(in.rs) && iok(in.rt);
+        t.src[0] = fpccSlot;
+        break;
       case Op::BLEZ: case Op::BGTZ: case Op::BLTZ: case Op::BGEZ:
       case Op::JR: case Op::JALR:
       case Op::SLL: case Op::SRL: case Op::SRA:
       case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
       case Op::SLTI: case Op::SLTIU:
-        return iok(in.rs);
+        t.src[0] = ireg(in.rs);
+        break;
       case Op::MTC1:
-        return iok(in.rt);
+        t.src[0] = ireg(in.rt);
+        break;
       case Op::MFC1:
-        return fok(in.rs);
-      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        return fok(in.rs) && fok(in.rt);
       case Op::SQRT_D: case Op::ABS_D: case Op::NEG_D: case Op::MOV_D:
       case Op::CVT_D_W: case Op::CVT_W_D:
-        return fok(in.rs);
-      default:
-        // Three-source-register integer ALU operations.
-        return iok(in.rs) && iok(in.rt);
-    }
-}
-
-bool
-Pipeline::destsFree(const Inst &in) const
-{
-    int d = intDest(in);
-    if (d >= 0 && intReady[static_cast<unsigned>(d)] > cycle)
-        return false;
-    int fd = fpDest(in);
-    if (fd >= 0 && fpReady[static_cast<unsigned>(fd)] > cycle)
-        return false;
-    if (isMem(in.op) && in.amode == AMode::PostInc &&
-        intReady[in.rs] > cycle)
-        return false;
-    switch (in.op) {
+        t.src[0] = freg(in.rs);
+        break;
+      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
       case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        return fpccReady <= cycle;
+        t.src[0] = freg(in.rs);
+        t.src[1] = freg(in.rt);
+        break;
       default:
-        return true;
+        // Two-source integer ALU operations and BEQ/BNE.
+        t.src[0] = ireg(in.rs);
+        t.src[1] = ireg(in.rt);
+        break;
     }
+    if (t.kind != Kind::Alu)
+        return t;
+
+    // Unit class, result latency and occupancy (check() keeps every
+    // latency within a byte).
+    auto set = [&](unsigned fu, unsigned lat, unsigned busy) {
+        t.fu = static_cast<uint8_t>(fu);
+        t.lat = static_cast<uint8_t>(lat);
+        t.busy = static_cast<uint8_t>(busy);
+    };
+    switch (in.op) {
+      case Op::MUL:
+        set(fuIntMulDiv, cfg.intMulLat, 1);
+        break;
+      case Op::DIV: case Op::REM:
+        set(fuIntMulDiv, cfg.intDivLat, cfg.intDivLat);
+        break;
+      case Op::MUL_D:
+        set(fuFpMulDiv, cfg.fpMulLat, 1);
+        break;
+      case Op::DIV_D:
+        set(fuFpMulDiv, cfg.fpDivLat, cfg.fpDivLat);
+        break;
+      case Op::SQRT_D:
+        set(fuFpMulDiv, cfg.fpSqrtLat, cfg.fpSqrtLat);
+        break;
+      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
+        t.cc = fpccSlot;
+        [[fallthrough]];
+      case Op::ADD_D: case Op::SUB_D: case Op::ABS_D: case Op::NEG_D:
+      case Op::MOV_D: case Op::CVT_D_W: case Op::CVT_W_D:
+        set(fuFpAdd, cfg.fpAddLat, 1);
+        break;
+      default:
+        set(fuIntAlu, cfg.intAluLat, 1);
+        break;
+    }
+    return t;
 }
 
 void
@@ -268,14 +289,18 @@ Pipeline::fetchGroup()
     uint64_t delay = 0;
     uint32_t prev_block = 0xffffffffu;
     const unsigned block_bits = cfg.icache.blockBits();
+    const unsigned first = fbufCount;
 
     for (unsigned n = 0;
-         n < cfg.fetchWidth && fbuf.size() < cfg.fetchBufferSize; ++n) {
-        ExecRecord rec;
-        if (!emu.step(&rec)) {
+         n < cfg.fetchWidth && fbufCount < cfg.fetchBufferSize; ++n) {
+        // The emulator writes straight into the next ring slot; the
+        // slot joins the buffer once the step succeeds.
+        FetchedInst &fi = fetched(fbufCount);
+        if (!emu.step(&fi.rec)) {
             traceDone = true;
             break;
         }
+        const ExecRecord &rec = fi.rec;
 
         // Model instruction-cache traffic per block touched by the group.
         if (!cfg.perfectICache) {
@@ -291,17 +316,17 @@ Pipeline::fetchGroup()
             }
         }
 
-        FetchedInst fi;
-        fi.rec = rec;
         fi.fetchCycle = cycle;
+        fi.t = boundFor(rec);
+        fi.ctlMispredicted = false;
+        ++fbufCount;
 
-        if (rec.inst.op == Op::HALT) {
-            fbuf.push_back(fi);
+        if (fi.t.kind == Kind::Halt) {
             traceDone = true;
             break;
         }
 
-        if (isControl(rec.inst.op)) {
+        if (fi.t.kind == Kind::Control) {
             BtbPrediction pr = btb.predict(rec.pc);
             ++st.btbLookups;
             bool pred_taken = isBranch(rec.inst.op) ? (pr.hit && pr.taken)
@@ -312,7 +337,6 @@ Pipeline::fetchGroup()
             else
                 mispredict = pred_taken;
             fi.ctlMispredicted = mispredict;
-            fbuf.push_back(fi);
             if (mispredict) {
                 FACSIM_DPRINTF(Fetch, "cycle=%llu pc=%08x BTB mispredict "
                                "(taken=%d target=%08x), fetch redirect",
@@ -326,19 +350,13 @@ Pipeline::fetchGroup()
             }
             if (rec.taken)
                 break;  // correctly-predicted taken: group cannot continue
-        } else {
-            fbuf.push_back(fi);
         }
     }
 
     // Stamp issue-readiness on everything fetched this cycle.
-    uint64_t ready = cycle + 1 + delay;
-    for (auto it = fbuf.rbegin(); it != fbuf.rend(); ++it) {
-        if (it->readyCycle != 0)
-            break;
-        it->readyCycle = ready;
-    }
     fetchReadyCycle = cycle + 1 + delay;
+    for (unsigned i = first; i < fbufCount; ++i)
+        fetched(i).readyCycle = fetchReadyCycle;
 }
 
 bool
@@ -346,45 +364,45 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
                    bool &store_forced_retire)
 {
     lastStall = StallReason::None;
-    if (fbuf.empty()) {
+    if (fbufCount == 0) {
         lastStall = StallReason::Fetch;
         return false;
     }
-    FetchedInst &fi = fbuf.front();
+    FetchedInst &fi = fetched(0);
     if (fi.readyCycle > cycle) {
         lastStall = StallReason::Fetch;
         return false;
     }
     const ExecRecord &rec = fi.rec;
-    const Inst &in = rec.inst;
+    const Timing &t = fi.t;
 
-    if (in.op == Op::HALT) {
+    if (t.kind == Kind::Halt) {
         ++st.insts;
         halted = true;
         notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        fbuf.pop_front();
+        popHead();
         return false;
     }
-    if (in.op == Op::NOP) {
+    if (t.kind == Kind::Nop) {
         ++st.insts;
         notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        fbuf.pop_front();
+        popHead();
         return true;
     }
 
-    if (!sourcesReady(in) || !destsFree(in)) {
+    if (readyAt(t) > cycle) {
         lastStall = StallReason::Data;
         return false;
     }
 
-    unsigned cls = fuClassOf(in);
-    if (!fuAvailable(cls)) {
+    const int unit = freeUnit(t.fu);
+    if (unit < 0) {
         lastStall = StallReason::Structural;
         return false;
     }
 
     // ---------------- loads ------------------------------------------------
-    if (isLoad(in.op)) {
+    if (t.kind == Kind::Load) {
         if (loads_this_cycle >= cfg.maxLoadsPerCycle) {
             lastStall = StallReason::Structural;
             return false;
@@ -536,16 +554,10 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         // instruction issued one cycle earlier than in the LUI pipeline
         // (that is the hazard AGI removes).
         uint64_t use_delay = cfg.agiOrganization ? 0 : 1;
-        int d = intDest(in);
-        if (d >= 0)
-            setIntReady(d, data_ready + use_delay);
-        int fd = fpDest(in);
-        if (fd >= 0)
-            setFpReady(fd, data_ready + use_delay);
-        if (in.amode == AMode::PostInc)
-            setIntReady(in.rs, cycle + 1);
+        setReady(t.dst, data_ready + use_delay);
+        setReady(t.base, cycle + 1);
 
-        takeFu(cls, 1);
+        fuFree[unit] = cycle + t.busy;
         ++st.loads;
         ++st.insts;
         ++loads_this_cycle;
@@ -556,12 +568,12 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         // too.
         notifyIssue(fi, issued_spec, spec_failed, data_ready, mem_level,
                     static_cast<uint8_t>(pr.source), wm_used, wm_stale);
-        fbuf.pop_front();
+        popHead();
         return true;
     }
 
     // ---------------- stores ----------------------------------------------
-    if (isStore(in.op)) {
+    if (t.kind == Kind::Store) {
         if (stores_this_cycle >= cfg.maxStoresPerCycle) {
             lastStall = StallReason::Structural;
             return false;
@@ -635,10 +647,9 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         // alike); stores never touch the way memo — only loads read.
         predictor.train(rec.pc, rec.effAddr);
 
-        if (in.amode == AMode::PostInc)
-            setIntReady(in.rs, cycle + 1);
+        setReady(t.base, cycle + 1);
 
-        takeFu(cls, 1);
+        fuFree[unit] = cycle + t.busy;
         ++st.stores;
         ++st.insts;
         ++stores_this_cycle;
@@ -649,12 +660,12 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         // its service level happen at retirement, asynchronously.
         notifyIssue(fi, handled, spec_failed, cycle + 1, memlevel::None,
                     static_cast<uint8_t>(pr.source));
-        fbuf.pop_front();
+        popHead();
         return true;
     }
 
     // ---------------- control ----------------------------------------------
-    if (isControl(in.op)) {
+    if (t.kind == Kind::Control) {
         btb.update(rec.pc, rec.taken, rec.nextPc);
         if (fi.ctlMispredicted) {
             ++st.btbMispredicts;
@@ -666,66 +677,25 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
             uint64_t resume = cycle + penalty - 1;
             fetchReadyCycle = std::max(fetchReadyCycle, resume);
         }
-        if (in.op == Op::JAL)
-            setIntReady(reg::ra, cycle + 1);
-        if (in.op == Op::JALR)
-            setIntReady(in.rd, cycle + 1);
-        takeFu(cls, 1);
+        setReady(t.dst, cycle + t.lat);
+        fuFree[unit] = cycle + t.busy;
         ++st.insts;
         notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        fbuf.pop_front();
+        popHead();
         return true;
     }
 
     // ---------------- ALU / FP ----------------------------------------------
-    unsigned lat = cfg.intAluLat;
-    unsigned busy = 1;
-    switch (in.op) {
-      case Op::MUL: lat = cfg.intMulLat; break;
-      case Op::DIV: case Op::REM:
-        lat = cfg.intDivLat;
-        busy = cfg.intDivLat;
-        break;
-      case Op::MUL_D: lat = cfg.fpMulLat; break;
-      case Op::DIV_D:
-        lat = cfg.fpDivLat;
-        busy = cfg.fpDivLat;
-        break;
-      case Op::SQRT_D:
-        lat = cfg.fpSqrtLat;
-        busy = cfg.fpSqrtLat;
-        break;
-      case Op::ADD_D: case Op::SUB_D: case Op::ABS_D: case Op::NEG_D:
-      case Op::MOV_D: case Op::CVT_D_W: case Op::CVT_W_D:
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        lat = cfg.fpAddLat;
-        break;
-      default:
-        break;
-    }
-
-    int d = intDest(in);
-    if (d >= 0)
-        setIntReady(d, cycle + lat);
-    int fd = fpDest(in);
-    if (fd >= 0)
-        setFpReady(fd, cycle + lat);
-    switch (in.op) {
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        fpccReady = cycle + lat;
-        break;
-      default:
-        break;
-    }
-
-    takeFu(cls, busy);
+    setReady(t.dst, cycle + t.lat);
+    setReady(t.cc, cycle + t.lat);
+    fuFree[unit] = cycle + t.busy;
     ++st.insts;
-    notifyIssue(fi, false, false, cycle + lat, memlevel::None);
-    fbuf.pop_front();
+    notifyIssue(fi, false, false, cycle + t.lat, memlevel::None);
+    popHead();
     return true;
 }
 
-void
+bool
 Pipeline::stepCycle(bool allow_fetch)
 {
     // Slot (cycle+2) cannot yet hold valid reservations (they are
@@ -744,7 +714,7 @@ Pipeline::stepCycle(bool allow_fetch)
     }
 
     if (allow_fetch && !traceDone && !awaitingRedirect &&
-        cycle >= fetchReadyCycle && fbuf.size() < cfg.fetchBufferSize) {
+        cycle >= fetchReadyCycle && fbufCount < cfg.fetchBufferSize) {
         fetchGroup();
     }
 
@@ -795,7 +765,7 @@ Pipeline::stepCycle(bool allow_fetch)
     if (st.insts != lastProgressInsts) {
         lastProgressInsts = st.insts;
         lastProgressCycle = cycle;
-    } else if (cycle - lastProgressCycle > 100000) {
+    } else if (cycle - lastProgressCycle > deadlockCycles) {
         panic("pipeline deadlock: no instruction issued for 100k "
               "cycles (cycle %llu, %llu insts)",
               static_cast<unsigned long long>(cycle),
@@ -803,15 +773,53 @@ Pipeline::stepCycle(bool allow_fetch)
     }
 
     ++cycle;
+    return issued == 0 && !halted && lastStall == StallReason::Data;
+}
+
+void
+Pipeline::skipDataStall(bool allow_fetch)
+{
+    // The cycle just simulated issued nothing because the head waits on
+    // its operands. Until readyAt(head) every following cycle repeats
+    // it exactly — same head, same data stall, nothing to retire —
+    // provided nothing else can happen meanwhile: no store-address patch
+    // falls due, the store buffer cannot retire, and fetch stays blocked.
+    if (!patches.empty() || sbuf.canRetire())
+        return;
+    uint64_t until = readyAt(fetched(0).t);
+    if (allow_fetch && !traceDone && !awaitingRedirect &&
+        fbufCount < cfg.fetchBufferSize)
+        until = std::min(until, fetchReadyCycle);
+    // Stop on the cycle whose watchdog check fires, so a genuine
+    // deadlock still panics there.
+    until = std::min(until, lastProgressCycle + deadlockCycles + 1);
+    if (until <= cycle)
+        return;
+
+    // Charge the skipped cycles [cycle, until) as stepCycle() would:
+    // each is a data stall that recycles port/tag slot (its cycle + 2).
+    st.stallData += until - cycle;
+    if (until - cycle >= portWindow) {
+        readPorts.fill(0);
+        tagReads.fill(0);
+    } else {
+        for (uint64_t c = cycle + 2; c < until + 2; ++c) {
+            readPorts[c % portWindow] = 0;
+            tagReads[c % portWindow] = 0;
+        }
+    }
+    cycle = until;
 }
 
 PipeStats
 Pipeline::run(uint64_t max_insts)
 {
     while (!halted) {
-        stepCycle(true);
+        bool data_stall = stepCycle(true);
         if (max_insts && st.insts >= max_insts)
             break;
+        if (data_stall)
+            skipDataStall(true);
     }
 
     // Account for the remaining WB drain of the final group.
@@ -867,22 +875,19 @@ Pipeline::fastForward(uint64_t n)
 void
 Pipeline::drain()
 {
-    while (!halted && (!fbuf.empty() || !patches.empty() || !sbuf.empty()))
-        stepCycle(false);
+    while (!halted && (fbufCount || !patches.empty() || !sbuf.empty()))
+        if (stepCycle(false))
+            skipDataStall(false);
 
     // Advance the clock past every busy resource: the next measurement
     // window must not inherit stalls from before the sampling gap.
     // Read-port reservations exist at most one cycle ahead, so cycle+2
     // clears the ring's live range.
     uint64_t q = cycle + 2;
-    for (uint64_t v : intReady)
+    for (uint64_t v : ready)
         q = std::max(q, v);
-    for (uint64_t v : fpReady)
+    for (uint64_t v : fuFree)
         q = std::max(q, v);
-    q = std::max(q, fpccReady);
-    for (const auto &cls : fus)
-        for (uint64_t v : cls)
-            q = std::max(q, v);
     q = std::max(q, fetchReadyCycle);
     q = std::max(q, dmem.busyUntil());
 
@@ -914,8 +919,9 @@ Pipeline::saveState(ser::Writer &w) const
     w.b(lastMispredictWasLoad);
 
     // Fetch buffer (in-flight, already-executed trace records).
-    w.u64(fbuf.size());
-    for (const FetchedInst &fi : fbuf) {
+    w.u64(fbufCount);
+    for (unsigned i = 0; i < fbufCount; ++i) {
+        const FetchedInst &fi = fetched(i);
         w.u32(fi.rec.pc);
         w.u8(static_cast<uint8_t>(fi.rec.inst.op));
         w.u8(static_cast<uint8_t>(fi.rec.inst.amode));
@@ -942,16 +948,14 @@ Pipeline::saveState(ser::Writer &w) const
         w.u32(p.addr);
     }
 
-    // Scoreboards and functional units.
-    for (uint64_t v : intReady)
-        w.u64(v);
-    for (uint64_t v : fpReady)
-        w.u64(v);
-    w.u64(fpccReady);
-    for (const auto &cls : fus) {
-        w.u64(cls.size());
-        for (uint64_t v : cls)
-            w.u64(v);
+    // Scoreboard (integer, FP, fpcc; not the sentinel) and functional
+    // units, class by class.
+    for (unsigned i = 0; i < noSlot; ++i)
+        w.u64(ready[i]);
+    for (unsigned c = 0; c < numFuClasses; ++c) {
+        w.u64(fuBegin[c + 1] - fuBegin[c]);
+        for (unsigned u = fuBegin[c]; u < fuBegin[c + 1]; ++u)
+            w.u64(fuFree[u]);
     }
     for (unsigned v : readPorts)
         w.u32(v);
@@ -984,10 +988,17 @@ Pipeline::loadState(ser::Reader &r)
     lastMispredictCycle = r.u64();
     lastMispredictWasLoad = r.b();
 
-    fbuf.clear();
+    // The timing records are not saved: bind them again.
     uint64_t nfetched = r.u64();
-    for (uint64_t i = 0; i < nfetched; ++i) {
-        FetchedInst fi;
+    FACSIM_ASSERT(nfetched <= cfg.fetchBufferSize,
+                  "checkpoint fetch buffer holds %llu entries, this "
+                  "config's holds %u",
+                  static_cast<unsigned long long>(nfetched),
+                  cfg.fetchBufferSize);
+    fbufHead = 0;
+    fbufCount = static_cast<unsigned>(nfetched);
+    for (unsigned i = 0; i < fbufCount; ++i) {
+        FetchedInst &fi = fetched(i);
         fi.rec.pc = r.u32();
         fi.rec.inst.op = static_cast<Op>(r.u8());
         fi.rec.inst.amode = static_cast<AMode>(r.u8());
@@ -1004,7 +1015,7 @@ Pipeline::loadState(ser::Reader &r)
         fi.readyCycle = r.u64();
         fi.fetchCycle = r.u64();
         fi.ctlMispredicted = r.b();
-        fbuf.push_back(fi);
+        fi.t = boundFor(fi.rec);
     }
 
     patches.clear();
@@ -1017,19 +1028,17 @@ Pipeline::loadState(ser::Reader &r)
         patches.push_back(p);
     }
 
-    for (uint64_t &v : intReady)
-        v = r.u64();
-    for (uint64_t &v : fpReady)
-        v = r.u64();
-    fpccReady = r.u64();
-    for (auto &cls : fus) {
+    for (unsigned i = 0; i < noSlot; ++i)
+        ready[i] = r.u64();
+    for (unsigned c = 0; c < numFuClasses; ++c) {
         uint64_t n = r.u64();
-        FACSIM_ASSERT(n == cls.size(),
+        FACSIM_ASSERT(n == fuBegin[c + 1] - fuBegin[c],
                       "checkpoint functional-unit count %llu does not "
-                      "match this config's %zu",
-                      static_cast<unsigned long long>(n), cls.size());
-        for (uint64_t &v : cls)
-            v = r.u64();
+                      "match this config's %u",
+                      static_cast<unsigned long long>(n),
+                      fuBegin[c + 1] - fuBegin[c]);
+        for (unsigned u = fuBegin[c]; u < fuBegin[c + 1]; ++u)
+            fuFree[u] = r.u64();
     }
     for (unsigned &v : readPorts)
         v = r.u32();

@@ -34,11 +34,12 @@
 #ifndef FACSIM_CPU_PIPELINE_HH
 #define FACSIM_CPU_PIPELINE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "branch/btb.hh"
@@ -132,6 +133,25 @@ struct PipelineConfig
      * exclusive with facEnabled and oneCycleLoads.
      */
     bool agiOrganization = false;
+
+    // Bounds check() enforces: the fetch buffer and the functional units
+    // live in fixed arrays, and each instruction's timing record holds
+    // its latency and unit occupancy in one byte.
+    static constexpr unsigned widthCap = 64;
+    static constexpr unsigned fetchBufferCap = 256;
+    static constexpr unsigned unitCap = 32;
+    static constexpr unsigned latencyCap = 255;
+
+    /**
+     * Empty when this configuration describes a machine the pipeline
+     * can build and run, else the first problem found: a zero or
+     * over-cap width, buffer or unit count, a latency the timing record
+     * cannot hold, incoherent cache, hierarchy or predictor parameters,
+     * or an incompatible combination of features. Never aborts — the
+     * experiment daemon rejects requests with it; Pipeline's
+     * constructor panics on a non-empty answer.
+     */
+    std::string check() const;
 
     /**
      * Every field in wire order: the request codec and
@@ -429,6 +449,9 @@ class Pipeline
     /** The history ring, or nullptr when disabled. */
     const obs::RetireRing *historyRing() const { return ring_.get(); }
 
+    /** Fetched instructions waiting to issue (observer access). */
+    unsigned fetchBuffered() const { return fbufCount; }
+
     /** The store buffer (observer access for diagnostics/co-sim). */
     const StoreBuffer &storeBuffer() const { return sbuf; }
 
@@ -439,12 +462,47 @@ class Pipeline
     HierarchyStats hierarchyStats() const { return dmem.snapshot(); }
 
   private:
+    // Unified scoreboard: the cycle each register's pending write
+    // lands. Integer registers, FP registers, the FP condition code,
+    // then the sentinel — never written, so always ready.
+    static constexpr uint8_t fpSlot0 = numIntRegs;
+    static constexpr uint8_t fpccSlot = numIntRegs + numFpRegs;
+    static constexpr uint8_t noSlot = fpccSlot + 1;
+
+    /** What the issue stage does with an instruction. */
+    enum class Kind : uint8_t
+    {
+        Unbound, Nop, Halt, Load, Store, Control, Alu
+    };
+
+    /**
+     * Issue-side facts of one instruction: bound once per static
+     * instruction (boundFor()), copied into each FetchedInst at fetch,
+     * and re-derived from the ExecRecord on restore, so checkpoints do
+     * not carry it. Every slot names a scoreboard entry; unused ones
+     * name noSlot. An instruction may issue once every source is ready
+     * and every destination has no write pending: readyAt() <= cycle.
+     */
+    struct Timing
+    {
+        uint8_t addr[2];  ///< address operands (AGI: due a cycle early)
+        uint8_t src[2];   ///< other sources: integer, FP or fpcc
+        uint8_t dst;      ///< integer or FP result register
+        uint8_t base;     ///< post-increment base, written at issue+1
+        uint8_t cc;       ///< fpcc definition (FP compares)
+        Kind kind;
+        uint8_t fu;       ///< functional-unit class
+        uint8_t lat;      ///< result latency (ALU/FP ops)
+        uint8_t busy;     ///< cycles the unit stays occupied
+    };
+
     /** A fetched instruction waiting to issue. */
     struct FetchedInst
     {
         ExecRecord rec;
         uint64_t readyCycle = 0;   ///< earliest issue cycle
         uint64_t fetchCycle = 0;   ///< cycle the fetch happened (traces)
+        Timing t;
         bool ctlMispredicted = false;
     };
 
@@ -463,8 +521,12 @@ class Pipeline
     };
 
     // Simulate one cycle (the body of run()); allow_fetch=false is the
-    // drain mode used at sampling window boundaries.
-    void stepCycle(bool allow_fetch);
+    // drain mode used at sampling window boundaries. True when nothing
+    // issued because the head waits on an operand or a WAW hazard.
+    bool stepCycle(bool allow_fetch);
+    // After a data-stalled cycle: jump the clock over the cycles that
+    // provably repeat it (see docs/INTERNALS.md "Idle-cycle skip").
+    void skipDataStall(bool allow_fetch);
     // Fetch one group into the fetch buffer; advances the trace.
     void fetchGroup();
     // Try to issue the head of the fetch buffer; true on success.
@@ -473,20 +535,71 @@ class Pipeline
 
     StallReason lastStall = StallReason::None;
     // Issue-side helpers.
-    bool sourcesReady(const Inst &inst) const;
-    bool destsFree(const Inst &inst) const;
-    unsigned fuClassOf(const Inst &inst) const;
-    bool fuAvailable(unsigned cls) const;
-    void takeFu(unsigned cls, unsigned busy);
-    void setIntReady(int r, uint64_t t);
-    void setFpReady(int r, uint64_t t);
+    Timing bind(const Inst &in) const;
+    /** The record of the static instruction at @p rec.pc, bound once. */
+    const Timing &
+    boundFor(const ExecRecord &rec)
+    {
+        // Text never changes under the emulator, so a PC's record is
+        // derived on its first fetch and reused for every later one.
+        uint32_t idx = (rec.pc - Program::textBase) >> 2;
+        if (idx >= bound.size())
+            bound.resize(idx + 1);
+        Timing &t = bound[idx];
+        if (t.kind == Kind::Unbound)
+            t = bind(rec.inst);
+        return t;
+    }
+    uint64_t
+    readyAt(const Timing &t) const
+    {
+        uint64_t a = std::max(ready[t.addr[0]], ready[t.addr[1]]);
+        // An address operand that has ever been written is due
+        // addrSlack cycles before its consumer issues.
+        if (a)
+            a += addrSlack;
+        return std::max({a, ready[t.src[0]], ready[t.src[1]], ready[t.dst],
+                         ready[t.base], ready[t.cc]});
+    }
+    void
+    setReady(uint8_t slot, uint64_t t)
+    {
+        if (slot != noSlot)
+            ready[slot] = t;
+    }
+    /** First free unit of class @p cls, or -1 when all are busy. */
+    int
+    freeUnit(unsigned cls) const
+    {
+        for (unsigned u = fuBegin[cls]; u < fuBegin[cls + 1]; ++u)
+            if (fuFree[u] <= cycle)
+                return static_cast<int>(u);
+        return -1;
+    }
+    // Fetch-buffer ring: entry i (0 = oldest) of the count buffered.
+    FetchedInst &
+    fetched(unsigned i)
+    {
+        return fbuf[(fbufHead + i) & fbufMask];
+    }
+    const FetchedInst &
+    fetched(unsigned i) const
+    {
+        return fbuf[(fbufHead + i) & fbufMask];
+    }
+    void
+    popHead()
+    {
+        fbufHead = (fbufHead + 1) & fbufMask;
+        --fbufCount;
+    }
 
     // Data-cache access at a given cycle; returns the completion cycle
     // plus L1-hit and service-level attribution.
     MemResult dcacheReadAt(uint64_t t, uint32_t addr);
     // Port-usage ring helpers.
-    unsigned &readPortsAt(uint64_t t);
-    unsigned &tagReadsAt(uint64_t t);
+    unsigned &readPortsAt(uint64_t t) { return readPorts[t % portWindow]; }
+    unsigned &tagReadsAt(uint64_t t) { return tagReads[t % portWindow]; }
 
     // Observability slow path: history-ring push + windowed trace
     // emission for one issued instruction (done = result-ready cycle,
@@ -538,24 +651,35 @@ class Pipeline
     /** Instructions consumed by fastForward (excluded from st.insts). */
     uint64_t ffInsts = 0;
 
-    // Deadlock watchdog (no issue for 100k cycles => panic).
+    // Deadlock watchdog (no issue for deadlockCycles => panic).
+    static constexpr uint64_t deadlockCycles = 100000;
     uint64_t lastProgressCycle = 0;
     uint64_t lastProgressInsts = 0;
 
-    std::deque<FetchedInst> fbuf;
+    // Fetch buffer: a ring of the smallest power of two holding
+    // cfg.fetchBufferSize entries; emu.step() writes into it in place.
+    std::array<FetchedInst, PipelineConfig::fetchBufferCap> fbuf;
+    unsigned fbufMask = 0;
+    unsigned fbufHead = 0;
+    unsigned fbufCount = 0;
     std::vector<StorePatch> patches;
 
-    std::array<uint64_t, numIntRegs> intReady{};
-    std::array<uint64_t, numFpRegs> fpReady{};
-    uint64_t fpccReady = 0;
+    std::array<uint64_t, noSlot + 1> ready{};
+    /** Timing records by static instruction index (boundFor()). */
+    std::vector<Timing> bound;
+    /** AGI address-use hazard: address operands are due a cycle early. */
+    uint64_t addrSlack = 0;
 
-    // Functional units: next-free cycle per unit, grouped by class.
+    // Functional units: next-free cycle per unit; class c owns units
+    // [fuBegin[c], fuBegin[c + 1]).
     static constexpr unsigned fuIntAlu = 0;
     static constexpr unsigned fuMem = 1;
     static constexpr unsigned fuFpAdd = 2;
     static constexpr unsigned fuIntMulDiv = 3;
     static constexpr unsigned fuFpMulDiv = 4;
-    std::array<std::vector<uint64_t>, 5> fus;
+    static constexpr unsigned numFuClasses = 5;
+    std::array<unsigned, numFuClasses + 1> fuBegin{};
+    std::array<uint64_t, 3 * PipelineConfig::unitCap + 2> fuFree{};
 
     // Read-port usage for a short window of cycles, plus the parallel
     // tag-read count: every load port use reads the L1 tag array too,

@@ -22,50 +22,6 @@ memAccessSize(Op op)
     }
 }
 
-int
-intDest(const Inst &inst)
-{
-    int d = -1;
-    switch (inst.op) {
-      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR: case Op::XOR:
-      case Op::NOR: case Op::SLL: case Op::SRL: case Op::SRA:
-      case Op::SLLV: case Op::SRLV: case Op::SRAV: case Op::SLT:
-      case Op::SLTU: case Op::MUL: case Op::DIV: case Op::REM:
-      case Op::JALR: case Op::MFC1:
-        d = inst.rd;
-        break;
-      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
-      case Op::SLTI: case Op::SLTIU: case Op::LUI:
-      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU: case Op::LW:
-        d = inst.rt;
-        break;
-      case Op::JAL:
-        d = reg::ra;
-        break;
-      default:
-        return -1;
-    }
-    // A post-increment memory op additionally writes its base register;
-    // that extra destination is handled separately by the pipeline via
-    // AMode inspection, so here we report only the primary destination.
-    return d == reg::zero ? -1 : d;
-}
-
-int
-fpDest(const Inst &inst)
-{
-    switch (inst.op) {
-      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
-      case Op::SQRT_D: case Op::ABS_D: case Op::NEG_D: case Op::MOV_D:
-      case Op::CVT_D_W: case Op::CVT_W_D: case Op::MTC1:
-        return inst.rd;
-      case Op::LWC1: case Op::LDC1:
-        return inst.rt;
-      default:
-        return -1;
-    }
-}
-
 const char *
 opName(Op op)
 {

@@ -12,17 +12,27 @@ namespace facsim
 // ---------------------------------------------------------------------------
 // HierarchyConfig
 
+std::string
+HierarchyConfig::check() const
+{
+    if (depth == HierarchyDepth::L2)
+        if (std::string err = l2.check("L2 cache"); !err.empty())
+            return err;
+    if (tlbEnabled) {
+        if (tlbEntries == 0)
+            return "TLB needs at least one entry";
+        if (!isPow2(tlbPageBytes))
+            return strprintf("TLB page size must be a power of two "
+                             "(got %u)", tlbPageBytes);
+    }
+    return {};
+}
+
 void
 HierarchyConfig::validate() const
 {
-    if (depth == HierarchyDepth::L2)
-        l2.validate("L2 cache");
-    if (tlbEnabled) {
-        FACSIM_ASSERT(tlbEntries > 0, "TLB needs at least one entry");
-        FACSIM_ASSERT(isPow2(tlbPageBytes),
-                      "TLB page size must be a power of two (got %u)",
-                      tlbPageBytes);
-    }
+    if (std::string err = check(); !err.empty())
+        panic("%s", err.c_str());
 }
 
 // ---------------------------------------------------------------------------

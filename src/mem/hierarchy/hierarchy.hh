@@ -89,7 +89,10 @@ struct HierarchyConfig
     /** Cycles added to an access that misses the TLB. */
     unsigned tlbMissPenalty = 0;
 
-    /** Die with a clear message unless the parameters are coherent. */
+    /** Empty when the parameters are coherent, else what is wrong. */
+    std::string check() const;
+
+    /** Die with check()'s message unless the parameters are coherent. */
     void validate() const;
 
     /** Every field in wire order (request codec, configFingerprint). */

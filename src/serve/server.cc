@@ -364,6 +364,10 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
             replyError("incoherent sampling parameters");
             return true;
         }
+        if (std::string bad = job.treq.pipe.check(); !bad.empty()) {
+            replyError("invalid pipeline configuration: " + bad);
+            return true;
+        }
     }
     if (!workloadExists(workload_name)) {
         replyError("unknown workload '" + workload_name + "'");

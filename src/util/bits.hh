@@ -8,6 +8,7 @@
 #ifndef FACSIM_UTIL_BITS_HH
 #define FACSIM_UTIL_BITS_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace facsim
@@ -74,16 +75,11 @@ nextPow2(uint32_t v)
     return p;
 }
 
-/** log2 of a power of two. */
+/** log2 of a power of two (floor(log2 v) otherwise; 0 for v == 0). */
 constexpr unsigned
 log2i(uint64_t v)
 {
-    unsigned n = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++n;
-    }
-    return n;
+    return v ? static_cast<unsigned>(std::bit_width(v)) - 1 : 0;
 }
 
 } // namespace facsim

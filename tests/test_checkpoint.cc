@@ -7,8 +7,11 @@
  * files are rejected with clear fatal messages (death tests).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +172,83 @@ TEST(CheckpointTest, TimingRestoreRunToCompletion)
     PipeStats resumed = p2.run(0);
 
     EXPECT_TRUE(resumed == ref) << test::fieldDiff(resumed, ref);
+    EXPECT_TRUE(p2.done());
+}
+
+TEST(CheckpointTest, RestoreInsideALongDataStallIsBitIdentical)
+{
+    // tomcatv spends about 69% of its cycles waiting on data. Save right
+    // before one of its longest issue gaps, so the restored pipeline's
+    // first act is to sit out that stall from re-derived timing records.
+    // run() stops on a cycle that issued, which always leaves a slot
+    // free; the save point is one fetch group short of a full buffer,
+    // so the restored pipeline's first fetch fills it and blocks fetch
+    // for the rest of the stall.
+    const std::string path = tmpPath("timing_stall.ckpt");
+    const PipelineConfig cfg = baselineConfig(32);
+    BuildOptions b;
+
+    Machine mRef(workload("tomcatv"), b);
+    Pipeline pRef(cfg, mRef.emulator());
+    std::vector<uint64_t> issued;
+    pRef.onIssue([&](const Pipeline::IssueEvent &e) {
+        issued.push_back(e.cycle);
+    });
+    PipeStats ref = pRef.run(0);  // to completion
+    ASSERT_TRUE(pRef.done());
+
+    // Candidate save points, longest gap first: saving after n issued
+    // instructions stops right before a gap of gap(n) idle cycles.
+    std::vector<std::pair<uint64_t, uint64_t>> gaps;  // (gap, n)
+    for (size_t i = 1000; i + 1 < issued.size() / 2; ++i)
+        gaps.push_back({issued[i + 1] - issued[i], i + 1});
+    std::sort(gaps.begin(), gaps.end(), [](auto &x, auto &y) {
+        return x.first != y.first ? x.first > y.first : x.second < y.second;
+    });
+
+    uint64_t saveAt = 0, gap = 0;
+    unsigned fill = 0;
+    ser::Writer saved;
+    for (size_t k = 0; k < gaps.size() && k < 50 && !saveAt; ++k) {
+        Machine m1(workload("tomcatv"), b);
+        Pipeline p1(cfg, m1.emulator());
+        p1.run(gaps[k].second);
+        if (p1.fetchBuffered() + cfg.fetchWidth < cfg.fetchBufferSize)
+            continue;
+        saveAt = gaps[k].second;
+        gap = gaps[k].first;
+        fill = p1.fetchBuffered();
+        p1.saveState(saved);
+        saveTimingCheckpoint(path, m1, p1);
+    }
+    ASSERT_NE(saveAt, 0u) << "no long stall behind a nearly full buffer";
+    EXPECT_GE(gap, 8u);
+
+    Machine m2(workload("tomcatv"), b);
+    Pipeline p2(cfg, m2.emulator());
+    restoreTimingCheckpoint(path, m2, p2);
+    EXPECT_EQ(p2.stats().insts, saveAt);
+    EXPECT_EQ(p2.fetchBuffered(), fill);
+    ser::Writer restored;
+    p2.saveState(restored);
+    EXPECT_TRUE(restored.data() == saved.data());
+
+    // The next issue lands exactly where the uninterrupted run put it,
+    // the gap is charged as data stall, and the rest of the run matches
+    // bit for bit.
+    uint64_t next = 0;
+    p2.onIssue([&](const Pipeline::IssueEvent &e) {
+        if (!next)
+            next = e.cycle;
+    });
+    const uint64_t stall_before = p2.stats().stallData;
+    const uint64_t cycle_before = p2.currentCycle();
+    PipeStats resumed = p2.run(0);
+    EXPECT_EQ(next, issued[saveAt]);
+    EXPECT_EQ(next - cycle_before, gap - 1);
+    EXPECT_GE(resumed.stallData - stall_before, gap - 1);
+    EXPECT_TRUE(resumed == ref) << test::fieldDiff(resumed, ref);
+    EXPECT_EQ(p2.currentCycle(), pRef.currentCycle());
     EXPECT_TRUE(p2.done());
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "asm/builder.hh"
 #include "core/fast_addr_calc.hh"
@@ -393,6 +394,102 @@ TEST(PipelineDeathTest, FacGeometryMustMatchCache)
     LinkedImage img = Linker(LinkPolicy{}).link(p, mem);
     Emulator emu(p, mem, img, 0x7fff5b88);
     EXPECT_DEATH(Pipeline(cfg, emu), "field widths");
+}
+
+TEST(PipelineConfigCheck, ShippedConfigurationsPass)
+{
+    for (const char *const *m = kPredictorChoices; *m; ++m) {
+        const char *mode = *m;
+        EXPECT_EQ(predictorPipelineConfig(mode, 32).check(), "") << mode;
+        EXPECT_EQ(predictorPipelineConfig(mode, 16).check(), "") << mode;
+    }
+    EXPECT_EQ(agiConfig(32).check(), "");
+    EXPECT_EQ(oneCyclePerfectConfig(16).check(), "");
+    PipelineConfig modern = facPipelineConfig(32);
+    modern.hierarchy = modernHierarchy();
+    EXPECT_EQ(modern.check(), "");
+}
+
+TEST(PipelineConfigCheck, RejectsWhatThePipelineCannotRun)
+{
+    auto problem = [](const std::function<void(PipelineConfig &)> &edit) {
+        PipelineConfig c = facPipelineConfig(32);
+        edit(c);
+        return c.check();
+    };
+    auto names = [](const std::string &err, const char *what) {
+        return err.find(what) != std::string::npos;
+    };
+
+    // Zero or over-cap widths, buffer and unit counts.
+    EXPECT_PRED2(names, problem([](auto &c) { c.fetchBufferSize = 0; }),
+                 "fetchBufferSize");
+    EXPECT_PRED2(names,
+                 problem([](auto &c) {
+                     c.fetchBufferSize = PipelineConfig::fetchBufferCap + 1;
+                 }),
+                 "fetchBufferSize");
+    EXPECT_PRED2(names, problem([](auto &c) { c.fetchWidth = 0; }),
+                 "fetchWidth");
+    EXPECT_PRED2(names, problem([](auto &c) { c.issueWidth = 0; }),
+                 "issueWidth");
+    EXPECT_PRED2(names, problem([](auto &c) { c.numMemUnits = 0; }),
+                 "numMemUnits");
+    EXPECT_PRED2(names,
+                 problem([](auto &c) {
+                     c.numIntAlus = PipelineConfig::unitCap + 1;
+                 }),
+                 "numIntAlus");
+    EXPECT_PRED2(names, problem([](auto &c) { c.maxLoadsPerCycle = 0; }),
+                 "maxLoadsPerCycle");
+    // The caps themselves are accepted.
+    EXPECT_EQ(problem([](auto &c) {
+                  c.fetchBufferSize = PipelineConfig::fetchBufferCap;
+                  c.numFpAdders = PipelineConfig::unitCap;
+                  c.fpDivLat = PipelineConfig::latencyCap;
+              }),
+              "");
+
+    // A latency the one-byte timing record cannot hold.
+    EXPECT_PRED2(names,
+                 problem([](auto &c) {
+                     c.intDivLat = PipelineConfig::latencyCap + 1;
+                 }),
+                 "intDivLat");
+
+    // Incoherent geometry, through CacheConfig::check.
+    EXPECT_PRED2(names, problem([](auto &c) { c.dcache.sizeBytes = 1000; }),
+                 "powers of two");
+    EXPECT_PRED2(names, problem([](auto &c) { c.icache.blockBytes = 2; }),
+                 "smaller than one word");
+    EXPECT_PRED2(names,
+                 problem([](auto &c) {
+                     c.hierarchy = modernHierarchy();
+                     c.hierarchy.l2.assoc = 3;
+                 }),
+                 "L2 cache");
+    EXPECT_PRED2(names,
+                 problem([](auto &c) { c.pred.strideEntries = 1000; }),
+                 "stride table entries");
+
+    // Feature combinations the constructor used to assert on.
+    EXPECT_PRED2(names, problem([](auto &c) { c.agiOrganization = true; }),
+                 "AGI");
+    EXPECT_PRED2(names, problem([](auto &c) { c.fac.blockBits = 4; }),
+                 "field widths");
+}
+
+TEST(PipelineDeathTest, ConstructorAssertsTheCheck)
+{
+    PipelineConfig cfg = baselineConfig(32);
+    cfg.fetchBufferSize = 0;
+    Program p;
+    AsmBuilder as(p);
+    as.halt();
+    Memory mem;
+    LinkedImage img = Linker(LinkPolicy{}).link(p, mem);
+    Emulator emu(p, mem, img, 0x7fff5b88);
+    EXPECT_DEATH(Pipeline(cfg, emu), "fetchBufferSize");
 }
 
 } // anonymous namespace

@@ -703,6 +703,50 @@ TEST(ServeDaemon, MalformedRequestsGetErrorsNotAborts)
     EXPECT_EQ(daemon.join(), 0);
 }
 
+TEST(ServeDaemon, InvalidPipelineConfigsGetErrorsNotAborts)
+{
+    sv::ServerOptions opts;
+    opts.socketPath = tmpPath("badpipe.sock");
+    DaemonFixture daemon(opts);
+
+    int fd = connectWithRetry(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    sv::ServeClient client(fd);
+    std::string err;
+    sv::ResponseEnvelope resp;
+
+    // An empty fetch buffer decodes cleanly but can never issue: run,
+    // it would trip the deadlock watchdog and abort the daemon.
+    TimingRequest empty_fetch = smallTimingRequest();
+    empty_fetch.pipe.fetchBufferSize = 0;
+    ASSERT_TRUE(client.exchange(sv::WireKind::Timing,
+                                encodeTimingBody(empty_fetch), &resp, &err))
+        << err;
+    EXPECT_EQ(resp.status, sv::WireStatus::Error);
+    EXPECT_NE(resp.body.find("fetchBufferSize"), std::string::npos)
+        << resp.body;
+
+    // A cache that is not a power of two would fail Cache's assertion.
+    TimingRequest bad_cache = smallTimingRequest();
+    bad_cache.pipe.dcache.sizeBytes = 1000;
+    ASSERT_TRUE(client.exchange(sv::WireKind::Timing,
+                                encodeTimingBody(bad_cache), &resp, &err))
+        << err;
+    EXPECT_EQ(resp.status, sv::WireStatus::Error);
+    EXPECT_NE(resp.body.find("powers of two"), std::string::npos)
+        << resp.body;
+
+    // The same connection keeps serving real work.
+    TimingResult res;
+    bool cached = true;
+    ASSERT_TRUE(client.timing(smallTimingRequest(), &res, &cached, &err))
+        << err;
+    EXPECT_TRUE(res.stats == runTiming(smallTimingRequest()).stats);
+    ASSERT_TRUE(client.ping(&err)) << err;
+    ASSERT_TRUE(client.shutdown(&err)) << err;
+    EXPECT_EQ(daemon.join(), 0);
+}
+
 TEST(ServeDaemon, CachePersistsAcrossRestart)
 {
     const std::string sock = tmpPath("restart.sock");
