@@ -38,25 +38,20 @@ using namespace facsim::bench;
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
     SamplingConfig s;
     s.period = 25000;
     s.detail = 1000;
     s.warmup = 2000;
-    for (const std::string &x : opt.extra) {
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return x.compare(0, n, p) == 0 ? x.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--period="))
-            s.period = std::strtoull(v, nullptr, 0);
-        else if (const char *v = val("--detail="))
-            s.detail = std::strtoull(v, nullptr, 0);
-        else if (const char *v = val("--warmup="))
-            s.warmup = std::strtoull(v, nullptr, 0);
-        else
-            fatal("unknown option '%s'", x.c_str());
-    }
+    Options opt = parseArgs(argc, argv, {
+        flags::u64("--period=U", &s.period,
+                   "sampling period: one live-point per U instructions "
+                   "(default 25000)", flags::Positive),
+        flags::u64("--detail=N", &s.detail,
+                   "measured instructions per window (default 1000)",
+                   flags::Positive),
+        flags::u64("--warmup=N", &s.warmup,
+                   "detailed warmup per window (default 2000)"),
+    });
     s.validate();
 
     // Reference truth and the serial sampler, batched across workloads:

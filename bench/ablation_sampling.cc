@@ -23,6 +23,7 @@
 #include <cmath>
 
 #include "bench_util.hh"
+#include "util/parse.hh"
 
 using namespace facsim;
 using namespace facsim::bench;
@@ -30,24 +31,26 @@ using namespace facsim::bench;
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
     uint64_t detail = 1000;
     std::vector<uint64_t> periods{10000, 25000, 50000};
     std::vector<uint64_t> warmups{500, 2000};
-    for (const std::string &x : opt.extra) {
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return x.compare(0, n, p) == 0 ? x.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--detail="))
-            detail = std::strtoull(v, nullptr, 0);
-        else if (const char *v = val("--period="))
-            periods = {std::strtoull(v, nullptr, 0)};
-        else if (const char *v = val("--warmup="))
-            warmups = {std::strtoull(v, nullptr, 0)};
-        else
-            fatal("unknown option '%s'", x.c_str());
-    }
+    Options opt = parseArgs(argc, argv, {
+        flags::u64("--detail=N", &detail,
+                   "measured instructions per window (default 1000)",
+                   flags::Positive),
+        flags::custom("--period=U", &periods,
+                      [&](const std::string &v) {
+                          periods = {parse::u64FlagPositive("--period", v)};
+                      },
+                      "one sampling period instead of the 10k/25k/50k "
+                      "sweep"),
+        flags::custom("--warmup=W", &warmups,
+                      [&](const std::string &v) {
+                          warmups = {parse::u64Flag("--warmup", v)};
+                      },
+                      "one per-window warmup instead of the 500/2000 "
+                      "sweep"),
+    });
 
     struct Cfg
     {

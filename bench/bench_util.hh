@@ -2,27 +2,14 @@
  * @file
  * Shared plumbing for the bench harnesses: command-line options, the
  * per-workload run loop, and the paper's run-time-weighted Int/FP
- * averaging.
- *
- * Common flags accepted by every bench:
- *   --csv              emit CSV instead of the aligned table
- *   --workload=NAME    restrict to one workload
- *   --scale=N          workload size multiplier (default 1)
- *   --max-insts=N      cap simulated instructions per run (0 = full run)
- *   --seed=N           workload data seed
- *   --jobs=N           host threads for the experiment sweep
- *                      (default 0 = all hardware threads; results are
- *                      bitwise-identical for any N)
- *   --json=FILE        append one JSON object per emitted table to FILE
- *                      (rows plus host-time metadata), for
- *                      machine-readable perf trajectory tracking
+ * averaging. Every harness takes the flags parseArgs() lists plus its
+ * own; `<bench> --help` prints them.
  */
 
 #ifndef FACSIM_BENCH_BENCH_UTIL_HH
 #define FACSIM_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -34,6 +21,7 @@
 #include "sim/obs_views.hh"
 #include "sim/runner.hh"
 #include "sim/stats.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -52,8 +40,6 @@ struct Options
     unsigned jobs = 0;
     /** When non-empty, emit() appends JSON results to this file. */
     std::string jsonPath;
-    /** Flags the bench recognised beyond the common set. */
-    std::vector<std::string> extra;
     /** Host-time accounting merged across every runAll() batch. */
     RunnerReport report;
     /**
@@ -63,34 +49,36 @@ struct Options
     StatsAccum statsAccum;
 };
 
+/**
+ * Parse the flags every bench takes, plus the bench's own @p extra
+ * rows (util/flags.hh). An unknown flag or a malformed value exits
+ * with a usage error; --help lists the whole table.
+ */
 inline Options
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, std::vector<flags::Flag> extra = {})
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *prefix) -> const char * {
-            size_t n = std::strlen(prefix);
-            return a.compare(0, n, prefix) == 0 ? a.c_str() + n : nullptr;
-        };
-        if (a == "--csv") {
-            o.csv = true;
-        } else if (const char *v = val("--workload=")) {
-            o.workloadFilter = v;
-        } else if (const char *v = val("--scale=")) {
-            o.scale = std::strtoull(v, nullptr, 0);
-        } else if (const char *v = val("--max-insts=")) {
-            o.maxInsts = std::strtoull(v, nullptr, 0);
-        } else if (const char *v = val("--seed=")) {
-            o.seed = std::strtoull(v, nullptr, 0);
-        } else if (const char *v = val("--jobs=")) {
-            o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
-        } else if (const char *v = val("--json=")) {
-            o.jsonPath = v;
-        } else {
-            o.extra.push_back(a);
-        }
-    }
+    std::vector<flags::Flag> table = {
+        flags::boolean("--csv", &o.csv,
+                       "emit CSV instead of the aligned table"),
+        flags::text("--workload=NAME", &o.workloadFilter,
+                    "restrict to one workload"),
+        flags::u64("--scale=N", &o.scale,
+                   "workload size multiplier (default 1)", flags::Positive),
+        flags::u64("--max-insts=N", &o.maxInsts,
+                   "cap simulated instructions per run (0 = full run)"),
+        flags::u64("--seed=N", &o.seed, "workload data seed"),
+        flags::u32("--jobs=N", &o.jobs,
+                   "host threads for the experiment sweep (0 = all; "
+                   "results are bitwise-identical for any N)"),
+        flags::text("--json=FILE", &o.jsonPath,
+                    "append one JSON object per emitted table to FILE "
+                    "(rows plus host-time metadata)"),
+    };
+    table.insert(table.end(), extra.begin(), extra.end());
+    const char *slash = std::strrchr(argv[0], '/');
+    flags::parseCommandLine(slash ? slash + 1 : argv[0], "", table, argc,
+                            argv, 1);
     return o;
 }
 

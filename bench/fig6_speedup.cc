@@ -21,17 +21,19 @@ using namespace facsim::bench;
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
+    bool config = false;
     bool rr_delta = true;  // the paper's dashed bars; costs 2 extra runs
-    for (const std::string &x : opt.extra) {
-        if (x == "--config") {
-            std::cout << describeConfig(facPipelineConfig(32));
-            return 0;
-        }
-        if (x == "--no-rr-delta")
-            rr_delta = false;
-        if (x == "--rr-delta")
-            rr_delta = true;
+    Options opt = parseArgs(argc, argv, {
+        flags::boolean("--config", &config,
+                       "print the Table 5 machine description and exit"),
+        flags::boolean("--rr-delta", &rr_delta,
+                       "add the without-R+R-speculation columns (default)"),
+        flags::boolean("--no-rr-delta", &rr_delta,
+                       "drop the without-R+R-speculation columns", false),
+    });
+    if (config) {
+        std::cout << describeConfig(facPipelineConfig(32));
+        return 0;
     }
 
     struct Cfg

@@ -14,17 +14,18 @@ using namespace facsim::bench;
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
-
-    for (const std::string &x : opt.extra) {
-        if (x == "--list") {
-            Table t;
-            t.header({"Benchmark", "Group", "Modelled input"});
-            for (const WorkloadInfo &w : allWorkloads())
-                t.row({w.name, w.floatingPoint ? "FP" : "Int", w.input});
-            emit(opt, "Table 2: Benchmark programs and their inputs", t);
-            return 0;
-        }
+    bool list = false;
+    Options opt = parseArgs(argc, argv, {
+        flags::boolean("--list", &list,
+                       "print the Table 2 workload inventory instead"),
+    });
+    if (list) {
+        Table t;
+        t.header({"Benchmark", "Group", "Modelled input"});
+        for (const WorkloadInfo &w : allWorkloads())
+            t.row({w.name, w.floatingPoint ? "FP" : "Int", w.input});
+        emit(opt, "Table 2: Benchmark programs and their inputs", t);
+        return 0;
     }
 
     Table t;

@@ -17,11 +17,11 @@ using namespace facsim::bench;
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
     bool with_tlb = false;
-    for (const std::string &x : opt.extra)
-        if (x == "--tlb")
-            with_tlb = true;
+    Options opt = parseArgs(argc, argv, {
+        flags::boolean("--tlb", &with_tlb,
+                       "add the Section 5.4 data-TLB comparison"),
+    });
 
     Table t;
     std::vector<std::string> hdr{

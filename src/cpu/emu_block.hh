@@ -24,23 +24,18 @@
 #include "isa/inst.hh"
 #include "util/fields.hh"
 
-/**
- * Set by CMake (FACSIM_THREADED_DISPATCH feature test) when the
- * compiler supports the GNU labels-as-values extension. When 0, the
- * threaded engine silently degrades to the portable switch engine.
- */
-#ifndef FACSIM_HAS_COMPUTED_GOTO
-#define FACSIM_HAS_COMPUTED_GOTO 0
-#endif
-
 namespace facsim
 {
 
-/** How the emulator dispatches translated blocks. */
+/**
+ * How the emulator dispatched translated blocks. Every build now uses
+ * Threaded; the enum stays because TimingResult carries it on the wire
+ * and in cached results.
+ */
 enum class EmuEngine : uint8_t
 {
-    Switch,    ///< portable: switch over the handler kind per record
-    Threaded,  ///< computed-goto direct threading (GCC/Clang)
+    Switch,    ///< the former portable switch loop
+    Threaded,  ///< computed-goto direct threading
 };
 
 /** Largest valid engine (ser::get range check). */
@@ -128,9 +123,9 @@ enum class EmuKind : uint8_t
  *  - JR/JALR:        b = target register
  *  - FP:             a/b/c = FP register indices
  *
- * `handler` is the computed-goto label address, bound lazily the first
- * time the threaded engine runs (the switch engine dispatches on
- * `kind` and ignores it). `op` is kept only for fault messages.
+ * `handler` is the computed-goto label address for `kind`, bound
+ * lazily the first time a dispatch loop runs the block. `op` is kept
+ * only for fault messages.
  */
 struct EmuOpRec
 {
@@ -176,7 +171,7 @@ struct EmuBlock
     uint32_t numOps = 0;
     uint32_t fallPc = 0;   ///< startPc + 4*numOps
     uint32_t takenPc = 0;  ///< direct branch/jump target (else 0)
-    bool bound = false;    ///< handler pointers resolved (threaded)
+    bool bound = false;    ///< handler pointers resolved
     EmuBlock *fall = nullptr;
     EmuBlock *taken = nullptr;
     std::vector<EmuOpRec> ops;

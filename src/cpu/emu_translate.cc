@@ -14,30 +14,10 @@
 namespace facsim
 {
 
-EmuEngine Emulator::s_defaultEngine = EmuEngine::Threaded;
-
 const char *
 emuEngineName(EmuEngine e)
 {
     return e == EmuEngine::Threaded ? "threaded" : "switch";
-}
-
-void
-Emulator::setDefaultEngine(EmuEngine e)
-{
-    s_defaultEngine = e;
-}
-
-EmuEngine
-Emulator::defaultEngine()
-{
-    return s_defaultEngine;
-}
-
-bool
-Emulator::threadedDispatchAvailable()
-{
-    return FACSIM_HAS_COMPUTED_GOTO != 0;
 }
 
 void

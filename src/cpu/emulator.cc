@@ -10,7 +10,7 @@ namespace facsim
 
 Emulator::Emulator(const Program &prog, Memory &mem, const LinkedImage &img,
                    uint32_t initial_sp)
-    : prog_(prog), mem_(mem), pc_(img.entryPc), engine_(s_defaultEngine)
+    : prog_(prog), mem_(mem), pc_(img.entryPc)
 {
     FACSIM_ASSERT(prog.linked(), "emulator needs a linked program");
     numInsts_ = prog.numInsts();
@@ -337,11 +337,7 @@ Emulator::stepImpl(ExecRecord *rec, [[maybe_unused]] WarmSink *sink)
 uint64_t
 Emulator::run(uint64_t max_insts)
 {
-#if FACSIM_HAS_COMPUTED_GOTO
-    if (engine_ == EmuEngine::Threaded)
-        return runBlocksThreaded<false>(max_insts, nullptr);
-#endif
-    return runBlocksSwitch<false>(max_insts, nullptr);
+    return runBlocksThreaded<false>(max_insts, nullptr);
 }
 
 uint64_t
@@ -352,11 +348,7 @@ Emulator::runWarm(uint64_t max_insts, unsigned iblock_bits,
     if (max_insts == 0)
         return 0;
     WarmCtx wc{&sink, iblock_bits, 0xffffffffu};
-#if FACSIM_HAS_COMPUTED_GOTO
-    if (engine_ == EmuEngine::Threaded)
-        return runBlocksThreaded<true>(max_insts, &wc);
-#endif
-    return runBlocksSwitch<true>(max_insts, &wc);
+    return runBlocksThreaded<true>(max_insts, &wc);
 }
 
 uint64_t
@@ -439,8 +431,6 @@ Emulator::flushWarm(const EmuBlock &blk, EmuExit exit_kind, uint32_t next_pc,
     }
 }
 
-#if FACSIM_HAS_COMPUTED_GOTO
-
 template <bool WithWarm>
 uint64_t
 Emulator::runBlocksThreaded(uint64_t max_insts, WarmCtx *wc)
@@ -507,91 +497,6 @@ Emulator::runBlocksThreaded(uint64_t max_insts, WarmCtx *wc)
 #undef OP
 #undef NEXT
 #undef ENDB
-
-      block_done:
-        uint32_t next = blk->fallPc;
-        switch (exk) {
-          case EmuExit::Fall:
-          case EmuExit::BrNotTaken:
-            next_blk = blk->fall;
-            if (!next_blk)
-                chain_slot = &blk->fall;
-            break;
-          case EmuExit::BrTaken:
-          case EmuExit::Jump:
-            next = blk->takenPc;
-            next_blk = blk->taken;
-            if (!next_blk)
-                chain_slot = &blk->taken;
-            break;
-          case EmuExit::Indirect:
-            next = ind_pc;
-            break;
-          case EmuExit::Halt:
-            break;
-        }
-        done += blk->numOps;
-        icount += blk->numOps;
-        if constexpr (WithWarm)
-            flushWarm(*blk, exk, next, dn, wc);
-        pc_ = next;
-    }
-    return done;
-}
-
-#endif // FACSIM_HAS_COMPUTED_GOTO
-
-template <bool WithWarm>
-uint64_t
-Emulator::runBlocksSwitch(uint64_t max_insts, WarmCtx *wc)
-{
-    uint32_t *const R = regs.data();
-    double *const F = fregs.data();
-    Memory &M = mem_;
-    [[maybe_unused]] EmuDataTouch *const db = dbuf_.data();
-    [[maybe_unused]] unsigned dn = 0;
-    const EmuOpRec *ip = nullptr;
-    EmuExit exk = EmuExit::Fall;
-    uint32_t ind_pc = 0;
-    uint64_t done = 0;
-    EmuBlock *blk = nullptr;
-    EmuBlock *next_blk = nullptr;
-    EmuBlock **chain_slot = nullptr;
-
-    for (;;) {
-        if (halted_ || (max_insts != 0 && done >= max_insts))
-            break;
-        if (next_blk) {
-            blk = next_blk;
-        } else {
-            blk = acquireBlock(pc_);
-            if (chain_slot) {
-                *chain_slot = blk;
-                ++tstats_.superblockChains;
-            }
-        }
-        next_blk = nullptr;
-        chain_slot = nullptr;
-        if (max_insts != 0 && done + blk->numOps > max_insts) {
-            done += runScalar(max_insts - done, wc);
-            break;
-        }
-        ip = blk->ops.data();
-        if constexpr (WithWarm)
-            dn = 0;
-        for (;;) {
-            switch (ip->kind) {
-#define OP(k) case EmuKind::k:
-#define NEXT { ++ip; break; }
-#define ENDB goto block_done;
-#include "cpu/emu_exec.inc"
-#undef OP
-#undef NEXT
-#undef ENDB
-              case EmuKind::NumKinds:
-                panic("corrupt handler record");
-            }
-        }
 
       block_done:
         uint32_t next = blk->fallPc;

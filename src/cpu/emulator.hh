@@ -7,12 +7,10 @@
  *
  * Bulk execution (run()/runWarm()) goes through a translated-block
  * engine: the predecoded stream is lazily decoded into basic blocks of
- * pre-bound handler records (cpu/emu_block.hh) dispatched either by
- * computed goto ("threaded", GCC/Clang) or by a portable switch,
- * selected per process with setDefaultEngine() / per instance with
- * setEngine(). step() keeps the original one-instruction scalar path,
- * so per-record consumers (pipeline, profiler, cosim) are byte-for-byte
- * unaffected by the engine choice.
+ * pre-bound handler records (cpu/emu_block.hh) dispatched by computed
+ * goto. step() keeps the original one-instruction scalar path: it
+ * serves the per-record consumers (pipeline, profiler, cosim) and is
+ * the reference the block engine is tested against in lockstep.
  */
 
 #ifndef FACSIM_CPU_EMULATOR_HH
@@ -114,30 +112,15 @@ class Emulator
     /** True once HALT has executed. */
     bool halted() const { return halted_; }
 
-    /**
-     * Process-wide default dispatch engine for Emulators constructed
-     * afterwards (the CLI's --engine= flag). Like the debug-flag set,
-     * this is a mutable global: set it before concurrent Machines start
-     * and do not change it underneath them (see sim/machine.hh).
-     */
-    static void setDefaultEngine(EmuEngine e);
-    static EmuEngine defaultEngine();
-
-    /** True when this build supports computed-goto dispatch. */
-    static bool threadedDispatchAvailable();
-
-    /** Override the dispatch engine for this instance. */
-    void setEngine(EmuEngine e) { engine_ = e; }
-
-    /**
-     * Effective dispatch engine: the requested one, degraded to Switch
-     * when the build has no computed-goto support.
-     */
-    EmuEngine engine() const
+    /** The block engine's dispatch: always computed goto. */
+    static constexpr EmuEngine
+    defaultEngine()
     {
-        return FACSIM_HAS_COMPUTED_GOTO ? engine_
-                                        : EmuEngine::Switch;
+        return EmuEngine::Threaded;
     }
+
+    /** Computed-goto dispatch is compiled into every build. */
+    static constexpr bool threadedDispatchAvailable() { return true; }
 
     /** Cumulative translation-layer counters (survive invalidation). */
     const EmuTranslationStats &translationStats() const { return tstats_; }
@@ -228,15 +211,13 @@ class Emulator
     void bindBlock(EmuBlock &blk);
 
     /**
-     * Block-dispatch loops (computed goto / portable switch). WithWarm
-     * compiles in the data-touch buffering and per-block warm flush.
-     * max_insts = 0 means unbounded; a block that would overrun the
-     * bound falls back to runScalar for the exact tail.
+     * Block-dispatch loop (computed goto). WithWarm compiles in the
+     * data-touch buffering and per-block warm flush. max_insts = 0
+     * means unbounded; a block that would overrun the bound falls back
+     * to runScalar for the exact tail.
      */
     template <bool WithWarm>
     uint64_t runBlocksThreaded(uint64_t max_insts, WarmCtx *wc);
-    template <bool WithWarm>
-    uint64_t runBlocksSwitch(uint64_t max_insts, WarmCtx *wc);
 
     /** Exact per-instruction fallback (bound tails). */
     uint64_t runScalar(uint64_t n, WarmCtx *wc);
@@ -244,8 +225,6 @@ class Emulator
     /** Deliver one executed block's batched warming traffic. */
     void flushWarm(const EmuBlock &blk, EmuExit exit_kind, uint32_t next_pc,
                    unsigned dn, WarmCtx *wc);
-
-    static EmuEngine s_defaultEngine;
 
     const Program &prog_;
     /**
@@ -271,7 +250,6 @@ class Emulator
     bool halted_ = false;
     uint64_t icount = 0;
 
-    EmuEngine engine_;
     EmuTranslationStats tstats_;
     /** Computed-goto handler table, captured on first threaded run. */
     const void *const *labels_ = nullptr;

@@ -70,7 +70,7 @@ runTiming(const TimingRequest &req)
     res.hier = pipe.hierarchyStats();
     res.memUsageBytes = machine.memUsageBytes();
     res.emu = machine.emulator().translationStats();
-    res.emuEngine = machine.emulator().engine();
+    res.emuEngine = Emulator::defaultEngine();
     return res;
 }
 

@@ -298,20 +298,17 @@ TEST(CheckpointTest, FunctionalRestoreResumesThreadedBitIdentical)
     BuildOptions b;
 
     Machine mRef(workload("eqntott"), b);
-    mRef.emulator().setEngine(EmuEngine::Threaded);
     ASSERT_EQ(mRef.emulator().run(40000), 40000u);
     mRef.emulator().run();  // to completion
     ASSERT_TRUE(mRef.emulator().halted());
 
     {
         Machine m1(workload("eqntott"), b);
-        m1.emulator().setEngine(EmuEngine::Threaded);
         ASSERT_EQ(m1.emulator().run(40000), 40000u);
         saveFunctionalCheckpoint(path, m1);
     }
 
     Machine m2(workload("eqntott"), b);
-    m2.emulator().setEngine(EmuEngine::Threaded);
     restoreFunctionalCheckpoint(path, m2);
     EXPECT_EQ(m2.emulator().instCount(), 40000u);
     m2.emulator().run();

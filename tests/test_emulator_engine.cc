@@ -1,10 +1,10 @@
 /**
  * @file
  * Equivalence tests for the translated-block execution engine. The
- * switch and computed-goto dispatch loops, the scalar step() path and
- * the batched functional-warming flush must all retire the identical
- * architectural stream; these tests run them in lockstep over every
- * workload and compare registers, memory images and warm traffic.
+ * computed-goto block loop, the scalar step() path and the batched
+ * functional-warming flush must all retire the identical architectural
+ * stream; these tests run them in lockstep over every workload and
+ * compare registers, memory images and warm traffic.
  */
 
 #include <gtest/gtest.h>
@@ -64,9 +64,10 @@ memoryImage(Machine &m)
 }
 
 // ---------------------------------------------------------------------------
-// Cross-engine lockstep: switch and threaded dispatch must agree on
-// every architectural bit at every chunk boundary. The chunk size is
-// prime so the bound lands mid-block and exercises the scalar tail.
+// Lockstep against the reference: the switch-dispatched scalar step()
+// path and the threaded block engine must agree on every architectural
+// bit at every chunk boundary. The chunk size is prime so the bound
+// lands mid-block and exercises the scalar tail.
 
 class EngineLockstepTest : public ::testing::TestWithParam<const char *>
 {
@@ -74,26 +75,25 @@ class EngineLockstepTest : public ::testing::TestWithParam<const char *>
 
 TEST_P(EngineLockstepTest, SwitchAndThreadedAgree)
 {
-    Machine sw(workload(GetParam()), tiny());
+    Machine ref(workload(GetParam()), tiny());
     Machine th(workload(GetParam()), tiny());
-    sw.emulator().setEngine(EmuEngine::Switch);
-    th.emulator().setEngine(EmuEngine::Threaded);
 
     constexpr uint64_t kTotal = 200'000;
     constexpr uint64_t kChunk = 9'973;
     uint64_t done = 0;
-    while (done < kTotal && !sw.emulator().halted()) {
-        uint64_t ns = sw.emulator().run(kChunk);
+    while (done < kTotal && !ref.emulator().halted()) {
+        uint64_t ns = 0;
+        while (ns < kChunk && ref.emulator().step(nullptr))
+            ++ns;
         uint64_t nt = th.emulator().run(kChunk);
         ASSERT_EQ(ns, nt) << "at " << done << " insts";
-        expectSameArch(sw.emulator(), th.emulator(), GetParam());
-        ASSERT_EQ(sw.emulator().intReg(reg::zero), 0u);
+        expectSameArch(ref.emulator(), th.emulator(), GetParam());
         ASSERT_EQ(th.emulator().intReg(reg::zero), 0u);
         if (ns == 0)
             break;
         done += ns;
     }
-    EXPECT_EQ(memoryImage(sw), memoryImage(th)) << GetParam();
+    EXPECT_EQ(memoryImage(ref), memoryImage(th)) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -111,25 +111,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EmulatorEngine, RunBoundIsExactMidBlock)
 {
-    for (EmuEngine eng : {EmuEngine::Switch, EmuEngine::Threaded}) {
-        Machine m(workload("espresso"), tiny());
-        m.emulator().setEngine(eng);
-        uint64_t total = 0;
-        for (uint64_t k : {1ull, 2ull, 3ull, 7ull, 63ull, 64ull, 65ull,
-                           137ull, 10'000ull}) {
-            uint64_t n = m.emulator().run(k);
-            ASSERT_EQ(n, k);
-            total += n;
-            ASSERT_EQ(m.emulator().instCount(), total);
-        }
-        // The chopped-up run must land on the same state as a pure
-        // per-instruction reference at the same instruction count.
-        Machine ref(workload("espresso"), tiny());
-        while (ref.emulator().instCount() < total)
-            ASSERT_TRUE(ref.emulator().step(nullptr));
-        expectSameArch(m.emulator(), ref.emulator(),
-                       eng == EmuEngine::Threaded ? "threaded" : "switch");
+    Machine m(workload("espresso"), tiny());
+    uint64_t total = 0;
+    for (uint64_t k : {1ull, 2ull, 3ull, 7ull, 63ull, 64ull, 65ull, 137ull,
+                       10'000ull}) {
+        uint64_t n = m.emulator().run(k);
+        ASSERT_EQ(n, k);
+        total += n;
+        ASSERT_EQ(m.emulator().instCount(), total);
     }
+    // The chopped-up run must land on the same state as a pure
+    // per-instruction reference at the same instruction count.
+    Machine ref(workload("espresso"), tiny());
+    while (ref.emulator().instCount() < total)
+        ASSERT_TRUE(ref.emulator().step(nullptr));
+    expectSameArch(m.emulator(), ref.emulator(), "chopped run");
 }
 
 TEST(EmulatorEngine, StepAndRunInterleave)
@@ -152,9 +148,9 @@ TEST(EmulatorEngine, UnboundedRunHalts)
 {
     Machine a(workload("compress"), tiny());
     Machine b(workload("compress"), tiny());
-    a.emulator().setEngine(EmuEngine::Switch);
-    b.emulator().setEngine(EmuEngine::Threaded);
-    uint64_t na = a.emulator().run();
+    uint64_t na = 0;
+    while (a.emulator().step(nullptr))
+        ++na;
     uint64_t nb = b.emulator().run();
     EXPECT_TRUE(a.emulator().halted());
     EXPECT_TRUE(b.emulator().halted());
@@ -213,11 +209,10 @@ TEST(EmulatorEngine, RestoreInvalidatesAndResumesBitIdentical)
     ASSERT_TRUE(emu.halted());
     std::string end_mem = memoryImage(m);
 
-    // Restore the snapshot into a *fresh* machine and resume under the
-    // threaded engine: the block cache starts empty, and the stream
-    // must replay bit-identically.
+    // Restore the snapshot into a *fresh* machine and resume: the
+    // block cache starts empty, and the stream must replay
+    // bit-identically.
     Machine fresh(workload("compress"), tiny());
-    fresh.emulator().setEngine(EmuEngine::Threaded);
     ser::Reader cr(cpu.data().data(), cpu.data().size(), "test");
     fresh.emulator().loadState(cr);
     ser::Reader mr(mem.data().data(), mem.data().size(), "test");
@@ -239,25 +234,14 @@ TEST(EmulatorEngine, RestoreInvalidatesAndResumesBitIdentical)
 }
 
 // ---------------------------------------------------------------------------
-// Engine selection plumbing.
+// The engine identity reported in results and stats.
 
 TEST(EmulatorEngine, DefaultEngineIsThreaded)
 {
     EXPECT_EQ(Emulator::defaultEngine(), EmuEngine::Threaded);
+    EXPECT_TRUE(Emulator::threadedDispatchAvailable());
     EXPECT_STREQ(emuEngineName(EmuEngine::Threaded), "threaded");
     EXPECT_STREQ(emuEngineName(EmuEngine::Switch), "switch");
-}
-
-TEST(EmulatorEngine, EngineDegradesToSwitchWithoutComputedGoto)
-{
-    Machine m(workload("compress"), tiny());
-    m.emulator().setEngine(EmuEngine::Threaded);
-    if (Emulator::threadedDispatchAvailable())
-        EXPECT_EQ(m.emulator().engine(), EmuEngine::Threaded);
-    else
-        EXPECT_EQ(m.emulator().engine(), EmuEngine::Switch);
-    m.emulator().setEngine(EmuEngine::Switch);
-    EXPECT_EQ(m.emulator().engine(), EmuEngine::Switch);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,20 +310,14 @@ TEST(EmulatorEngine, BatchedWarmMatchesScalarReference)
     for (const char *wl : {"eqntott", "grep", "alvinn"}) {
         for (unsigned shift : {4u, 6u}) {
             RecordingSink ref = scalarWarmReference(wl, 100'000, shift);
-            for (EmuEngine eng :
-                 {EmuEngine::Switch, EmuEngine::Threaded}) {
-                Machine m(workload(wl), tiny());
-                m.emulator().setEngine(eng);
-                RecordingSink got;
-                got.done = m.emulator().runWarm(100'000, shift, got);
-                ASSERT_EQ(got.done, ref.done) << wl << " shift " << shift;
-                EXPECT_EQ(got.fetch, ref.fetch)
-                    << wl << " shift " << shift;
-                EXPECT_TRUE(got.data == ref.data)
-                    << wl << " shift " << shift;
-                EXPECT_TRUE(got.control == ref.control)
-                    << wl << " shift " << shift;
-            }
+            Machine m(workload(wl), tiny());
+            RecordingSink got;
+            got.done = m.emulator().runWarm(100'000, shift, got);
+            ASSERT_EQ(got.done, ref.done) << wl << " shift " << shift;
+            EXPECT_EQ(got.fetch, ref.fetch) << wl << " shift " << shift;
+            EXPECT_TRUE(got.data == ref.data) << wl << " shift " << shift;
+            EXPECT_TRUE(got.control == ref.control)
+                << wl << " shift " << shift;
         }
     }
 }

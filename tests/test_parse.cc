@@ -1,16 +1,19 @@
 /**
  * @file
  * Strict flag parsing: unit tests for util/parse.hh and end-to-end
- * negative tests that drive the real facsim_cli binary (path injected
- * as FACSIM_CLI_BIN) with zero/negative/garbage values for every
- * numeric flag, asserting a non-zero exit and a usage message. The
- * CLI historically used bare strtoul(), which accepted all of these
- * silently.
+ * negative tests that drive the real facsim_cli and bench binaries
+ * (paths injected as FACSIM_CLI_BIN / FACSIM_BENCH_DIR) with unknown
+ * flags, flags the command does not read, and zero/negative/garbage
+ * values, asserting a non-zero exit and a usage message. The CLI and
+ * benches historically used bare strtoul() and ignored unknown bench
+ * flags, which ran the default experiment silently.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -64,14 +67,14 @@ TEST(ParseDeathTest, FlagHelpersDieWithUsage)
 
 TEST(ParseDeathTest, OneOfFlagMatchesOrDies)
 {
-    static const char *const kChoices[] = {"switch", "threaded", nullptr};
-    EXPECT_EQ(parse::oneOfFlag("--engine", "switch", kChoices), 0u);
-    EXPECT_EQ(parse::oneOfFlag("--engine", "threaded", kChoices), 1u);
-    EXPECT_DEATH(parse::oneOfFlag("--engine", "bogus", kChoices),
-                 "usage: --engine expects one of switch\\|threaded, "
+    static const char *const kChoices[] = {"paper", "modern", nullptr};
+    EXPECT_EQ(parse::oneOfFlag("--hierarchy", "paper", kChoices), 0u);
+    EXPECT_EQ(parse::oneOfFlag("--hierarchy", "modern", kChoices), 1u);
+    EXPECT_DEATH(parse::oneOfFlag("--hierarchy", "bogus", kChoices),
+                 "usage: --hierarchy expects one of paper\\|modern, "
                  "got 'bogus'");
-    EXPECT_DEATH(parse::oneOfFlag("--engine", "", kChoices), "usage");
-    EXPECT_DEATH(parse::oneOfFlag("--engine", "Threaded", kChoices),
+    EXPECT_DEATH(parse::oneOfFlag("--hierarchy", "", kChoices), "usage");
+    EXPECT_DEATH(parse::oneOfFlag("--hierarchy", "Modern", kChoices),
                  "usage");  // case-sensitive, like every other flag
 }
 
@@ -80,13 +83,11 @@ TEST(ParseDeathTest, OneOfFlagMatchesOrDies)
 namespace
 {
 
-/** Run the CLI, capture combined output, return the exit status. */
+/** Run @p cmd, capture combined output, return the exit status. */
 int
-runCli(const std::string &args, std::string *output)
+runCommand(const std::string &cmd, std::string *output)
 {
-    std::string cmd =
-        std::string(FACSIM_CLI_BIN) + " " + args + " 2>&1";
-    std::FILE *p = popen(cmd.c_str(), "r");
+    std::FILE *p = popen((cmd + " 2>&1").c_str(), "r");
     EXPECT_NE(p, nullptr);
     output->clear();
     char buf[4096];
@@ -96,14 +97,35 @@ runCli(const std::string &args, std::string *output)
     return pclose(p);
 }
 
+int
+runCli(const std::string &args, std::string *output)
+{
+    return runCommand(std::string(FACSIM_CLI_BIN) + " " + args, output);
+}
+
+void
+expectCommandUsageFailure(const std::string &cmd)
+{
+    SCOPED_TRACE(cmd);
+    std::string out;
+    int status = runCommand(cmd, &out);
+    EXPECT_NE(status, 0) << out;
+    EXPECT_NE(out.find("usage"), std::string::npos) << out;
+}
+
 void
 expectUsageFailure(const std::string &args)
 {
-    SCOPED_TRACE(args);
+    expectCommandUsageFailure(std::string(FACSIM_CLI_BIN) + " " + args);
+}
+
+void
+expectHelp(const std::string &cmd)
+{
+    SCOPED_TRACE(cmd);
     std::string out;
-    int status = runCli(args, &out);
-    EXPECT_NE(status, 0) << out;
-    EXPECT_NE(out.find("usage"), std::string::npos) << out;
+    EXPECT_EQ(runCommand(cmd, &out), 0) << out;
+    EXPECT_NE(out.find("usage: "), std::string::npos) << out;
 }
 
 } // namespace
@@ -128,6 +150,8 @@ TEST(CliFlagAuditTest, NumericFlagsRejectZeroNegativeAndGarbage)
         "time @compress --ckpt-save=/tmp/a --ckpt-restore=/tmp/b");
     expectUsageFailure(
         "time @compress --sample-period=1000 --ckpt-save=/tmp/a");
+    expectUsageFailure("time @compress --compare --ckpt-save=/tmp/a");
+    expectUsageFailure("run prog.s --ckpt-save=/tmp/a");
 
     // Pre-existing hierarchy flags, previously parsed with strtoul.
     expectUsageFailure("time @compress --mshrs=0");
@@ -145,22 +169,66 @@ TEST(CliFlagAuditTest, NumericFlagsRejectZeroNegativeAndGarbage)
     expectUsageFailure("time @compress --jobs=two");
 
     // Enumerated flags.
-    expectUsageFailure("run @compress --engine=bogus");
-    expectUsageFailure("run @compress --engine=");
-    expectUsageFailure("fuzz --count=1 --engine=fastest");
+    expectUsageFailure("time @compress --hierarchy=bogus");
+    expectUsageFailure("time @compress --trace-format=");
+
+    // fuzz, previously parsed with strtoull: "ten" ran 0 cases and
+    // passed, "-1" wrapped and aborted in std::length_error.
+    expectUsageFailure("fuzz --count=ten");
+    expectUsageFailure("fuzz --count=-1");
+    expectUsageFailure("fuzz --jobs=two");
+    expectUsageFailure("fuzz --seed=0x");
+    expectUsageFailure("fuzz --min-items=200 --max-items=100");
+    expectUsageFailure("fuzz --max-items=0");
 }
 
-TEST(CliFlagAuditTest, EngineFlagSelectsDispatchEngine)
+TEST(CliFlagAuditTest, EveryVerbRejectsUnknownAndUnreadFlags)
 {
-    for (const char *eng : {"switch", "threaded"}) {
-        SCOPED_TRACE(eng);
-        std::string out;
-        int status = runCli(std::string("run @compress --max-insts=5000 "
-                                        "--engine=") + eng, &out);
-        EXPECT_EQ(status, 0) << out;
-        EXPECT_NE(out.find("executed 5000 instructions"),
-                  std::string::npos) << out;
+    // Each verb with a target, a malformed number for a flag it reads
+    // (none for verbs without numeric flags), and a flag other verbs
+    // read but it does not. Parsing fails before the target is opened.
+    struct Case
+    {
+        const char *verb;
+        const char *badNumber;
+        const char *unread;
+    };
+    const Case cases[] = {
+        {"run prog.s", "--print-insts=x", "--compare"},
+        {"run @compress", "--max-insts=1k", "--trace=t.json"},
+        {"time @compress", "--ring=big", "--lib=x.lvpt"},
+        {"profile @compress", "--block=wide", "--compare"},
+        {"disasm prog.s", nullptr, "--fac"},
+        {"dinero @compress", "--max-insts=1k", "--stats-out=s.json"},
+        {"fuzz", "--count=ten", "--support"},
+        {"mklib @compress", "--sample-period=x", "--compare"},
+        {"farm lib.lvpt", "--max-entries=x", "--support"},
+        {"serve", "--cache-bytes=lots", "--max-insts=1"},
+        {"loadgen", "--requests=many", "--stdio"},
+        {"top", "--interval=soon", "--jobs=2"},
+        {"list", nullptr, "--csv"},
+    };
+    for (const Case &c : cases) {
+        const std::string verb = c.verb;
+        expectUsageFailure(verb + " --bogus");
+        expectUsageFailure(verb + " --bogus=1");
+        if (c.badNumber)
+            expectUsageFailure(verb + " " + c.badNumber);
+        expectUsageFailure(verb + " " + c.unread);
+        expectHelp(std::string(FACSIM_CLI_BIN) + " " +
+                   verb.substr(0, verb.find(' ')) + " --help");
     }
+    expectHelp(std::string(FACSIM_CLI_BIN) + " --help");
+}
+
+TEST(CliFlagAuditTest, FlagsWritingOneFieldConflict)
+{
+    expectUsageFailure("time @compress --fac --predictor=stride");
+    expectUsageFailure("time @compress --max-insts=1 --max-insts=2");
+    expectUsageFailure("time @compress --fac=1");
+    expectUsageFailure("time @compress --compare=yes");
+    expectUsageFailure("time @compress --max-insts");
+    expectUsageFailure("loadgen --socket=s --json=");
 }
 
 TEST(CliFlagAuditTest, SamplingInvariantsEnforced)
@@ -184,5 +252,45 @@ TEST(CliFlagAuditTest, ValidFlagsStillWork)
     EXPECT_EQ(status, 0) << out;
     EXPECT_NE(out.find("CPI estimate"), std::string::npos) << out;
 }
+
+#ifdef FACSIM_BENCH_NAMES
+
+/** The parseArgs benches, from the build (micro_sim takes gbench flags). */
+std::vector<std::string>
+benchNames()
+{
+    std::vector<std::string> out;
+    std::string all = FACSIM_BENCH_NAMES;
+    for (size_t pos = 0; pos <= all.size();) {
+        size_t comma = std::min(all.find(',', pos), all.size());
+        out.push_back(all.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
+}
+
+class BenchFlagAuditTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(BenchFlagAuditTest, RejectsBadFlagsWithUsage)
+{
+    const std::string bin = std::string(FACSIM_BENCH_DIR) + "/" + GetParam();
+    for (const char *args : {"--worklaod=espresso", "--max-insts=1k",
+                             "--jobs=two", "--scale=0", "--seed=-1",
+                             "--csv=yes", "espresso"})
+        expectCommandUsageFailure(bin + " " + args);
+    if (GetParam() == "ablation_sampling")
+        expectCommandUsageFailure(bin + " --period=abc");
+    expectHelp(bin + " --help");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Benches, BenchFlagAuditTest, ::testing::ValuesIn(benchNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+#endif // FACSIM_BENCH_NAMES
 
 #endif // FACSIM_CLI_BIN

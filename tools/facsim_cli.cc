@@ -4,138 +4,23 @@
  * workloads on the simulator without writing C++.
  *
  * Usage:
- *   facsim_cli run <file.s> [options]         execute and print state
- *   facsim_cli time <file.s|@workload> [opts] cycle-level simulation
+ *   facsim_cli run <file.s|@workload>         execute and print state
+ *   facsim_cli time <file.s|@workload>        cycle-level simulation
  *   facsim_cli profile <file.s|@workload>     reference behaviour + FAC
  *   facsim_cli disasm <file.s>                assemble and disassemble
  *   facsim_cli dinero <file.s|@workload>      dinero-format address trace
- *   facsim_cli fuzz [--seed=N] [--count=M]    differential fuzzing
+ *   facsim_cli fuzz                           differential fuzzing
  *   facsim_cli mklib @workload --lib=FILE     write a live-point library
- *   facsim_cli farm <library> [opts]          sweep a live-point library
- *   facsim_cli serve [opts]                   experiment-serving daemon
- *   facsim_cli loadgen [opts]                 drive a serve daemon
- *   facsim_cli top [opts]                     live stats from a daemon
+ *   facsim_cli farm <library>                 sweep a live-point library
+ *   facsim_cli serve                          experiment-serving daemon
+ *   facsim_cli loadgen                        drive a serve daemon
+ *   facsim_cli top                            live stats from a daemon
  *   facsim_cli list                           list built-in workloads
  *
- * Serve options (see docs/INTERNALS.md "Experiment service"):
- *   --socket=PATH      listen on a unix-domain socket at PATH
- *   --stdio            serve one connection over stdin/stdout instead
- *   --jobs=N           worker threads for cache misses (0 = all)
- *   --cache-bytes=N    result-cache byte budget (default 256 MiB)
- *   --cache-file=FILE  persist the result cache across restarts
- *   --stats-out=FILE   dump serve.* / cache.* stats on drain
- *   --stats-interval=S flush --stats-out every S seconds while serving
- *                      (atomic write-to-temp + rename)
- *   --trace=FILE       per-request span trace (Chrome trace-event JSON;
- *                      one track per daemon thread)
- *   SIGINT/SIGTERM drain gracefully: stop accepting, finish in-flight
- *   requests, flush the cache, dump stats, exit 0.
- *
- * Top options (live telemetry client; docs/INTERNALS.md):
- *   --socket=PATH      daemon socket to poll (required)
- *   --interval=S       seconds between polls (default 2)
- *   --once             print a single frame and exit (two polls for a
- *                      windowed-rate frame; one poll with --prom)
- *   --prom             print the raw Prometheus exposition instead of
- *                      the rate table
- *
- * Loadgen options:
- *   --socket=PATH      daemon socket to drive (required)
- *   --requests=N       total requests (default 100)
- *   --concurrency=N    client threads (default 1)
- *   --repeat-pct=N     percent of requests repeating an earlier one
- *                      (default 50)
- *   --timing-pct=N     percent of unique requests that are timing
- *                      (default 50; rest are profile)
- *   --seed=N           schedule seed (default 1); same seed = same
- *                      request set = same response digest
- *   --scale=N          workload scale per request (default 1)
- *   --max-insts=N      instruction bound per request (default 20000)
- *   --workloads=N      distinct workloads in the mix (default 4)
- *   --json[=FILE]      JSON report to stdout (or FILE) instead of text
- *
- * Fuzz options:
- *   --seed=N           batch seed (default 2026); case i is generated
- *                      from splitmix64(seed, i), independent of --jobs
- *   --count=M          cases to run (default 100)
- *   --jobs=N           worker threads (0 = all; default 1)
- *   --shrink           minimize diverging cases with ddmin
- *   --engine=E         emulator dispatch engine (see Options)
- *   --predictor=M      config matrix under predictor mode M (see
- *                      Options; default fac = the historical matrix)
- *
- * Options:
- *   --engine=switch|threaded
- *                      translated-block dispatch engine for bulk
- *                      emulation (default threaded; degrades to switch
- *                      when the build lacks computed-goto support)
- *   --support          enable the Section 4 software support
- *   --fac              enable fast address calculation (time)
- *   --agi              AGI pipeline organisation (time)
- *   --predictor=M      load-predictor organisation: none, fac, stride,
- *                      fac+stride, fac+waymemo or fac+stride+waymemo
- *                      (time; excludes --fac/--agi)
- *   --compare          also run the plain baseline and print the speedup
- *   --block=16|32      data-cache block size (default 32)
- *   --hierarchy=NAME   memory hierarchy preset: 'paper' (flat 6-cycle,
- *                      default) or 'modern' (L2 + MSHRs + DRAM) (time)
- *   --dram-lat=N       override the preset's DRAM latency (time)
- *   --mshrs=N          override the preset's L1 MSHR entry count (time)
- *   --tlb-penalty=N    model a 64-entry data TLB whose misses add N
- *                      cycles to the access (time)
- *   --no-rr            disable register+register speculation
- *   --max-insts=N      stop after N instructions (sampled runs: total
- *                      retired instructions, fast-forwarded included)
- *   --scale=N          workload scale (built-in workloads)
- *   --print-insts=N    print the first N executed instructions (run)
- *   --jobs=N           worker threads for --compare runs (0 = all)
- *
- * Observability (see docs/INTERNALS.md):
- *   --stats-out=FILE   dump the hierarchical stats registry after the
- *                      run; JSON when FILE ends in .json, text otherwise
- *                      (run/time/profile)
- *   --trace=FILE       write a per-instruction pipeline trace (time;
- *                      applies to the measured config of a --compare
- *                      pair)
- *   --trace-format=F   konata (default; open in Konata) or chrome
- *                      (open in chrome://tracing / Perfetto)
- *   --trace-start=N    first dynamic instruction to trace (default 0)
- *   --trace-count=N    trace at most N instructions (default: all)
- *   --ring=N           keep the last N issued instructions in a crash
- *                      ring that panic() dumps (time)
- *   --debug-flags=A,B  enable FACSIM_DPRINTF debug output for the named
- *                      flags (comma separated; unknown names are fatal
- *                      and list the valid set)
- *
- * Sampled simulation (time, @workload or .s):
- *   --sample-period=U  systematic sampling: one detailed window per U
- *                      retired instructions (0 is rejected; omit the
- *                      flag for full detail)
- *   --sample-detail=N  measured instructions per window (default 1000)
- *   --sample-warmup=N  unmeasured detailed warmup per window
- *                      (default 2000)
- *
- * Live-point libraries (see docs/INTERNALS.md "Live-point library"):
- *   mklib fast-forwards the workload once with functional warming and
- *   writes one checkpoint per --sample-period instructions to --lib=FILE
- *   (--sample-detail/--sample-warmup are recorded for the farm; the
- *   cache/TLB/BTB geometry flags fix the library's warm fingerprint).
- *   farm restores every entry and measures a detailed window per entry
- *   across --jobs threads; --compare also measures the plain baseline
- *   from the *same* live-points and reports the matched-pair speedup
- *   (stdout is byte-identical for any --jobs; host timing goes to
- *   stderr). Timing-only flags (--fac, --agi, --no-rr, latencies) may
- *   differ from the mklib run; geometry flags must match.
- *   --lib=FILE         library path to write (mklib)
- *   --max-entries=N    farm: measure only the first N live-points
- *                      (0 = all; smoke-test hook)
- *
- * Checkpoints (@workload targets; 'run' = functional, 'time' = timing):
- *   --ckpt-save=FILE   run (honouring --max-insts), then save
- *   --ckpt-restore=FILE restore, then continue to completion (or
- *                      --max-insts total instructions); the resumed
- *                      run's final stats are bit-identical to an
- *                      uninterrupted run
+ * `facsim_cli <verb> --help` lists the flags a verb reads. Every flag
+ * is declared once, in flagsFor(); a flag the verb does not read is a
+ * usage error. docs/INTERNALS.md covers sampling, checkpoints,
+ * live-point libraries, the daemon and its telemetry in depth.
  */
 
 #include <chrono>
@@ -167,8 +52,8 @@
 #include "serve/client.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
-#include "util/parse.hh"
 #include "util/sealed.hh"
 #include "verify/fuzz.hh"
 
@@ -177,30 +62,18 @@ using namespace facsim;
 namespace
 {
 
-/** --engine= choices; index order matches EmuEngine's enumerators. */
-const char *const kEngineChoices[] = {"switch", "threaded", nullptr};
-
-EmuEngine
-parseEngineFlag(const std::string &value)
-{
-    return parse::oneOfFlag("--engine", value, kEngineChoices) == 0
-               ? EmuEngine::Switch
-               : EmuEngine::Threaded;
-}
-
+/** Every verb's options; each verb reads the subset flagsFor() lists. */
 struct CliOptions
 {
-    EmuEngine engine = EmuEngine::Threaded;
     bool support = false;
-    bool fac = false;
     bool agi = false;
-    /** Predictor-zoo mode (kPredictorChoices); empty = use --fac/--agi. */
+    /** Predictor-zoo mode (kPredictorChoices); empty = baseline/--agi. */
     std::string predictor;
     bool compare = false;
     bool specRr = true;
     uint32_t block = 32;
     std::string hierarchy = "paper";
-    /** Preset overrides; UINT32_MAX / -1 = keep the preset's value. */
+    /** Preset overrides; UINT32_MAX = keep the preset's value. */
     uint32_t dramLat = UINT32_MAX;
     uint32_t mshrs = UINT32_MAX;
     uint32_t tlbPenalty = UINT32_MAX;
@@ -213,7 +86,7 @@ struct CliOptions
     /** Stats-registry dump target; empty = no dump. */
     std::string statsOut;
     /** Crash-dump ring capacity (time); 0 = off. */
-    size_t ring = 0;
+    uint64_t ring = 0;
     /** Systematic sampling (time); period 0 = full detail. */
     SamplingConfig sampling;
     /** Checkpoint paths; empty = no checkpointing. */
@@ -223,132 +96,233 @@ struct CliOptions
     std::string lib;
     /** Farm: restore only the first N entries (0 = all). */
     uint64_t maxEntries = 0;
+
+    verify::FuzzOptions fuzz;
+    /** serve/loadgen/top: the daemon's unix-domain socket. */
+    std::string socket;
+    serve::ServerOptions serve;
+    serve::LoadgenOptions loadgen;
+    /** loadgen --json[=FILE]: JSON report, to FILE when non-empty. */
+    bool json = false;
+    std::string jsonFile;
+    /** top: poll period in seconds, single frame, raw Prometheus. */
+    double interval = 2.0;
+    bool once = false;
+    bool prom = false;
 };
 
-std::string
-readFile(const std::string &path)
+/** One bit per verb; a flag row names the verbs that read it. */
+enum Verb : unsigned
 {
-    std::string text;
-    if (!ser::readFile(path, &text))
-        fatal("cannot open '%s'", path.c_str());
-    return text;
+    Run = 1u << 0,
+    Time = 1u << 1,
+    Profile = 1u << 2,
+    Disasm = 1u << 3,
+    Dinero = 1u << 4,
+    Mklib = 1u << 5,
+    Farm = 1u << 6,
+    Fuzz = 1u << 7,
+    Serve = 1u << 8,
+    Loadgen = 1u << 9,
+    Top = 1u << 10,
+    List = 1u << 11,
+};
+
+const char *const kHierarchyChoices[] = {"paper", "modern", nullptr};
+
+/** The flag table: every CLI flag once, filtered to @p verb's rows. */
+std::vector<flags::Flag>
+flagsFor(unsigned verb, CliOptions &o)
+{
+    using namespace flags;
+    // Verbs that link a program, build a workload, time a pipeline or
+    // simulate with debug output.
+    const unsigned link = Run | Time | Profile | Disasm | Dinero | Mklib;
+    const unsigned build = link & ~Disasm;
+    const unsigned pipe = Time | Mklib | Farm;
+    const unsigned sim = build | Farm;
+    const struct
+    {
+        unsigned verbs;
+        Flag flag;
+    } rows[] = {
+        {link, boolean("--support", &o.support,
+                       "enable the Section 4 software support")},
+        {pipe, alias("--fac", "--predictor=fac", "same as --predictor=fac")},
+        {pipe, boolean("--agi", &o.agi, "AGI pipeline organisation")},
+        {pipe, oneOf("--predictor=M", &o.predictor, kPredictorChoices,
+                     "load-predictor organisation (excludes --agi)")},
+        {Fuzz, oneOf("--predictor=M", &o.fuzz.predictor, kPredictorChoices,
+                     "config matrix under predictor M (default fac)")},
+        {pipe, boolean("--no-rr", &o.specRr,
+                       "disable register+register speculation", false)},
+        {Time | Farm, boolean("--compare", &o.compare,
+                              "also time the plain baseline on the same "
+                              "memory system (farm: same live-points)")},
+        {pipe | Profile, u32("--block=N", &o.block,
+                             "D-cache block size in bytes (default 32)",
+                             Positive)},
+        {pipe, oneOf("--hierarchy=H", &o.hierarchy, kHierarchyChoices,
+                     "flat 6-cycle memory (default) or L2+MSHRs+DRAM")},
+        {pipe, u32("--dram-lat=N", &o.dramLat,
+                   "override the preset's DRAM latency", Positive)},
+        {pipe, u32("--mshrs=N", &o.mshrs,
+                   "override the preset's L1 MSHR count", Positive)},
+        {pipe, u32("--tlb-penalty=N", &o.tlbPenalty,
+                   "64-entry D-TLB; a miss adds N cycles", Positive)},
+        {build, u64("--max-insts=N", &o.maxInsts,
+                    "stop after N instructions in all, fast-forwarded "
+                    "ones included (0 = run to completion)")},
+        {Loadgen, u64("--max-insts=N", &o.loadgen.maxInsts,
+                      "bound per request (default 20000)", Positive)},
+        {build | Loadgen, u64("--scale=N", &o.scale,
+                              "workload scale (default 1)", Positive)},
+        {Run, u64("--print-insts=N", &o.printInsts,
+                  "print the first N executed instructions")},
+        {Time | Farm | Fuzz | Serve, u32("--jobs=N", &o.jobs,
+                                         "worker threads (0 = all; "
+                                         "default 1)")},
+        {Run | Time | Profile | Mklib | Farm | Serve,
+         text("--stats-out=FILE", &o.statsOut,
+              "dump the stats registry (JSON if FILE ends in .json)")},
+        {Time, text("--trace=FILE", &o.trace.path,
+                    "per-instruction pipeline trace of the measured run")},
+        {Time, custom("--trace-format=F", &o.trace.format,
+                      [&o](const std::string &v) {
+                          if (!obs::parseTraceFormat(v, o.trace.format))
+                              fatal("usage: --trace-format expects konata "
+                                    "or chrome, got '%s'", v.c_str());
+                      },
+                      "konata (default) or chrome")},
+        {Time, u64("--trace-start=N", &o.trace.start,
+                   "first dynamic instruction to trace")},
+        {Time, u64("--trace-count=N", &o.trace.count,
+                   "trace at most N instructions", Positive)},
+        {Time, u64("--ring=N", &o.ring,
+                   "keep the last N issued instructions for panic() dumps",
+                   Positive)},
+        {sim, custom("--debug-flags=A,B", nullptr,
+                     [](const std::string &v) {
+                         std::string bad, names;
+                         if (obs::setDebugFlags(v, &bad))
+                             return;
+                         for (const obs::DebugFlag *f : obs::allDebugFlags())
+                             names += std::string(" ") + f->name();
+                         fatal("usage: unknown debug flag '%s' (valid "
+                               "flags:%s)", bad.c_str(), names.c_str());
+                     },
+                     "enable FACSIM_DPRINTF output for these flags")},
+        {Time | Mklib, u64("--sample-period=U", &o.sampling.period,
+                           "sample one detailed window per U instructions "
+                           "(default: full detail)", Positive)},
+        {Time | Mklib, u64("--sample-detail=N", &o.sampling.detail,
+                           "measured insts per window (default 1000)",
+                           Positive)},
+        {Time | Mklib, u64("--sample-warmup=N", &o.sampling.warmup,
+                           "warmup insts per window (default 2000)",
+                           Positive)},
+        {Run | Time, text("--ckpt-save=FILE", &o.ckptSave,
+                          "save a checkpoint after the run (@workload)")},
+        {Run | Time, text("--ckpt-restore=FILE", &o.ckptRestore,
+                          "resume from a checkpoint (@workload)")},
+        {Mklib, text("--lib=FILE", &o.lib, "library path to write")},
+        {Farm, u64("--max-entries=N", &o.maxEntries,
+                   "measure only the first N live-points (0 = all)")},
+        {Fuzz, u64("--seed=N", &o.fuzz.seed,
+                   "batch seed (default 2026); same cases at any --jobs")},
+        {Fuzz, u64("--count=M", &o.fuzz.count, "cases (default 100)",
+                   Positive)},
+        {Fuzz, boolean("--shrink", &o.fuzz.shrink,
+                       "minimize diverging cases with ddmin")},
+        {Fuzz, u32("--min-items=N", &o.fuzz.minItems,
+                   "fewest descriptors per case (default 40)")},
+        {Fuzz, u32("--max-items=N", &o.fuzz.maxItems,
+                   "most descriptors per case (default 160)", Positive)},
+        {Serve | Loadgen | Top, text("--socket=PATH", &o.socket,
+                                     "the daemon's unix-domain socket "
+                                     "(serve listens on it)")},
+        {Serve, boolean("--stdio", &o.serve.stdio,
+                        "serve one connection on stdin/stdout instead")},
+        {Serve, u64("--cache-bytes=N", &o.serve.cacheBytes,
+                    "result-cache budget (default 256 MiB)", Positive)},
+        {Serve, text("--cache-file=FILE", &o.serve.cacheFile,
+                     "persist the result cache across restarts")},
+        {Serve, u32("--stats-interval=S", &o.serve.statsInterval,
+                    "flush --stats-out every S seconds", Positive)},
+        {Serve, text("--trace=FILE", &o.serve.tracePath,
+                     "per-request span trace (Chrome JSON)")},
+        {Loadgen, u64("--requests=N", &o.loadgen.requests,
+                      "total requests (default 100)", Positive)},
+        {Loadgen, u32("--concurrency=N", &o.loadgen.concurrency,
+                      "client threads (default 1)", Positive)},
+        {Loadgen, u32("--repeat-pct=N", &o.loadgen.repeatPct,
+                      "% of requests repeating an earlier one "
+                      "(default 50)")},
+        {Loadgen, u32("--timing-pct=N", &o.loadgen.timingPct,
+                      "% of unique requests that are timing, the rest "
+                      "profile (default 50)")},
+        {Loadgen, u64("--seed=N", &o.loadgen.seed,
+                      "schedule seed (default 1); same seed, same "
+                      "requests, same response digest")},
+        {Loadgen, u32("--workloads=N", &o.loadgen.workloadPool,
+                      "distinct workloads (default 4)", Positive)},
+        {Loadgen, custom("--json[=FILE]", &o.json,
+                         [&o](const std::string &v) {
+                             o.json = true;
+                             o.jsonFile = v;
+                         },
+                         "JSON report to stdout (or FILE)")},
+        {Top, real("--interval=S", &o.interval,
+                   "seconds between polls (default 2)", Positive)},
+        {Top, boolean("--once", &o.once,
+                      "print one frame and exit (one poll with --prom)")},
+        {Top, boolean("--prom", &o.prom, "raw Prometheus exposition")},
+    };
+    std::vector<Flag> out;
+    for (const auto &r : rows) {
+        if (r.verbs & verb)
+            out.push_back(r.flag);
+    }
+    return out;
 }
 
-CliOptions
-parseOptions(int argc, char **argv, int first)
+bool
+isWorkload(const std::string &target)
 {
-    CliOptions o;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return a.compare(0, n, p) == 0 ? a.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--engine="))
-            o.engine = parseEngineFlag(v);
-        else if (a == "--support")
-            o.support = true;
-        else if (a == "--fac")
-            o.fac = true;
-        else if (a == "--agi")
-            o.agi = true;
-        else if (const char *v = val("--predictor=")) {
-            parse::oneOfFlag("--predictor", v, kPredictorChoices);
-            o.predictor = v;
-        } else if (a == "--compare")
-            o.compare = true;
-        else if (a == "--no-rr")
-            o.specRr = false;
-        else if (const char *v = val("--block="))
-            o.block = parse::u32FlagPositive("--block", v);
-        else if (const char *v = val("--hierarchy="))
-            o.hierarchy = v;
-        else if (const char *v = val("--dram-lat="))
-            o.dramLat = parse::u32FlagPositive("--dram-lat", v);
-        else if (const char *v = val("--mshrs="))
-            o.mshrs = parse::u32FlagPositive("--mshrs", v);
-        else if (const char *v = val("--tlb-penalty="))
-            o.tlbPenalty = parse::u32FlagPositive("--tlb-penalty", v);
-        else if (const char *v = val("--max-insts="))
-            o.maxInsts = parse::u64Flag("--max-insts", v);
-        else if (const char *v = val("--scale="))
-            o.scale = parse::u64FlagPositive("--scale", v);
-        else if (const char *v = val("--print-insts="))
-            o.printInsts = parse::u64Flag("--print-insts", v);
-        else if (const char *v = val("--trace=")) {
-            if (!*v)
-                fatal("usage: --trace expects a file path");
-            o.trace.path = v;
-        } else if (const char *v = val("--trace-format=")) {
-            if (!obs::parseTraceFormat(v, o.trace.format))
-                fatal("unknown trace format '%s' (expected 'konata' or "
-                      "'chrome')", v);
-        } else if (const char *v = val("--trace-start="))
-            o.trace.start = parse::u64Flag("--trace-start", v);
-        else if (const char *v = val("--trace-count="))
-            o.trace.count = parse::u64FlagPositive("--trace-count", v);
-        else if (const char *v = val("--stats-out=")) {
-            if (!*v)
-                fatal("usage: --stats-out expects a file path");
-            o.statsOut = v;
-        } else if (const char *v = val("--ring="))
-            o.ring = parse::u64FlagPositive("--ring", v);
-        else if (const char *v = val("--debug-flags=")) {
-            std::string unknown;
-            if (!obs::setDebugFlags(v, &unknown)) {
-                std::string names;
-                for (const obs::DebugFlag *f : obs::allDebugFlags()) {
-                    names += ' ';
-                    names += f->name();
-                }
-                fatal("unknown debug flag '%s' (valid flags:%s)",
-                      unknown.c_str(), names.c_str());
-            }
-        } else if (const char *v = val("--jobs="))
-            o.jobs = parse::u32Flag("--jobs", v);
-        else if (const char *v = val("--sample-period="))
-            o.sampling.period = parse::u64FlagPositive("--sample-period", v);
-        else if (const char *v = val("--sample-detail="))
-            o.sampling.detail = parse::u64FlagPositive("--sample-detail", v);
-        else if (const char *v = val("--sample-warmup="))
-            o.sampling.warmup = parse::u64FlagPositive("--sample-warmup", v);
-        else if (const char *v = val("--ckpt-save=")) {
-            if (!*v)
-                fatal("usage: --ckpt-save expects a file path");
-            o.ckptSave = v;
-        } else if (const char *v = val("--ckpt-restore=")) {
-            if (!*v)
-                fatal("usage: --ckpt-restore expects a file path");
-            o.ckptRestore = v;
-        } else if (const char *v = val("--lib=")) {
-            if (!*v)
-                fatal("usage: --lib expects a file path");
-            o.lib = v;
-        } else if (const char *v = val("--max-entries="))
-            o.maxEntries = parse::u64Flag("--max-entries", v);
-        else
-            fatal("unknown option '%s'", a.c_str());
-    }
-    if (!o.predictor.empty() && (o.fac || o.agi))
-        fatal("usage: --predictor is mutually exclusive with --fac and "
-              "--agi (it selects the whole organisation)");
+    return !target.empty() && target[0] == '@';
+}
+
+/** Cross-flag rules; each fires only for verbs reading both flags. */
+void
+checkOptions(const CliOptions &o, const std::string &target)
+{
+    if (!o.predictor.empty() && o.agi)
+        fatal("usage: --predictor/--fac are mutually exclusive with --agi "
+              "(each selects the whole organisation)");
     if (!o.ckptSave.empty() && !o.ckptRestore.empty())
         fatal("usage: --ckpt-save and --ckpt-restore are mutually "
               "exclusive");
-    if (o.sampling.enabled() &&
-        (!o.ckptSave.empty() || !o.ckptRestore.empty()))
-        fatal("usage: sampling (--sample-period) cannot be combined with "
-              "checkpointing (--ckpt-save/--ckpt-restore)");
+    const bool ckpt = !o.ckptSave.empty() || !o.ckptRestore.empty();
+    if (ckpt && (o.sampling.enabled() || o.compare))
+        fatal("usage: checkpointing (--ckpt-save/--ckpt-restore) cannot "
+              "be combined with --sample-period or --compare");
+    if (ckpt && !isWorkload(target))
+        fatal("usage: checkpoints require a built-in @workload target");
     if (o.sampling.enabled())
         o.sampling.validate();
-    return o;
+    if (o.fuzz.minItems > o.fuzz.maxItems)
+        fatal("usage: --min-items (%u) exceeds --max-items (%u)",
+              o.fuzz.minItems, o.fuzz.maxItems);
 }
 
-CodeGenPolicy
-policyOf(const CliOptions &o)
+BuildOptions
+buildOf(const CliOptions &o)
 {
-    return o.support ? CodeGenPolicy::withSupport()
-                     : CodeGenPolicy::baseline();
+    BuildOptions b;
+    b.policy = o.support ? CodeGenPolicy::withSupport()
+                         : CodeGenPolicy::baseline();
+    b.scale = o.scale;
+    return b;
 }
 
 HierarchyConfig
@@ -366,16 +340,19 @@ hierarchyOf(const CliOptions &o)
     return h;
 }
 
+/**
+ * The pipeline the flags select or, with @p baseline, the plain machine
+ * --compare measures against: it shares the memory system, so the
+ * speedup isolates the pipeline change.
+ */
 PipelineConfig
-pipeOf(const CliOptions &o)
+pipeOf(const CliOptions &o, bool baseline = false)
 {
     PipelineConfig c;
-    if (!o.predictor.empty())
+    if (!baseline && !o.predictor.empty())
         c = predictorPipelineConfig(o.predictor, o.block, o.specRr);
-    else if (o.agi)
+    else if (!baseline && o.agi)
         c = agiConfig(o.block);
-    else if (o.fac)
-        c = facPipelineConfig(o.block, o.specRr);
     else
         c = baselineConfig(o.block);
     c.hierarchy = hierarchyOf(o);
@@ -399,24 +376,42 @@ writeStatsFile(const std::string &path,
     std::printf("stats written to '%s'\n", path.c_str());
 }
 
-/** A loaded program ready to execute (from a .s file). */
+/** A program ready to execute: an assembled .s file or a workload. */
 struct Loaded
 {
     Program prog;
     Memory mem;
     LinkedImage img;
     std::unique_ptr<Emulator> emu;
+    /** Set instead of the members above for a built-in @workload. */
+    std::unique_ptr<Machine> machine;
+
+    Emulator &emulator() { return machine ? machine->emulator() : *emu; }
 };
 
 std::unique_ptr<Loaded>
 loadAsm(const std::string &path, const CliOptions &o)
 {
     auto l = std::make_unique<Loaded>();
-    parseAsm(readFile(path), l->prog);
-    CodeGenPolicy pol = policyOf(o);
+    std::string text;
+    if (!ser::readFile(path, &text))
+        fatal("cannot open '%s'", path.c_str());
+    parseAsm(text, l->prog);
+    CodeGenPolicy pol = buildOf(o).policy;
     l->img = Linker(pol.link).link(l->prog, l->mem);
     l->emu = std::make_unique<Emulator>(l->prog, l->mem, l->img,
                                         pol.stack.initialSp());
+    return l;
+}
+
+std::unique_ptr<Loaded>
+load(const std::string &target, const CliOptions &o)
+{
+    if (!isWorkload(target))
+        return loadAsm(target, o);
+    auto l = std::make_unique<Loaded>();
+    l->machine =
+        std::make_unique<Machine>(workload(target.substr(1)), buildOf(o));
     return l;
 }
 
@@ -532,31 +527,13 @@ printHierarchyStats(const HierarchyStats &s)
 int
 cmdRun(const std::string &target, const CliOptions &o)
 {
-    std::unique_ptr<Loaded> l;
-    std::unique_ptr<Machine> m;
-    Emulator *emu;
-    const Program *prog;
-    Memory *mem;
-    bool ckpt = !o.ckptSave.empty() || !o.ckptRestore.empty();
-    if (!target.empty() && target[0] == '@') {
-        BuildOptions b;
-        b.policy = policyOf(o);
-        b.scale = o.scale;
-        m = std::make_unique<Machine>(workload(target.substr(1)), b);
-        emu = &m->emulator();
-        prog = &m->program();
-        mem = &m->memory();
-    } else {
-        if (ckpt)
-            fatal("checkpoints require a built-in @workload target");
-        l = loadAsm(target, o);
-        emu = l->emu.get();
-        prog = &l->prog;
-        mem = &l->mem;
-    }
+    std::unique_ptr<Loaded> l = load(target, o);
+    Emulator *emu = &l->emulator();
+    const Program *prog = l->machine ? &l->machine->program() : &l->prog;
+    Memory *mem = l->machine ? &l->machine->memory() : &l->mem;
 
     if (!o.ckptRestore.empty()) {
-        restoreFunctionalCheckpoint(o.ckptRestore, *m);
+        restoreFunctionalCheckpoint(o.ckptRestore, *l->machine);
         std::printf("restored '%s' at %llu instructions\n",
                     o.ckptRestore.c_str(),
                     static_cast<unsigned long long>(emu->instCount()));
@@ -566,7 +543,7 @@ cmdRun(const std::string &target, const CliOptions &o)
     // pair covers exactly the same stream as an uninterrupted run. The
     // first --print-insts instructions go through the scalar step()
     // path (they need per-instruction records to disassemble); the rest
-    // runs on the translated-block engine selected by --engine.
+    // runs on the translated-block engine.
     uint64_t n = 0;
     ExecRecord rec;
     while (n < o.printInsts &&
@@ -589,10 +566,10 @@ cmdRun(const std::string &target, const CliOptions &o)
         sg.formula("mem_usage_bytes", "simulated-memory footprint",
                    [bytes] { return static_cast<double>(bytes); });
         registerEmulatorStats(root.group("emu"), emu->translationStats(),
-                              emu->engine());
+                              Emulator::defaultEngine());
     });
     if (!o.ckptSave.empty()) {
-        saveFunctionalCheckpoint(o.ckptSave, *m);
+        saveFunctionalCheckpoint(o.ckptSave, *l->machine);
         std::printf("checkpoint saved to '%s' at %llu instructions\n",
                     o.ckptSave.c_str(),
                     static_cast<unsigned long long>(emu->instCount()));
@@ -647,73 +624,67 @@ printSampleEstimate(const SampleEstimate &s)
     std::printf("  est. cycles:     %.0f\n", s.estCycles());
 }
 
+/**
+ * Time @p target under @p cfg on this thread: the path for .s files
+ * and for checkpointed workloads, which the experiment runner cannot
+ * take. Observability attaches only to the @p primary run.
+ */
+TimingResult
+timeHere(const std::string &target, const CliOptions &o,
+         const PipelineConfig &cfg, bool primary)
+{
+    std::unique_ptr<Loaded> l = load(target, o);
+    Pipeline pipe(cfg, l->emulator());
+    // Trace/ring progress is not part of a checkpoint: a trace started
+    // here covers only this run's portion of the program.
+    std::unique_ptr<obs::OpenTrace> trace =
+        primary ? obs::openTrace(o.trace) : nullptr;
+    if (trace)
+        pipe.setTrace(trace->sink.get(), o.trace.start, o.trace.count);
+    if (primary && o.ring)
+        pipe.enableHistoryRing(o.ring);
+    if (!o.ckptRestore.empty()) {
+        restoreTimingCheckpoint(o.ckptRestore, *l->machine, pipe);
+        std::printf("restored '%s' at cycle %llu (%llu insts)\n",
+                    o.ckptRestore.c_str(),
+                    static_cast<unsigned long long>(pipe.currentCycle()),
+                    static_cast<unsigned long long>(pipe.stats().insts));
+    }
+    // run() bounds *total* issued instructions, so a save/restore pair
+    // replays exactly the cycles an uninterrupted run would.
+    TimingResult r;
+    if (o.sampling.enabled())
+        r.sample = runSampled(pipe, o.sampling, o.maxInsts);
+    r.stats = o.sampling.enabled() ? pipe.stats() : pipe.run(o.maxInsts);
+    if (!o.ckptSave.empty()) {
+        saveTimingCheckpoint(o.ckptSave, *l->machine, pipe);
+        std::printf("checkpoint saved to '%s' at cycle %llu (%llu insts)\n",
+                    o.ckptSave.c_str(),
+                    static_cast<unsigned long long>(pipe.currentCycle()),
+                    static_cast<unsigned long long>(r.stats.insts));
+    }
+    r.hier = pipe.hierarchyStats();
+    r.emu = l->emulator().translationStats();
+    r.emuEngine = Emulator::defaultEngine();
+    r.memUsageBytes = l->machine ? l->machine->memUsageBytes()
+                                 : l->mem.memUsageBytes();
+    return r;
+}
+
 int
 cmdTime(const std::string &target, const CliOptions &o)
 {
-    bool is_workload = !target.empty() && target[0] == '@';
-
-    if (!o.ckptSave.empty() || !o.ckptRestore.empty()) {
-        if (!is_workload)
-            fatal("checkpoints require a built-in @workload target");
-        BuildOptions b;
-        b.policy = policyOf(o);
-        b.scale = o.scale;
-        Machine m(workload(target.substr(1)), b);
-        Pipeline pipe(pipeOf(o), m.emulator());
-        // Trace/ring progress is not part of a checkpoint: a trace
-        // started here covers only this run's portion of the program.
-        std::unique_ptr<obs::OpenTrace> trace = obs::openTrace(o.trace);
-        if (trace)
-            pipe.setTrace(trace->sink.get(), o.trace.start,
-                          o.trace.count);
-        if (o.ring)
-            pipe.enableHistoryRing(o.ring);
-        if (!o.ckptRestore.empty()) {
-            restoreTimingCheckpoint(o.ckptRestore, m, pipe);
-            std::printf("restored '%s' at cycle %llu (%llu insts)\n",
-                        o.ckptRestore.c_str(),
-                        static_cast<unsigned long long>(
-                            pipe.currentCycle()),
-                        static_cast<unsigned long long>(
-                            pipe.stats().insts));
-        }
-        // run() bounds *total* issued instructions, so a save/restore
-        // pair replays exactly the cycles an uninterrupted run would.
-        PipeStats st = pipe.run(o.maxInsts);
-        if (!o.ckptSave.empty()) {
-            saveTimingCheckpoint(o.ckptSave, m, pipe);
-            std::printf("checkpoint saved to '%s' at cycle %llu "
-                        "(%llu insts)\n",
-                        o.ckptSave.c_str(),
-                        static_cast<unsigned long long>(
-                            pipe.currentCycle()),
-                        static_cast<unsigned long long>(st.insts));
-        }
-        printPipeStats(st);
-        HierarchyStats hs = pipe.hierarchyStats();
-        printHierarchyStats(hs);
-        uint64_t mu = m.memUsageBytes();
-        writeStatsFile(o.statsOut, [&](obs::Group &root) {
-            registerPipeStats(root.group("pipeline"), st);
-            registerHierarchyStats(root.group("hier"), hs);
-            registerEmulatorStats(root.group("emu"),
-                                  m.emulator().translationStats(),
-                                  m.emulator().engine());
-            root.group("sim").counterView(
-                "mem_usage_bytes", "peak simulated-memory footprint",
-                &mu);
-        });
-        return 0;
-    }
-
-    if (is_workload) {
+    const bool viaRunner =
+        isWorkload(target) && o.ckptSave.empty() && o.ckptRestore.empty();
+    std::vector<TimingResult> res;
+    RunnerReport report;
+    if (viaRunner) {
         // Workload targets go through the experiment runner so a
         // --compare pair runs on two threads when --jobs allows it.
         auto requestWith = [&](const PipelineConfig &cfg) {
             TimingRequest req;
             req.workload = target.substr(1);
-            req.build.policy = policyOf(o);
-            req.build.scale = o.scale;
+            req.build = buildOf(o);
             req.pipe = cfg;
             req.maxInsts = o.maxInsts;
             req.sampling = o.sampling;
@@ -724,96 +695,34 @@ cmdTime(const std::string &target, const CliOptions &o)
         // the --compare baseline runs dark.
         reqs[0].trace = o.trace;
         reqs[0].historyRing = o.ring;
-        if (o.compare) {
-            // The baseline shares the memory system so the speedup
-            // isolates the pipeline change.
-            PipelineConfig base = baselineConfig(o.block);
-            base.hierarchy = hierarchyOf(o);
-            reqs.push_back(requestWith(base));
-        }
+        if (o.compare)
+            reqs.push_back(requestWith(pipeOf(o, true)));
+        res = Runner(o.jobs).runTimings(reqs, &report);
+    } else {
+        res.push_back(timeHere(target, o, pipeOf(o), true));
+        if (o.compare)
+            res.push_back(timeHere(target, o, pipeOf(o, true), false));
+    }
 
-        RunnerReport report;
-        std::vector<TimingResult> res =
-            Runner(o.jobs).runTimings(reqs, &report);
-
-        printPipeStats(res[0].stats);
-        printHierarchyStats(res[0].hier);
-        if (res[0].sample.enabled)
-            printSampleEstimate(res[0].sample);
-        writeStatsFile(o.statsOut, [&](obs::Group &root) {
-            registerTimingStats(root, res[0]);
-        });
-        if (o.compare) {
-            double base = res[1].estimatedCycles();
-            double mine = res[0].estimatedCycles();
-            std::printf("baseline cycles:   %.0f\n", base);
-            std::printf("speedup:           %.3f%s\n",
-                        base > 0.0 && mine > 0.0 ? base / mine : 0.0,
-                        res[0].sample.enabled ? " (sampled estimate)"
-                                              : "");
+    printPipeStats(res[0].stats);
+    printHierarchyStats(res[0].hier);
+    if (res[0].sample.enabled)
+        printSampleEstimate(res[0].sample);
+    writeStatsFile(o.statsOut, [&](obs::Group &root) {
+        registerTimingStats(root, res[0]);
+    });
+    if (o.compare) {
+        double base = res[1].estimatedCycles();
+        double mine = res[0].estimatedCycles();
+        std::printf("baseline cycles:   %.0f\n", base);
+        std::printf("speedup:           %.3f%s\n",
+                    base > 0.0 && mine > 0.0 ? base / mine : 0.0,
+                    res[0].sample.enabled ? " (sampled estimate)" : "");
+        if (viaRunner)
             std::printf("host time:         %.2fs on %u threads "
                         "(%.2fM sim-insts/s)\n",
                         report.wallSeconds, report.jobs,
                         report.simInstsPerHostSecond() / 1e6);
-        }
-        return 0;
-    }
-
-    // The emulator dies with the per-run Loaded image, so copy its
-    // translation counters out for the stats dump.
-    EmuTranslationStats emuTs;
-    EmuEngine emuEngine = EmuEngine::Switch;
-    auto timeWith = [&](const PipelineConfig &cfg, HierarchyStats *hs,
-                        SampleEstimate *se, bool primary) {
-        auto l = loadAsm(target, o);
-        Pipeline pipe(cfg, *l->emu);
-        std::unique_ptr<obs::OpenTrace> trace =
-            primary ? obs::openTrace(o.trace) : nullptr;
-        if (trace)
-            pipe.setTrace(trace->sink.get(), o.trace.start,
-                          o.trace.count);
-        if (primary && o.ring)
-            pipe.enableHistoryRing(o.ring);
-        PipeStats st;
-        if (o.sampling.enabled()) {
-            *se = runSampled(pipe, o.sampling, o.maxInsts);
-            st = pipe.stats();
-        } else {
-            st = pipe.run(o.maxInsts);
-        }
-        if (hs)
-            *hs = pipe.hierarchyStats();
-        if (primary) {
-            emuTs = l->emu->translationStats();
-            emuEngine = l->emu->engine();
-        }
-        return st;
-    };
-    HierarchyStats hier;
-    SampleEstimate sample;
-    PipeStats st = timeWith(pipeOf(o), &hier, &sample, true);
-    printPipeStats(st);
-    printHierarchyStats(hier);
-    if (sample.enabled)
-        printSampleEstimate(sample);
-    writeStatsFile(o.statsOut, [&](obs::Group &root) {
-        registerPipeStats(root.group("pipeline"), st);
-        registerHierarchyStats(root.group("hier"), hier);
-        registerEmulatorStats(root.group("emu"), emuTs, emuEngine);
-    });
-    if (o.compare) {
-        PipelineConfig bcfg = baselineConfig(o.block);
-        bcfg.hierarchy = hierarchyOf(o);
-        SampleEstimate bsample;
-        PipeStats base = timeWith(bcfg, nullptr, &bsample, false);
-        double bcyc = bsample.enabled ? bsample.estCycles()
-                                      : static_cast<double>(base.cycles);
-        double mcyc = sample.enabled ? sample.estCycles()
-                                     : static_cast<double>(st.cycles);
-        std::printf("baseline cycles:   %.0f\n", bcyc);
-        std::printf("speedup:           %.3f%s\n",
-                    bcyc > 0.0 && mcyc > 0.0 ? bcyc / mcyc : 0.0,
-                    sample.enabled ? " (sampled estimate)" : "");
     }
     return 0;
 }
@@ -834,7 +743,7 @@ printEstimateLine(const char *label, const MetricEstimate &e)
 int
 cmdMklib(const std::string &target, const CliOptions &o)
 {
-    if (target.empty() || target[0] != '@')
+    if (!isWorkload(target))
         fatal("mklib requires a built-in @workload target");
     if (!o.sampling.enabled())
         fatal("mklib requires --sample-period (one live-point per "
@@ -844,8 +753,7 @@ cmdMklib(const std::string &target, const CliOptions &o)
 
     LvptBuildRequest req;
     req.workload = target.substr(1);
-    req.build.policy = policyOf(o);
-    req.build.scale = o.scale;
+    req.build = buildOf(o);
     req.pipe = pipeOf(o);
     req.sampling = o.sampling;
     req.maxInsts = o.maxInsts;
@@ -881,14 +789,9 @@ cmdFarm(const std::string &target, const CliOptions &o)
     FarmRequest req;
     req.pipe = pipeOf(o);
     req.matchedPair = o.compare;
-    if (o.compare) {
-        // Same convention as 'time --compare': the partner is the plain
-        // baseline sharing the memory system, measured from the *same*
-        // live-points (matched pair).
-        PipelineConfig base = baselineConfig(o.block);
-        base.hierarchy = hierarchyOf(o);
-        req.partner = base;
-    }
+    // The matched-pair partner is measured from the *same* live-points.
+    if (o.compare)
+        req.partner = pipeOf(o, true);
     req.jobs = o.jobs;
     req.maxEntries = o.maxEntries;
 
@@ -967,25 +870,12 @@ cmdProfile(const std::string &target, const CliOptions &o)
     Profiler prof;
     prof.addFacConfig(fc);
 
-    if (!target.empty() && target[0] == '@') {
-        BuildOptions b;
-        b.policy = policyOf(o);
-        b.scale = o.scale;
-        Machine m(workload(target.substr(1)), b);
-        ExecRecord rec;
-        while (m.emulator().step(&rec)) {
-            prof.observe(rec);
-            if (o.maxInsts && prof.insts() >= o.maxInsts)
-                break;
-        }
-    } else {
-        auto l = loadAsm(target, o);
-        ExecRecord rec;
-        while (l->emu->step(&rec)) {
-            prof.observe(rec);
-            if (o.maxInsts && prof.insts() >= o.maxInsts)
-                break;
-        }
+    std::unique_ptr<Loaded> l = load(target, o);
+    ExecRecord rec;
+    while (l->emulator().step(&rec)) {
+        prof.observe(rec);
+        if (o.maxInsts && prof.insts() >= o.maxInsts)
+            break;
     }
     printProfile(prof);
     ProfileResult pr;
@@ -1013,27 +903,16 @@ cmdProfile(const std::string &target, const CliOptions &o)
 int
 cmdDinero(const std::string &target, const CliOptions &o)
 {
-    auto emitTrace = [&](Emulator &emu) {
-        ExecRecord rec;
-        uint64_t n = 0;
-        while (emu.step(&rec)) {
-            std::printf("2 %x\n", rec.pc);
-            if (isMem(rec.inst.op))
-                std::printf("%d %x\n", isStore(rec.inst.op) ? 1 : 0,
-                            rec.effAddr);
-            if (o.maxInsts && ++n >= o.maxInsts)
-                break;
-        }
-    };
-    if (!target.empty() && target[0] == '@') {
-        BuildOptions b;
-        b.policy = policyOf(o);
-        b.scale = o.scale;
-        Machine m(workload(target.substr(1)), b);
-        emitTrace(m.emulator());
-    } else {
-        auto l = loadAsm(target, o);
-        emitTrace(*l->emu);
+    std::unique_ptr<Loaded> l = load(target, o);
+    ExecRecord rec;
+    uint64_t n = 0;
+    while (l->emulator().step(&rec)) {
+        std::printf("2 %x\n", rec.pc);
+        if (isMem(rec.inst.op))
+            std::printf("%d %x\n", isStore(rec.inst.op) ? 1 : 0,
+                        rec.effAddr);
+        if (o.maxInsts && ++n >= o.maxInsts)
+            break;
     }
     return 0;
 }
@@ -1045,37 +924,10 @@ cmdDinero(const std::string &target, const CliOptions &o)
  * diverges.
  */
 int
-cmdFuzz(int argc, char **argv, int first)
+cmdFuzz(const std::string &, const CliOptions &o)
 {
-    verify::FuzzOptions fo;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return a.compare(0, n, p) == 0 ? a.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--engine="))
-            Emulator::setDefaultEngine(parseEngineFlag(v));
-        else if (const char *v = val("--seed="))
-            fo.seed = std::strtoull(v, nullptr, 0);
-        else if (const char *v = val("--count="))
-            fo.count = std::strtoull(v, nullptr, 0);
-        else if (const char *v = val("--jobs="))
-            fo.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
-        else if (a == "--shrink")
-            fo.shrink = true;
-        else if (const char *v = val("--min-items="))
-            fo.minItems =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 0));
-        else if (const char *v = val("--max-items="))
-            fo.maxItems =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 0));
-        else if (const char *v = val("--predictor=")) {
-            parse::oneOfFlag("--predictor", v, kPredictorChoices);
-            fo.predictor = v;
-        } else
-            fatal("unknown fuzz option '%s'", a.c_str());
-    }
+    verify::FuzzOptions fo = o.fuzz;
+    fo.jobs = o.jobs;
 
     verify::FuzzBatchResult res = verify::runFuzzBatch(fo);
     std::printf("fuzz: %llu case(s), seed %llu, batch digest %016llx\n",
@@ -1121,42 +973,12 @@ cmdDisasm(const std::string &target, const CliOptions &o)
 }
 
 int
-cmdServe(int argc, char **argv, int first)
+cmdServe(const std::string &, const CliOptions &o)
 {
-    serve::ServerOptions so;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return a.compare(0, n, p) == 0 ? a.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--socket=")) {
-            if (!*v)
-                fatal("usage: --socket expects a path");
-            so.socketPath = v;
-        } else if (a == "--stdio")
-            so.stdio = true;
-        else if (const char *v = val("--jobs="))
-            so.jobs = parse::u32Flag("--jobs", v);
-        else if (const char *v = val("--cache-bytes="))
-            so.cacheBytes = parse::u64FlagPositive("--cache-bytes", v);
-        else if (const char *v = val("--cache-file=")) {
-            if (!*v)
-                fatal("usage: --cache-file expects a path");
-            so.cacheFile = v;
-        } else if (const char *v = val("--stats-out=")) {
-            if (!*v)
-                fatal("usage: --stats-out expects a file path");
-            so.statsOut = v;
-        } else if (const char *v = val("--stats-interval="))
-            so.statsInterval = parse::u32FlagPositive("--stats-interval", v);
-        else if (const char *v = val("--trace=")) {
-            if (!*v)
-                fatal("usage: --trace expects a file path");
-            so.tracePath = v;
-        } else
-            fatal("unknown serve option '%s'", a.c_str());
-    }
+    serve::ServerOptions so = o.serve;
+    so.socketPath = o.socket;
+    so.jobs = o.jobs;
+    so.statsOut = o.statsOut;
     if (so.socketPath.empty() && !so.stdio)
         fatal("usage: serve needs --socket=PATH or --stdio");
     if (!so.socketPath.empty() && so.stdio)
@@ -1202,42 +1024,18 @@ printTopFrame(const obs::StatsSampler &s)
 }
 
 int
-cmdTop(int argc, char **argv, int first)
+cmdTop(const std::string &, const CliOptions &o)
 {
-    std::string socket;
-    double interval = 2.0;
-    bool once = false, prom = false;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return a.compare(0, n, p) == 0 ? a.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--socket=")) {
-            if (!*v)
-                fatal("usage: --socket expects a path");
-            socket = v;
-        } else if (const char *v = val("--interval=")) {
-            interval = parse::doubleFlag("--interval", v);
-            if (interval <= 0.0)
-                fatal("usage: --interval must be positive");
-        } else if (a == "--once")
-            once = true;
-        else if (a == "--prom")
-            prom = true;
-        else
-            fatal("unknown top option '%s'", a.c_str());
-    }
-    if (socket.empty())
+    if (o.socket.empty())
         fatal("usage: top needs --socket=PATH");
 
     std::string err;
-    int fd = serve::connectUnix(socket, &err);
+    int fd = serve::connectUnix(o.socket, &err);
     if (fd < 0)
         fatal("top: %s", err.c_str());
     serve::ServeClient client(fd);
 
-    if (prom) {
+    if (o.prom) {
         // Raw Prometheus exposition; --once prints one scrape, else one
         // scrape per interval (a file-based scraper can poll this).
         do {
@@ -1246,10 +1044,10 @@ cmdTop(int argc, char **argv, int first)
                 fatal("top: %s", err.c_str());
             std::fputs(promText.c_str(), stdout);
             std::fflush(stdout);
-            if (!once)
+            if (!o.once)
                 std::this_thread::sleep_for(
-                    std::chrono::duration<double>(interval));
-        } while (!once);
+                    std::chrono::duration<double>(o.interval));
+        } while (!o.once);
         return 0;
     }
 
@@ -1263,7 +1061,7 @@ cmdTop(int argc, char **argv, int first)
     sampler.watchCounter("serve.timing_requests");
     sampler.watchCounter("cache.hits");
     sampler.watchCounter("cache.misses");
-    bool clearScreen = !once && ::isatty(STDOUT_FILENO);
+    bool clearScreen = !o.once && ::isatty(STDOUT_FILENO);
     for (;;) {
         std::string json;
         if (!client.stats(&json, nullptr, &err))
@@ -1278,54 +1076,20 @@ cmdTop(int argc, char **argv, int first)
             if (clearScreen)
                 std::fputs("\x1b[H\x1b[2J", stdout);
             printTopFrame(sampler);
-            if (once)
+            if (o.once)
                 return 0;  // two polls -> one windowed frame -> done
         }
         std::this_thread::sleep_for(
-            std::chrono::duration<double>(interval));
+            std::chrono::duration<double>(o.interval));
     }
 }
 
 int
-cmdLoadgen(int argc, char **argv, int first)
+cmdLoadgen(const std::string &, const CliOptions &o)
 {
-    serve::LoadgenOptions lo;
-    bool json = false;
-    std::string jsonFile;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *p) -> const char * {
-            size_t n = std::strlen(p);
-            return a.compare(0, n, p) == 0 ? a.c_str() + n : nullptr;
-        };
-        if (const char *v = val("--socket=")) {
-            if (!*v)
-                fatal("usage: --socket expects a path");
-            lo.socketPath = v;
-        } else if (const char *v = val("--requests="))
-            lo.requests = parse::u64FlagPositive("--requests", v);
-        else if (const char *v = val("--concurrency="))
-            lo.concurrency = parse::u32FlagPositive("--concurrency", v);
-        else if (const char *v = val("--repeat-pct="))
-            lo.repeatPct = parse::u32Flag("--repeat-pct", v);
-        else if (const char *v = val("--timing-pct="))
-            lo.timingPct = parse::u32Flag("--timing-pct", v);
-        else if (const char *v = val("--seed="))
-            lo.seed = parse::u64Flag("--seed", v);
-        else if (const char *v = val("--scale="))
-            lo.scale = parse::u64FlagPositive("--scale", v);
-        else if (const char *v = val("--max-insts="))
-            lo.maxInsts = parse::u64FlagPositive("--max-insts", v);
-        else if (const char *v = val("--workloads="))
-            lo.workloadPool = parse::u32FlagPositive("--workloads", v);
-        else if (a == "--json")
-            json = true;
-        else if (const char *v = val("--json=")) {
-            json = true;
-            jsonFile = v;
-        } else
-            fatal("unknown loadgen option '%s'", a.c_str());
-    }
+    serve::LoadgenOptions lo = o.loadgen;
+    lo.socketPath = o.socket;
+    lo.scale = o.scale;
     if (lo.socketPath.empty())
         fatal("usage: loadgen needs --socket=PATH");
     if (lo.repeatPct > 100 || lo.timingPct > 100)
@@ -1337,17 +1101,17 @@ cmdLoadgen(int argc, char **argv, int first)
         fatal("loadgen: %s", err.c_str());
     if (!ok)
         warn("loadgen: %s", err.c_str());
-    if (json) {
+    if (o.json) {
         std::string body = rep.json() + "\n";
-        if (jsonFile.empty()) {
+        if (o.jsonFile.empty()) {
             std::fputs(body.c_str(), stdout);
         } else {
-            std::ofstream out(jsonFile, std::ios::binary);
+            std::ofstream out(o.jsonFile, std::ios::binary);
             if (!out)
-                fatal("cannot write '%s'", jsonFile.c_str());
+                fatal("cannot write '%s'", o.jsonFile.c_str());
             out << body;
             std::printf("loadgen report written to '%s'\n",
-                        jsonFile.c_str());
+                        o.jsonFile.c_str());
         }
     } else {
         std::fputs(rep.text().c_str(), stdout);
@@ -1355,54 +1119,78 @@ cmdLoadgen(int argc, char **argv, int first)
     return ok && rep.errors == 0 ? 0 : 1;
 }
 
+int
+cmdList(const std::string &, const CliOptions &)
+{
+    for (const WorkloadInfo &w : allWorkloads())
+        std::printf("%-10s %-3s %s\n", w.name,
+                    w.floatingPoint ? "FP" : "Int", w.input);
+    return 0;
+}
+
+struct VerbInfo
+{
+    const char *name;
+    Verb bit;
+    /** The positional target; empty when the verb takes none. */
+    const char *operand;
+    const char *summary;
+    int (*run)(const std::string &target, const CliOptions &o);
+};
+
+const VerbInfo kVerbs[] = {
+    {"run", Run, "<file.s|@workload>", "execute and print state", cmdRun},
+    {"time", Time, "<file.s|@workload>", "cycle-level simulation", cmdTime},
+    {"profile", Profile, "<file.s|@workload>",
+     "reference behaviour + FAC", cmdProfile},
+    {"disasm", Disasm, "<file.s>", "assemble and disassemble", cmdDisasm},
+    {"dinero", Dinero, "<file.s|@workload>",
+     "dinero-format address trace", cmdDinero},
+    {"fuzz", Fuzz, "", "differential fuzzing", cmdFuzz},
+    {"mklib", Mklib, "@workload", "write a live-point library", cmdMklib},
+    {"farm", Farm, "<library>", "sweep a live-point library", cmdFarm},
+    {"serve", Serve, "", "experiment-serving daemon", cmdServe},
+    {"loadgen", Loadgen, "", "drive a serve daemon", cmdLoadgen},
+    {"top", Top, "", "live stats from a daemon", cmdTop},
+    {"list", List, "", "list built-in workloads", cmdList},
+};
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr, "usage: %s run|time|profile|disasm|mklib|"
-                             "farm|serve|loadgen|top|list "
-                             "<file.s|@workload> [options]\n",
-                     argv[0]);
-        return 1;
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    const VerbInfo *verb = nullptr;
+    for (const VerbInfo &v : kVerbs) {
+        if (cmd == v.name)
+            verb = &v;
     }
-    std::string cmd = argv[1];
-    if (cmd == "serve")
-        return cmdServe(argc, argv, 2);
-    if (cmd == "loadgen")
-        return cmdLoadgen(argc, argv, 2);
-    if (cmd == "top")
-        return cmdTop(argc, argv, 2);
-    if (cmd == "list") {
-        for (const WorkloadInfo &w : allWorkloads())
-            std::printf("%-10s %-3s %s\n", w.name,
-                        w.floatingPoint ? "FP" : "Int", w.input);
-        return 0;
+    if (!verb) {
+        // Bare --help is the only way to ask for this list on purpose.
+        const bool help = cmd == "--help";
+        std::FILE *out = help ? stdout : stderr;
+        if (!help && !cmd.empty())
+            std::fprintf(out, "unknown command '%s'\n", cmd.c_str());
+        std::fprintf(out, "usage: %s <verb> [options]; %s <verb> --help "
+                          "lists a verb's options\n\n", argv[0], argv[0]);
+        for (const VerbInfo &v : kVerbs)
+            std::fprintf(out, "  %-8s %-20s %s\n", v.name, v.operand,
+                         v.summary);
+        return help ? 0 : 1;
     }
-    if (cmd == "fuzz")
-        return cmdFuzz(argc, argv, 2);
-    if (argc < 3)
-        fatal("'%s' needs a target", cmd.c_str());
-    std::string target = argv[2];
-    CliOptions o = parseOptions(argc, argv, 3);
-    // Before any Machine/Emulator is built (including the Runner's
-    // worker-thread builds — see the machine.hh thread-safety note).
-    Emulator::setDefaultEngine(o.engine);
 
-    if (cmd == "run")
-        return cmdRun(target, o);
-    if (cmd == "time")
-        return cmdTime(target, o);
-    if (cmd == "profile")
-        return cmdProfile(target, o);
-    if (cmd == "disasm")
-        return cmdDisasm(target, o);
-    if (cmd == "dinero")
-        return cmdDinero(target, o);
-    if (cmd == "mklib")
-        return cmdMklib(target, o);
-    if (cmd == "farm")
-        return cmdFarm(target, o);
-    fatal("unknown command '%s'", cmd.c_str());
+    CliOptions o;
+    std::string target;
+    int first = 2;
+    if (*verb->operand && first < argc && std::strncmp(argv[first], "--", 2))
+        target = argv[first++];
+    const std::string command = "facsim_cli " + cmd;
+    flags::parseCommandLine(command.c_str(), verb->operand,
+                            flagsFor(verb->bit, o), argc, argv, first);
+    if (*verb->operand && target.empty())
+        fatal("usage: %s needs a target %s", command.c_str(),
+              verb->operand);
+    checkOptions(o, target);
+    return verb->run(target, o);
 }
