@@ -43,44 +43,4 @@ Btb::update(uint32_t pc, bool taken, uint32_t target)
     }
 }
 
-void
-Btb::reset()
-{
-    for (Entry &e : table)
-        e = Entry{};
-    lookups_ = 0;
-    mispredicts_ = 0;
-}
-
-void
-Btb::saveState(ser::Writer &w) const
-{
-    w.u64(table.size());
-    for (const Entry &e : table) {
-        w.u32(e.tag);
-        w.u32(e.target);
-        w.u8(e.counter);
-        w.b(e.valid);
-    }
-    w.u64(lookups_);
-    w.u64(mispredicts_);
-}
-
-void
-Btb::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == table.size(),
-                  "checkpoint BTB has %llu entries, this config has %zu",
-                  static_cast<unsigned long long>(n), table.size());
-    for (Entry &e : table) {
-        e.tag = r.u32();
-        e.target = r.u32();
-        e.counter = r.u8();
-        e.valid = r.b();
-    }
-    lookups_ = r.u64();
-    mispredicts_ = r.u64();
-}
-
 } // namespace facsim

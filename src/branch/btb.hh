@@ -54,13 +54,14 @@ class Btb
         update(pc, taken, target);
     }
 
-    /** Invalidate all entries and reset counters. */
-    void reset();
-
-    /** Serialize table contents and statistics. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (table size must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: table contents and statistics. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(ser::Table{"BTB", &Btb::table}, &Btb::lookups_,
+          &Btb::mispredicts_);
+    }
 
     /** @{ @name Statistics (direction+target correctness) */
     uint64_t lookups() const { return lookups_; }
@@ -76,6 +77,13 @@ class Btb
         uint32_t target = 0;
         uint8_t counter = 1;  ///< weakly not-taken initial state
         bool valid = false;
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Entry::tag, &Entry::target, &Entry::counter, &Entry::valid);
+        }
     };
 
     uint32_t indexOf(uint32_t pc) const { return (pc >> 2) & (size - 1); }

@@ -146,55 +146,4 @@ Cache::wayOf(uint32_t addr) const
     return -1;
 }
 
-void
-Cache::reset()
-{
-    for (Line &line : lines)
-        line = Line{};
-    useClock = 0;
-    reads_ = writes_ = 0;
-    readMisses_ = writeMisses_ = 0;
-    writebacks_ = 0;
-}
-
-void
-Cache::saveState(ser::Writer &w) const
-{
-    w.u64(lines.size());
-    for (const Line &line : lines) {
-        w.u32(line.tag);
-        w.b(line.valid);
-        w.b(line.dirty);
-        w.u64(line.lastUse);
-    }
-    w.u64(useClock);
-    w.u64(reads_);
-    w.u64(writes_);
-    w.u64(readMisses_);
-    w.u64(writeMisses_);
-    w.u64(writebacks_);
-}
-
-void
-Cache::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == lines.size(),
-                  "checkpoint cache has %llu lines, this config has %zu "
-                  "(geometry mismatch)",
-                  static_cast<unsigned long long>(n), lines.size());
-    for (Line &line : lines) {
-        line.tag = r.u32();
-        line.valid = r.b();
-        line.dirty = r.b();
-        line.lastUse = r.u64();
-    }
-    useClock = r.u64();
-    reads_ = r.u64();
-    writes_ = r.u64();
-    readMisses_ = r.u64();
-    writeMisses_ = r.u64();
-    writebacks_ = r.u64();
-}
-
 } // namespace facsim

@@ -110,13 +110,15 @@ class Cache
      */
     int wayOf(uint32_t addr) const;
 
-    /** Invalidate everything and clear statistics. */
-    void reset();
-
-    /** Serialize tag state, LRU clock and statistics. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (geometry must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: tag state, LRU clock and statistics. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(ser::Table{"cache lines", &Cache::lines}, &Cache::useClock,
+          &Cache::reads_, &Cache::writes_, &Cache::readMisses_,
+          &Cache::writeMisses_, &Cache::writebacks_);
+    }
 
     /** Geometry this cache was built with. */
     const CacheConfig &config() const { return cfg; }
@@ -142,6 +144,13 @@ class Cache
         bool valid = false;
         bool dirty = false;
         uint64_t lastUse = 0;  ///< LRU timestamp
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Line::tag, &Line::valid, &Line::dirty, &Line::lastUse);
+        }
     };
 
     /** Index of the first line of the set containing @p addr. */

@@ -32,6 +32,13 @@ class StoreBuffer
         uint32_t addr = 0;      ///< effective address (patchable)
         uint64_t seq = 0;       ///< instruction sequence number
         bool addrValid = true;  ///< false while a misprediction is pending
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Entry::addr, &Entry::seq, &Entry::addrValid);
+        }
     };
 
     /** @param capacity number of entries (paper: 16, non-merging). */
@@ -88,31 +95,13 @@ class StoreBuffer
     /** Drop everything. */
     void clear() { entries.clear(); }
 
-    /** Serialize the pending entries, oldest first. */
-    void
-    saveState(ser::Writer &w) const
+    /** Saved state: the pending entries, oldest first. */
+    template <class V>
+    static void
+    fields(V &&v)
     {
-        w.u64(entries.size());
-        for (const Entry &e : entries) {
-            w.u32(e.addr);
-            w.u64(e.seq);
-            w.b(e.addrValid);
-        }
-    }
-
-    /** Restore entries saved by saveState. */
-    void
-    loadState(ser::Reader &r)
-    {
-        entries.clear();
-        uint64_t n = r.u64();
-        for (uint64_t i = 0; i < n; ++i) {
-            Entry e;
-            e.addr = r.u32();
-            e.seq = r.u64();
-            e.addrValid = r.b();
-            entries.push_back(e);
-        }
+        v(ser::Queue{"store buffer", &StoreBuffer::entries,
+                     &StoreBuffer::cap});
     }
 
   private:

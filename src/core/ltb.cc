@@ -39,38 +39,4 @@ Ltb::update(uint32_t pc, uint32_t eff_addr)
     e.lastAddr = eff_addr;
 }
 
-void
-Ltb::reset()
-{
-    for (Entry &e : table)
-        e = Entry{};
-}
-
-void
-Ltb::saveState(ser::Writer &w) const
-{
-    w.u64(table.size());
-    for (const Entry &e : table) {
-        w.u32(e.tag);
-        w.u32(e.lastAddr);
-        w.u32(static_cast<uint32_t>(e.stride));
-        w.b(e.valid);
-    }
-}
-
-void
-Ltb::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == table.size(),
-                  "checkpoint LTB has %llu entries, this config has %zu",
-                  static_cast<unsigned long long>(n), table.size());
-    for (Entry &e : table) {
-        e.tag = r.u32();
-        e.lastAddr = r.u32();
-        e.stride = static_cast<int32_t>(r.u32());
-        e.valid = r.b();
-    }
-}
-
 } // namespace facsim

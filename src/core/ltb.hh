@@ -69,14 +69,6 @@ class Ltb
      */
     void warm(uint32_t pc, uint32_t eff_addr) { update(pc, eff_addr); }
 
-    /** Invalidate all entries. */
-    void reset();
-
-    /** Serialize table contents. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (table size must match). */
-    void loadState(ser::Reader &r);
-
     /** The active policy. */
     LtbPolicy policy() const { return pol; }
 

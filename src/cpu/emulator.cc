@@ -51,13 +51,10 @@ Emulator::stepImpl(ExecRecord *rec, [[maybe_unused]] WarmSink *sink)
         return false;
 
     const uint32_t pc = pc_;
-    // Fetch from the predecoded dense array: one shift and one bounds
-    // check. The wraparound of (pc - textBase) for pc < textBase lands
-    // in the idx >= numInsts_ check.
-    const uint32_t idx = (pc - Program::textBase) >> 2;
-    if (idx >= numInsts_ || (pc & 3) != 0) [[unlikely]]
+    const Inst *const fetched = textAt(pc);
+    if (!fetched) [[unlikely]]
         fetchFault(pc);
-    const Inst &in = code_[idx];
+    const Inst &in = *fetched;
     uint32_t next_pc = pc + 4;
 
     ExecRecord *const r = rec;
@@ -530,39 +527,10 @@ Emulator::runBlocksThreaded(uint64_t max_insts, WarmCtx *wc)
 }
 
 void
-Emulator::saveState(ser::Writer &w) const
+Emulator::restored(ser::TryReader &r)
 {
-    // Only the architectural registers — the zero-sink slot is
-    // scratch, and the serialized format predates it.
-    for (unsigned i = 0; i < numIntRegs; ++i)
-        w.u32(regs[i]);
-    // FP registers as raw bit patterns so NaN payloads survive.
-    for (double f : fregs) {
-        uint64_t bits;
-        __builtin_memcpy(&bits, &f, 8);
-        w.u64(bits);
-    }
-    w.b(fpcc);
-    w.u32(pc_);
-    w.b(halted_);
-    w.u64(icount);
-}
-
-void
-Emulator::loadState(ser::Reader &r)
-{
-    for (unsigned i = 0; i < numIntRegs; ++i)
-        regs[i] = r.u32();
-    for (double &f : fregs) {
-        uint64_t bits = r.u64();
-        __builtin_memcpy(&f, &bits, 8);
-    }
-    fpcc = r.b();
-    pc_ = r.u32();
-    halted_ = r.b();
-    icount = r.u64();
-    // Architectural state just changed under the engine: drop every
-    // translated block (see invalidateBlockCache's contract).
+    if (!halted_ && !textAt(pc_))
+        r.fail(strprintf("pc %08x is outside the program text", pc_));
     invalidateBlockCache();
 }
 

@@ -51,6 +51,16 @@ struct ExecRecord
     // Control flow.
     bool taken = false;       ///< control transfer changed the PC
     uint32_t nextPc = 0;      ///< PC of the following instruction
+
+    /** Every field in checkpoint order (fetched records). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using R = ExecRecord;
+        v(&R::pc, &R::inst, &R::effAddr, &R::baseVal, &R::offsetVal,
+          &R::offsetFromReg, &R::taken, &R::nextPc);
+    }
 };
 
 /** Architectural-state executor. */
@@ -129,7 +139,7 @@ class Emulator
      * Drop every translated block (retranslated lazily on next use).
      * Must be called whenever state the translation could have baked in
      * changes under the engine — today that is checkpoint restore and
-     * workload-image reset (loadState() calls this itself). Blocks only
+     * workload-image reset (restore calls this itself). Blocks only
      * ever encode the immutable linked text, so this is defensive, but
      * it keeps the invalidation rule simple: derived state never
      * outlives an architectural-state swap.
@@ -141,6 +151,19 @@ class Emulator
 
     /** Current PC. */
     uint32_t pc() const { return pc_; }
+
+    /**
+     * The program's instruction at @p pc, or null outside the text:
+     * one shift and one bounds check into the predecoded dense array
+     * (the wraparound of pc - textBase for pc < textBase lands in the
+     * bound).
+     */
+    const Inst *
+    textAt(uint32_t pc) const
+    {
+        uint32_t idx = (pc - Program::textBase) >> 2;
+        return idx < numInsts_ && (pc & 3) == 0 ? &code_[idx] : nullptr;
+    }
 
     /** Integer register value. */
     uint32_t intReg(unsigned r) const { return regs[r]; }
@@ -158,14 +181,20 @@ class Emulator
     Memory &memory() { return mem_; }
 
     /**
-     * Serialize the architectural register state (integer/FP registers,
-     * FP condition code, PC, halt flag, instruction count). Memory is
-     * serialized separately by the owner (it is shared state).
+     * Saved state: the architectural registers (integer and FP, FP
+     * condition code, PC, halt flag, instruction count), restored into
+     * an emulator of the same program. Memory is saved separately by
+     * the owner (it is shared state); FP registers go out as raw bit
+     * patterns, so NaN payloads survive.
      */
-    void saveState(ser::Writer &w) const;
-
-    /** Restore state saved by saveState (same program required). */
-    void loadState(ser::Reader &r);
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using E = Emulator;
+        v(ser::First{&E::regs, numIntRegs}, &E::fregs, &E::fpcc, &E::pc_,
+          &E::halted_, &E::icount, ser::OnRestore{&E::restored});
+    }
 
   private:
     /**
@@ -177,6 +206,12 @@ class Emulator
     bool stepImpl(ExecRecord *rec, WarmSink *sink);
 
     [[noreturn]] void fetchFault(uint32_t pc) const;
+
+    /**
+     * Restore (fields()): a running PC must lie in the text; drop the
+     * translated blocks, as architectural state changed under them.
+     */
+    void restored(ser::TryReader &r);
 
     /**
      * Integer writes whose architectural destination is $zero are

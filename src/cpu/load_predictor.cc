@@ -68,43 +68,6 @@ StridePredictor::train(uint32_t pc, uint32_t eff_addr)
     e.lastAddr = eff_addr;
 }
 
-void
-StridePredictor::reset()
-{
-    for (Entry &e : table_)
-        e = Entry{};
-}
-
-void
-StridePredictor::saveState(ser::Writer &w) const
-{
-    w.u64(table_.size());
-    for (const Entry &e : table_) {
-        w.u32(e.tag);
-        w.u32(e.lastAddr);
-        w.u32(static_cast<uint32_t>(e.stride));
-        w.u32(e.conf);
-        w.b(e.valid);
-    }
-}
-
-void
-StridePredictor::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == table_.size(),
-                  "checkpoint stride table has %llu entries, this "
-                  "config has %zu",
-                  static_cast<unsigned long long>(n), table_.size());
-    for (Entry &e : table_) {
-        e.tag = r.u32();
-        e.lastAddr = r.u32();
-        e.stride = static_cast<int32_t>(r.u32());
-        e.conf = r.u32();
-        e.valid = r.b();
-    }
-}
-
 WayMemo::WayMemo(const PredictorConfig &cfg)
     : size_(cfg.wayMemoEntries)
 {
@@ -122,68 +85,12 @@ WayMemo::train(uint32_t pc, uint32_t block_addr, uint32_t way)
     e.valid = true;
 }
 
-void
-WayMemo::reset()
-{
-    for (Entry &e : table_)
-        e = Entry{};
-}
-
-void
-WayMemo::saveState(ser::Writer &w) const
-{
-    w.u64(table_.size());
-    for (const Entry &e : table_) {
-        w.u32(e.tag);
-        w.u32(e.blockAddr);
-        w.u32(e.way);
-        w.b(e.valid);
-    }
-}
-
-void
-WayMemo::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == table_.size(),
-                  "checkpoint way-memo table has %llu entries, this "
-                  "config has %zu",
-                  static_cast<unsigned long long>(n), table_.size());
-    for (Entry &e : table_) {
-        e.tag = r.u32();
-        e.blockAddr = r.u32();
-        e.way = r.u32();
-        e.valid = r.b();
-    }
-}
-
 LoadPredictor::LoadPredictor(bool fac_enabled, const FacConfig &fc,
                              const PredictorConfig &pc)
     : facEnabled_(fac_enabled), cfg_(pc), fac_(fc), stride_(pc),
       wayMemo_(pc)
 {
     cfg_.validate();
-}
-
-void
-LoadPredictor::reset()
-{
-    stride_.reset();
-    wayMemo_.reset();
-}
-
-void
-LoadPredictor::saveState(ser::Writer &w) const
-{
-    stride_.saveState(w);
-    wayMemo_.saveState(w);
-}
-
-void
-LoadPredictor::loadState(ser::Reader &r)
-{
-    stride_.loadState(r);
-    wayMemo_.loadState(r);
 }
 
 } // namespace facsim

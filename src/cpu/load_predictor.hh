@@ -136,13 +136,13 @@ class StridePredictor
     /** Train with the architectural address (every load/store). */
     void train(uint32_t pc, uint32_t eff_addr);
 
-    /** Invalidate all entries. */
-    void reset();
-
-    /** Serialize table contents. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (table size must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: the table. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(ser::Table{"stride table", &StridePredictor::table_});
+    }
 
   private:
     struct Entry
@@ -152,6 +152,14 @@ class StridePredictor
         int32_t stride = 0;
         uint32_t conf = 0;
         bool valid = false;
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Entry::tag, &Entry::lastAddr, &Entry::stride, &Entry::conf,
+              &Entry::valid);
+        }
     };
 
     uint32_t indexOf(uint32_t pc) const { return (pc >> 2) & (size_ - 1); }
@@ -190,13 +198,13 @@ class WayMemo
     /** Record the resolved way after the access completed. */
     void train(uint32_t pc, uint32_t block_addr, uint32_t way);
 
-    /** Invalidate all entries. */
-    void reset();
-
-    /** Serialize table contents. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (table size must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: the table. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(ser::Table{"way-memo table", &WayMemo::table_});
+    }
 
   private:
     struct Entry
@@ -205,6 +213,13 @@ class WayMemo
         uint32_t blockAddr = 0;
         uint32_t way = 0;
         bool valid = false;
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Entry::tag, &Entry::blockAddr, &Entry::way, &Entry::valid);
+        }
     };
 
     uint32_t indexOf(uint32_t pc) const { return (pc >> 2) & (size_ - 1); }
@@ -289,13 +304,13 @@ class LoadPredictor
             wayMemo_.train(pc, block_addr, way);
     }
 
-    /** Invalidate every table. */
-    void reset();
-
-    /** Serialize all table state. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (config must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: both tables (FAC itself is stateless). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&LoadPredictor::stride_, &LoadPredictor::wayMemo_);
+    }
 
     /** The table-predictor knobs in force. */
     const PredictorConfig &config() const { return cfg_; }

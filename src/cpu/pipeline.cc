@@ -93,12 +93,12 @@ Pipeline::Pipeline(const PipelineConfig &config, Emulator &emulator)
       sbuf(cfg.storeBufferEntries),
       predictor(cfg.facEnabled, cfg.fac, cfg.pred)
 {
-    fbufMask = std::bit_ceil(cfg.fetchBufferSize) - 1;
+    fbuf.mask = std::bit_ceil(cfg.fetchBufferSize) - 1;
     addrSlack = cfg.agiOrganization ? 1 : 0;
     const unsigned units[numFuClasses] = {
         cfg.numIntAlus, cfg.numMemUnits, cfg.numFpAdders, 1, 1};
     for (unsigned c = 0; c < numFuClasses; ++c)
-        fuBegin[c + 1] = fuBegin[c] + units[c];
+        fuFree[c].assign(units[c], 0);
 }
 
 Pipeline::~Pipeline()
@@ -289,13 +289,13 @@ Pipeline::fetchGroup()
     uint64_t delay = 0;
     uint32_t prev_block = 0xffffffffu;
     const unsigned block_bits = cfg.icache.blockBits();
-    const unsigned first = fbufCount;
+    const unsigned first = fbuf.count;
 
     for (unsigned n = 0;
-         n < cfg.fetchWidth && fbufCount < cfg.fetchBufferSize; ++n) {
+         n < cfg.fetchWidth && fbuf.count < cfg.fetchBufferSize; ++n) {
         // The emulator writes straight into the next ring slot; the
         // slot joins the buffer once the step succeeds.
-        FetchedInst &fi = fetched(fbufCount);
+        FetchedInst &fi = fbuf[fbuf.count];
         if (!emu.step(&fi.rec)) {
             traceDone = true;
             break;
@@ -319,7 +319,7 @@ Pipeline::fetchGroup()
         fi.fetchCycle = cycle;
         fi.t = boundFor(rec);
         fi.ctlMispredicted = false;
-        ++fbufCount;
+        ++fbuf.count;
 
         if (fi.t.kind == Kind::Halt) {
             traceDone = true;
@@ -355,8 +355,8 @@ Pipeline::fetchGroup()
 
     // Stamp issue-readiness on everything fetched this cycle.
     fetchReadyCycle = cycle + 1 + delay;
-    for (unsigned i = first; i < fbufCount; ++i)
-        fetched(i).readyCycle = fetchReadyCycle;
+    for (unsigned i = first; i < fbuf.count; ++i)
+        fbuf[i].readyCycle = fetchReadyCycle;
 }
 
 bool
@@ -364,11 +364,11 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
                    bool &store_forced_retire)
 {
     lastStall = StallReason::None;
-    if (fbufCount == 0) {
+    if (fbuf.count == 0) {
         lastStall = StallReason::Fetch;
         return false;
     }
-    FetchedInst &fi = fetched(0);
+    FetchedInst &fi = fbuf[0];
     if (fi.readyCycle > cycle) {
         lastStall = StallReason::Fetch;
         return false;
@@ -380,13 +380,13 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         ++st.insts;
         halted = true;
         notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        popHead();
+        fbuf.pop();
         return false;
     }
     if (t.kind == Kind::Nop) {
         ++st.insts;
         notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        popHead();
+        fbuf.pop();
         return true;
     }
 
@@ -395,8 +395,8 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         return false;
     }
 
-    const int unit = freeUnit(t.fu);
-    if (unit < 0) {
+    uint64_t *const unit = freeUnit(t.fu);
+    if (!unit) {
         lastStall = StallReason::Structural;
         return false;
     }
@@ -557,7 +557,7 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         setReady(t.dst, data_ready + use_delay);
         setReady(t.base, cycle + 1);
 
-        fuFree[unit] = cycle + t.busy;
+        *unit = cycle + t.busy;
         ++st.loads;
         ++st.insts;
         ++loads_this_cycle;
@@ -568,7 +568,7 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         // too.
         notifyIssue(fi, issued_spec, spec_failed, data_ready, mem_level,
                     static_cast<uint8_t>(pr.source), wm_used, wm_stale);
-        popHead();
+        fbuf.pop();
         return true;
     }
 
@@ -649,7 +649,7 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
 
         setReady(t.base, cycle + 1);
 
-        fuFree[unit] = cycle + t.busy;
+        *unit = cycle + t.busy;
         ++st.stores;
         ++st.insts;
         ++stores_this_cycle;
@@ -660,7 +660,7 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
         // its service level happen at retirement, asynchronously.
         notifyIssue(fi, handled, spec_failed, cycle + 1, memlevel::None,
                     static_cast<uint8_t>(pr.source));
-        popHead();
+        fbuf.pop();
         return true;
     }
 
@@ -678,20 +678,20 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
             fetchReadyCycle = std::max(fetchReadyCycle, resume);
         }
         setReady(t.dst, cycle + t.lat);
-        fuFree[unit] = cycle + t.busy;
+        *unit = cycle + t.busy;
         ++st.insts;
         notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        popHead();
+        fbuf.pop();
         return true;
     }
 
     // ---------------- ALU / FP ----------------------------------------------
     setReady(t.dst, cycle + t.lat);
     setReady(t.cc, cycle + t.lat);
-    fuFree[unit] = cycle + t.busy;
+    *unit = cycle + t.busy;
     ++st.insts;
     notifyIssue(fi, false, false, cycle + t.lat, memlevel::None);
-    popHead();
+    fbuf.pop();
     return true;
 }
 
@@ -714,7 +714,7 @@ Pipeline::stepCycle(bool allow_fetch)
     }
 
     if (allow_fetch && !traceDone && !awaitingRedirect &&
-        cycle >= fetchReadyCycle && fbufCount < cfg.fetchBufferSize) {
+        cycle >= fetchReadyCycle && fbuf.count < cfg.fetchBufferSize) {
         fetchGroup();
     }
 
@@ -786,9 +786,9 @@ Pipeline::skipDataStall(bool allow_fetch)
     // falls due, the store buffer cannot retire, and fetch stays blocked.
     if (!patches.empty() || sbuf.canRetire())
         return;
-    uint64_t until = readyAt(fetched(0).t);
+    uint64_t until = readyAt(fbuf[0].t);
     if (allow_fetch && !traceDone && !awaitingRedirect &&
-        fbufCount < cfg.fetchBufferSize)
+        fbuf.count < cfg.fetchBufferSize)
         until = std::min(until, fetchReadyCycle);
     // Stop on the cycle whose watchdog check fires, so a genuine
     // deadlock still panics there.
@@ -875,7 +875,7 @@ Pipeline::fastForward(uint64_t n)
 void
 Pipeline::drain()
 {
-    while (!halted && (fbufCount || !patches.empty() || !sbuf.empty()))
+    while (!halted && (fbuf.count || !patches.empty() || !sbuf.empty()))
         if (stepCycle(false))
             skipDataStall(false);
 
@@ -886,8 +886,9 @@ Pipeline::drain()
     uint64_t q = cycle + 2;
     for (uint64_t v : ready)
         q = std::max(q, v);
-    for (uint64_t v : fuFree)
-        q = std::max(q, v);
+    for (const auto &units : fuFree)
+        for (uint64_t v : units)
+            q = std::max(q, v);
     q = std::max(q, fetchReadyCycle);
     q = std::max(q, dmem.busyUntil());
 
@@ -900,172 +901,34 @@ Pipeline::drain()
 }
 
 void
-Pipeline::saveState(ser::Writer &w) const
+Pipeline::rebindFetched(ser::TryReader &r)
 {
-    ser::put(w, st);
-
-    // Clocks and control flags (all cycle values are absolute).
-    w.u64(cycle);
-    w.u64(fetchReadyCycle);
-    w.b(awaitingRedirect);
-    w.b(traceDone);
-    w.b(halted);
-    w.u64(seqCounter);
-    w.u64(dynSeq_);
-    w.u64(ffInsts);
-    w.u64(lastProgressCycle);
-    w.u64(lastProgressInsts);
-    w.u64(lastMispredictCycle);
-    w.b(lastMispredictWasLoad);
-
-    // Fetch buffer (in-flight, already-executed trace records).
-    w.u64(fbufCount);
-    for (unsigned i = 0; i < fbufCount; ++i) {
-        const FetchedInst &fi = fetched(i);
-        w.u32(fi.rec.pc);
-        w.u8(static_cast<uint8_t>(fi.rec.inst.op));
-        w.u8(static_cast<uint8_t>(fi.rec.inst.amode));
-        w.u8(fi.rec.inst.rd);
-        w.u8(fi.rec.inst.rs);
-        w.u8(fi.rec.inst.rt);
-        w.u32(static_cast<uint32_t>(fi.rec.inst.imm));
-        w.u32(fi.rec.effAddr);
-        w.u32(fi.rec.baseVal);
-        w.u32(static_cast<uint32_t>(fi.rec.offsetVal));
-        w.b(fi.rec.offsetFromReg);
-        w.b(fi.rec.taken);
-        w.u32(fi.rec.nextPc);
-        w.u64(fi.readyCycle);
-        w.u64(fi.fetchCycle);
-        w.b(fi.ctlMispredicted);
-    }
-
-    // Pending MEM-stage store-address patches.
-    w.u64(patches.size());
-    for (const StorePatch &p : patches) {
-        w.u64(p.applyCycle);
-        w.u64(p.seq);
-        w.u32(p.addr);
-    }
-
-    // Scoreboard (integer, FP, fpcc; not the sentinel) and functional
-    // units, class by class.
-    for (unsigned i = 0; i < noSlot; ++i)
-        w.u64(ready[i]);
-    for (unsigned c = 0; c < numFuClasses; ++c) {
-        w.u64(fuBegin[c + 1] - fuBegin[c]);
-        for (unsigned u = fuBegin[c]; u < fuBegin[c + 1]; ++u)
-            w.u64(fuFree[u]);
-    }
-    for (unsigned v : readPorts)
-        w.u32(v);
-    for (unsigned v : tagReads)
-        w.u32(v);
-
-    // Structures.
-    icache.saveState(w);
-    dmem.saveState(w);
-    btb.saveState(w);
-    sbuf.saveState(w);
-    predictor.saveState(w);
-}
-
-void
-Pipeline::loadState(ser::Reader &r)
-{
-    ser::get(r, st);
-
-    cycle = r.u64();
-    fetchReadyCycle = r.u64();
-    awaitingRedirect = r.b();
-    traceDone = r.b();
-    halted = r.b();
-    seqCounter = r.u64();
-    dynSeq_ = r.u64();
-    ffInsts = r.u64();
-    lastProgressCycle = r.u64();
-    lastProgressInsts = r.u64();
-    lastMispredictCycle = r.u64();
-    lastMispredictWasLoad = r.b();
-
-    // The timing records are not saved: bind them again.
-    uint64_t nfetched = r.u64();
-    FACSIM_ASSERT(nfetched <= cfg.fetchBufferSize,
-                  "checkpoint fetch buffer holds %llu entries, this "
-                  "config's holds %u",
-                  static_cast<unsigned long long>(nfetched),
-                  cfg.fetchBufferSize);
-    fbufHead = 0;
-    fbufCount = static_cast<unsigned>(nfetched);
-    for (unsigned i = 0; i < fbufCount; ++i) {
-        FetchedInst &fi = fetched(i);
-        fi.rec.pc = r.u32();
-        fi.rec.inst.op = static_cast<Op>(r.u8());
-        fi.rec.inst.amode = static_cast<AMode>(r.u8());
-        fi.rec.inst.rd = r.u8();
-        fi.rec.inst.rs = r.u8();
-        fi.rec.inst.rt = r.u8();
-        fi.rec.inst.imm = static_cast<int32_t>(r.u32());
-        fi.rec.effAddr = r.u32();
-        fi.rec.baseVal = r.u32();
-        fi.rec.offsetVal = static_cast<int32_t>(r.u32());
-        fi.rec.offsetFromReg = r.b();
-        fi.rec.taken = r.b();
-        fi.rec.nextPc = r.u32();
-        fi.readyCycle = r.u64();
-        fi.fetchCycle = r.u64();
-        fi.ctlMispredicted = r.b();
+    for (unsigned i = 0; i < fbuf.count; ++i) {
+        FetchedInst &fi = fbuf[i];
+        const Inst *in = emu.textAt(fi.rec.pc);
+        if (!in || *in != fi.rec.inst) {
+            r.fail(strprintf("fetched pc %08x is not an instruction of "
+                             "the program text", fi.rec.pc));
+            return;
+        }
         fi.t = boundFor(fi.rec);
     }
-
-    patches.clear();
-    uint64_t npatches = r.u64();
-    for (uint64_t i = 0; i < npatches; ++i) {
-        StorePatch p{};
-        p.applyCycle = r.u64();
-        p.seq = r.u64();
-        p.addr = r.u32();
-        patches.push_back(p);
-    }
-
-    for (unsigned i = 0; i < noSlot; ++i)
-        ready[i] = r.u64();
-    for (unsigned c = 0; c < numFuClasses; ++c) {
-        uint64_t n = r.u64();
-        FACSIM_ASSERT(n == fuBegin[c + 1] - fuBegin[c],
-                      "checkpoint functional-unit count %llu does not "
-                      "match this config's %u",
-                      static_cast<unsigned long long>(n),
-                      fuBegin[c + 1] - fuBegin[c]);
-        for (unsigned u = fuBegin[c]; u < fuBegin[c + 1]; ++u)
-            fuFree[u] = r.u64();
-    }
-    for (unsigned &v : readPorts)
-        v = r.u32();
-    for (unsigned &v : tagReads)
-        v = r.u32();
-
-    icache.loadState(r);
-    dmem.loadState(r);
-    btb.loadState(r);
-    sbuf.loadState(r);
-    predictor.loadState(r);
 }
 
 void
 Pipeline::saveWarmState(ser::Writer &w) const
 {
-    icache.saveState(w);
-    dmem.saveState(w);
-    btb.saveState(w);
+    ser::put(w, icache);
+    ser::put(w, dmem);
+    ser::put(w, btb);
 }
 
 void
 Pipeline::loadWarmState(ser::Reader &r)
 {
-    icache.loadState(r);
-    dmem.loadState(r);
-    btb.loadState(r);
+    ser::get(r, icache);
+    ser::get(r, dmem);
+    ser::get(r, btb);
 }
 
 } // namespace facsim

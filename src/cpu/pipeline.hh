@@ -354,18 +354,33 @@ class Pipeline
     const PipeStats &stats() const { return st; }
 
     /**
-     * Serialize the complete timing state: statistics, clocks, the
+     * Saved state, the complete timing state: statistics, clocks, the
      * fetch buffer and pending store patches, scoreboards, functional
-     * units, read-port reservations, I-cache/BTB/store-buffer state and
-     * the whole data hierarchy. All in-flight completion cycles are
-     * stored as absolute cycle numbers; the cycle counter itself is
-     * saved, so restore continues bit-identically with no drain needed.
-     * The Emulator/Memory are serialized separately by the owner.
+     * units, read-port reservations, I-cache/BTB/store-buffer state,
+     * the whole data hierarchy and the predictor tables. All in-flight
+     * completion cycles are stored as absolute cycle numbers; the cycle
+     * counter itself is saved, so restore into a pipeline of the same
+     * config continues bit-identically with no drain needed. The
+     * Emulator/Memory are saved separately by the owner.
      */
-    void saveState(ser::Writer &w) const;
-
-    /** Restore state saved by saveState (same config required). */
-    void loadState(ser::Reader &r);
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using P = Pipeline;
+        v(&P::st, &P::cycle, &P::fetchReadyCycle, &P::awaitingRedirect,
+          &P::traceDone, &P::halted, &P::seqCounter, &P::dynSeq_,
+          &P::ffInsts, &P::lastProgressCycle, &P::lastProgressInsts,
+          &P::lastMispredictCycle, &P::lastMispredictWasLoad,
+          ser::Queue{"fetch ring", &P::fbuf,
+                     [](const P &p) { return p.cfg.fetchBufferSize; }},
+          ser::Queue{"store patches", &P::patches,
+                     [](const P &p) { return p.cfg.storeBufferEntries; }},
+          ser::First{&P::ready, noSlot},
+          ser::Table{"functional units", &P::fuFree}, &P::readPorts,
+          &P::tagReads, &P::icache, &P::dmem, &P::btb, &P::sbuf,
+          &P::predictor, ser::OnRestore{&P::rebindFetched});
+    }
 
     /**
      * Serialize only the functionally-warmed large structures — the
@@ -450,7 +465,7 @@ class Pipeline
     const obs::RetireRing *historyRing() const { return ring_.get(); }
 
     /** Fetched instructions waiting to issue (observer access). */
-    unsigned fetchBuffered() const { return fbufCount; }
+    unsigned fetchBuffered() const { return fbuf.count; }
 
     /** The store buffer (observer access for diagnostics/co-sim). */
     const StoreBuffer &storeBuffer() const { return sbuf; }
@@ -502,8 +517,50 @@ class Pipeline
         ExecRecord rec;
         uint64_t readyCycle = 0;   ///< earliest issue cycle
         uint64_t fetchCycle = 0;   ///< cycle the fetch happened (traces)
-        Timing t;
+        Timing t;                  ///< not saved: rebindFetched()
         bool ctlMispredicted = false;
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&FetchedInst::rec, &FetchedInst::readyCycle,
+              &FetchedInst::fetchCycle, &FetchedInst::ctlMispredicted);
+        }
+    };
+
+    /**
+     * The fetch buffer: a ring of the smallest power of two holding
+     * cfg.fetchBufferSize entries; emu.step() writes into it in place.
+     * Entry i is the i-th oldest of the count buffered.
+     */
+    struct FetchRing
+    {
+        std::array<FetchedInst, PipelineConfig::fetchBufferCap> slot;
+        unsigned mask = 0;
+        unsigned head = 0;
+        unsigned count = 0;
+
+        FetchedInst &operator[](size_t i) { return slot[(head + i) & mask]; }
+        const FetchedInst &
+        operator[](size_t i) const
+        {
+            return slot[(head + i) & mask];
+        }
+        size_t size() const { return count; }
+        /** Restore: @p n entries, the oldest in slot 0. */
+        void
+        resize(size_t n)
+        {
+            head = 0;
+            count = static_cast<unsigned>(n);
+        }
+        void
+        pop()
+        {
+            head = (head + 1) & mask;
+            --count;
+        }
     };
 
     /** Deferred store-buffer address patch. */
@@ -512,6 +569,13 @@ class Pipeline
         uint64_t applyCycle;
         uint64_t seq;
         uint32_t addr;
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&StorePatch::applyCycle, &StorePatch::seq, &StorePatch::addr);
+        }
     };
 
     /** Why the head of the fetch buffer failed to issue. */
@@ -536,6 +600,11 @@ class Pipeline
     StallReason lastStall = StallReason::None;
     // Issue-side helpers.
     Timing bind(const Inst &in) const;
+    /**
+     * Restore (fields()): bind the fetched records' timing again, after
+     * checking each is the program's instruction at its PC.
+     */
+    void rebindFetched(ser::TryReader &r);
     /** The record of the static instruction at @p rec.pc, bound once. */
     const Timing &
     boundFor(const ExecRecord &rec)
@@ -567,31 +636,14 @@ class Pipeline
         if (slot != noSlot)
             ready[slot] = t;
     }
-    /** First free unit of class @p cls, or -1 when all are busy. */
-    int
-    freeUnit(unsigned cls) const
+    /** Next-free cycle of a free unit of class @p cls, or null. */
+    uint64_t *
+    freeUnit(unsigned cls)
     {
-        for (unsigned u = fuBegin[cls]; u < fuBegin[cls + 1]; ++u)
-            if (fuFree[u] <= cycle)
-                return static_cast<int>(u);
-        return -1;
-    }
-    // Fetch-buffer ring: entry i (0 = oldest) of the count buffered.
-    FetchedInst &
-    fetched(unsigned i)
-    {
-        return fbuf[(fbufHead + i) & fbufMask];
-    }
-    const FetchedInst &
-    fetched(unsigned i) const
-    {
-        return fbuf[(fbufHead + i) & fbufMask];
-    }
-    void
-    popHead()
-    {
-        fbufHead = (fbufHead + 1) & fbufMask;
-        --fbufCount;
+        for (uint64_t &free_at : fuFree[cls])
+            if (free_at <= cycle)
+                return &free_at;
+        return nullptr;
     }
 
     // Data-cache access at a given cycle; returns the completion cycle
@@ -656,12 +708,7 @@ class Pipeline
     uint64_t lastProgressCycle = 0;
     uint64_t lastProgressInsts = 0;
 
-    // Fetch buffer: a ring of the smallest power of two holding
-    // cfg.fetchBufferSize entries; emu.step() writes into it in place.
-    std::array<FetchedInst, PipelineConfig::fetchBufferCap> fbuf;
-    unsigned fbufMask = 0;
-    unsigned fbufHead = 0;
-    unsigned fbufCount = 0;
+    FetchRing fbuf;
     std::vector<StorePatch> patches;
 
     std::array<uint64_t, noSlot + 1> ready{};
@@ -670,16 +717,14 @@ class Pipeline
     /** AGI address-use hazard: address operands are due a cycle early. */
     uint64_t addrSlack = 0;
 
-    // Functional units: next-free cycle per unit; class c owns units
-    // [fuBegin[c], fuBegin[c + 1]).
+    // Functional units: next-free cycle per unit, by class.
     static constexpr unsigned fuIntAlu = 0;
     static constexpr unsigned fuMem = 1;
     static constexpr unsigned fuFpAdd = 2;
     static constexpr unsigned fuIntMulDiv = 3;
     static constexpr unsigned fuFpMulDiv = 4;
     static constexpr unsigned numFuClasses = 5;
-    std::array<unsigned, numFuClasses + 1> fuBegin{};
-    std::array<uint64_t, 3 * PipelineConfig::unitCap + 2> fuFree{};
+    std::array<std::vector<uint64_t>, numFuClasses> fuFree;
 
     // Read-port usage for a short window of cycles, plus the parallel
     // tag-read count: every load port use reads the L1 tag array too,

@@ -97,6 +97,20 @@ enum class AMode : uint8_t
     PostInc,   ///< effective address = base; base += sext(imm16) afterwards
 };
 
+/** @{ Largest valid value (ser::get range check). */
+constexpr Op
+enumLast(Op)
+{
+    return static_cast<Op>(static_cast<uint8_t>(Op::NumOps) - 1);
+}
+
+constexpr AMode
+enumLast(AMode)
+{
+    return AMode::PostInc;
+}
+/** @} */
+
 /**
  * A decoded instruction. Field meanings depend on the operation:
  *
@@ -121,6 +135,15 @@ struct Inst
     int32_t imm = 0;
 
     bool operator==(const Inst &o) const = default;
+
+    /** Every field in checkpoint order (fetched records). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&Inst::op, &Inst::amode, &Inst::rd, &Inst::rs, &Inst::rt,
+          &Inst::imm);
+    }
 };
 
 /**

@@ -75,27 +75,12 @@ class DramModel final : public MemLevel
     /** The channel's busy-until cycle (bandwidth constraint). */
     uint64_t busyUntil() const override { return nextFree; }
 
-    void
-    reset() override
+    /** Saved state: channel occupancy (absolute cycle), statistics. */
+    template <class V>
+    static void
+    fields(V &&v)
     {
-        nextFree = 0;
-        st = DramStats{};
-    }
-
-    /** Serialize channel occupancy (absolute cycle) and statistics. */
-    void
-    saveState(ser::Writer &w) const
-    {
-        w.u64(nextFree);
-        ser::put(w, st);
-    }
-
-    /** Restore state saved by saveState. */
-    void
-    loadState(ser::Reader &r)
-    {
-        nextFree = r.u64();
-        ser::get(r, st);
+        v(&DramModel::nextFree, &DramModel::st);
     }
 
     const char *name() const override { return "dram"; }

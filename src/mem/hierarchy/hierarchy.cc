@@ -79,35 +79,6 @@ WritebackBuffer::maxBusyCycle() const
     return m;
 }
 
-void
-WritebackBuffer::reset()
-{
-    std::fill(slots.begin(), slots.end(), 0);
-    fullStallCycles_ = 0;
-}
-
-void
-WritebackBuffer::saveState(ser::Writer &w) const
-{
-    w.u64(slots.size());
-    for (uint64_t busy : slots)
-        w.u64(busy);
-    w.u64(fullStallCycles_);
-}
-
-void
-WritebackBuffer::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == slots.size(),
-                  "checkpoint writeback buffer has %llu slots, this "
-                  "config has %zu",
-                  static_cast<unsigned long long>(n), slots.size());
-    for (uint64_t &busy : slots)
-        busy = r.u64();
-    fullStallCycles_ = r.u64();
-}
-
 // ---------------------------------------------------------------------------
 // CacheLevel
 
@@ -203,30 +174,6 @@ CacheLevel::busyUntil() const
                      next.busyUntil()});
 }
 
-void
-CacheLevel::reset()
-{
-    cache.reset();
-    mshr.reset();
-    wb.reset();
-}
-
-void
-CacheLevel::saveState(ser::Writer &w) const
-{
-    cache.saveState(w);
-    mshr.saveState(w);
-    wb.saveState(w);
-}
-
-void
-CacheLevel::loadState(ser::Reader &r)
-{
-    cache.loadState(r);
-    mshr.loadState(r);
-    wb.loadState(r);
-}
-
 LevelStats
 CacheLevel::stats() const
 {
@@ -308,44 +255,6 @@ uint64_t
 MemHierarchy::busyUntil() const
 {
     return l1_->busyUntil();
-}
-
-void
-MemHierarchy::reset()
-{
-    l1_->reset();
-    if (l2_)
-        l2_->reset();
-    if (dram_)
-        dram_->reset();
-    if (flat_)
-        flat_->reset();
-    if (tlb_)
-        tlb_->reset();
-}
-
-void
-MemHierarchy::saveState(ser::Writer &w) const
-{
-    l1_->saveState(w);
-    if (l2_)
-        l2_->saveState(w);
-    if (dram_)
-        dram_->saveState(w);
-    if (tlb_)
-        tlb_->saveState(w);
-}
-
-void
-MemHierarchy::loadState(ser::Reader &r)
-{
-    l1_->loadState(r);
-    if (l2_)
-        l2_->loadState(r);
-    if (dram_)
-        dram_->loadState(r);
-    if (tlb_)
-        tlb_->loadState(r);
 }
 
 HierarchyStats

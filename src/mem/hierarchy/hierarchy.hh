@@ -1,6 +1,6 @@
 /**
  * @file
- * Multi-level data-memory hierarchy behind the MemPort interface.
+ * Multi-level data-memory hierarchy: the pipeline's data memory.
  *
  * A `MemHierarchy` is a stack of `CacheLevel`s over a backend
  * (`FixedLatencyMem` or `DramModel`). Each cache level reuses the
@@ -174,12 +174,14 @@ class WritebackBuffer
     /** Latest busy-until cycle of any slot (0 when empty/disabled). */
     uint64_t maxBusyCycle() const;
 
-    void reset();
-
-    /** Serialize slot busy-until cycles (absolute) and statistics. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (slot count must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: slot busy-until cycles (absolute), statistics. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using B = WritebackBuffer;
+        v(ser::Table{"writeback slots", &B::slots}, &B::fullStallCycles_);
+    }
 
   private:
     std::vector<uint64_t> slots;  ///< per-slot busy-until cycle
@@ -213,7 +215,6 @@ class CacheLevel final : public MemLevel
 
     uint64_t busyUntil() const override;
 
-    void reset() override;
     const char *name() const override { return name_.c_str(); }
 
     const Cache &tags() const { return cache; }
@@ -221,10 +222,13 @@ class CacheLevel final : public MemLevel
 
     LevelStats stats() const;
 
-    /** Serialize tags + MSHR + writeback-buffer state (this level only). */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState. */
-    void loadState(ser::Reader &r);
+    /** Saved state: tags, MSHRs and writeback buffer (this level). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&CacheLevel::cache, &CacheLevel::mshr, &CacheLevel::wb);
+    }
 
   private:
     std::string name_;
@@ -235,8 +239,12 @@ class CacheLevel final : public MemLevel
     MemLevel &next;
 };
 
-/** The pipeline-facing hierarchy: optional TLB, L1, [L2], backend. */
-class MemHierarchy final : public MemPort
+/**
+ * The pipeline-facing hierarchy: optional TLB, L1, [L2], backend. The
+ * contract is a completion cycle: present an access at cycle t,
+ * receive the cycle its data is available (see mem_port.hh).
+ */
+class MemHierarchy
 {
   public:
     /**
@@ -246,14 +254,20 @@ class MemHierarchy final : public MemPort
      */
     MemHierarchy(const CacheConfig &l1, const HierarchyConfig &config);
 
-    MemResult read(uint32_t addr, uint64_t t) override;
-    MemResult write(uint32_t addr, uint64_t t) override;
+    /** Load access arriving at cycle @p t. */
+    MemResult read(uint32_t addr, uint64_t t);
+
+    /** Store (store-buffer retirement) arriving at cycle @p t. */
+    MemResult write(uint32_t addr, uint64_t t);
 
     /**
-     * Counter-free functional warming of the whole hierarchy (TLB entry
-     * fill + recursive cache-level warming). See MemPort::warm.
+     * Functional-warming access: update tag state exactly as a demand
+     * access would (TLB fill, cache fills, LRU, dirty bits, recursive
+     * traffic to lower levels) but with no timing and no statistics.
+     * This is the warming interface sampled simulation fast-forwards
+     * through; see sim/sampling.hh.
      */
-    void warm(uint32_t addr, bool is_write) override;
+    void warm(uint32_t addr, bool is_write);
 
     /**
      * Latest absolute cycle any in-flight resource below the core stays
@@ -261,12 +275,14 @@ class MemHierarchy final : public MemPort
      */
     uint64_t busyUntil() const;
 
-    void reset() override;
-
-    /** Serialize every level's state (geometry must match on restore). */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState. */
-    void loadState(ser::Reader &r);
+    /** Saved state: each level present, L1 first, then the TLB. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using H = MemHierarchy;
+        v(&H::l1_, &H::l2_, &H::dram_, &H::tlb_);
+    }
 
     const HierarchyConfig &config() const { return cfg; }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * The pluggable memory-port abstraction between the pipeline's MEM
- * stage and the data memory system.
+ * The contract between the pipeline's MEM stage and the data memory
+ * system, and the level-to-level interface a hierarchy is built from.
  *
  * The paper's machine (Table 5) hard-wires a flat 16 KB data cache with
  * a fixed 6-cycle miss penalty; the pipeline only ever needed a hit/miss
@@ -12,9 +12,8 @@
  * pipeline stays in charge of ports, issue rules and speculation; the
  * memory system owns everything below the first tag lookup.
  *
- * `MemPort` is the core-facing interface (read/write with L1-hit
- * visibility for the pipeline's miss statistics); `MemLevel` is the
- * level-to-level interface a hierarchy is composed from (each level
+ * `MemHierarchy` (hierarchy.hh) is what the core talks to; `MemLevel`
+ * is the level-to-level interface it is composed from (each level
  * forwards its misses to the level below it).
  */
 
@@ -22,8 +21,6 @@
 #define FACSIM_MEM_HIERARCHY_MEM_PORT_HH
 
 #include <cstdint>
-
-#include "util/serialize.hh"
 
 namespace facsim
 {
@@ -49,31 +46,6 @@ struct MemResult
     uint8_t level = memlevel::L1;  ///< level that serviced the access
 };
 
-/** Core-facing data-memory interface consumed by the pipeline. */
-class MemPort
-{
-  public:
-    virtual ~MemPort() = default;
-
-    /** Load access arriving at cycle @p t. */
-    virtual MemResult read(uint32_t addr, uint64_t t) = 0;
-
-    /** Store (store-buffer retirement) arriving at cycle @p t. */
-    virtual MemResult write(uint32_t addr, uint64_t t) = 0;
-
-    /**
-     * Functional-warming access: update tag/predictor state exactly as
-     * a demand access would (fills, LRU, dirty bits, recursive traffic
-     * to lower levels) but with no timing and no statistics. This is
-     * the first-class warming interface sampled simulation fast-forwards
-     * through; see sim/sampling.hh.
-     */
-    virtual void warm(uint32_t addr, bool is_write) = 0;
-
-    /** Invalidate all state and clear statistics. */
-    virtual void reset() = 0;
-};
-
 /** Outcome of an access serviced by one hierarchy level. */
 struct LevelResult
 {
@@ -96,7 +68,7 @@ class MemLevel
      */
     virtual LevelResult access(uint32_t addr, bool is_write, uint64_t t) = 0;
 
-    /** Counter-free state warming (see MemPort::warm). */
+    /** Counter-free state warming (see MemHierarchy::warm). */
     virtual void warm(uint32_t addr, bool is_write) = 0;
 
     /**
@@ -106,8 +78,6 @@ class MemLevel
      * boundaries) to advance the clock to full quiescence.
      */
     virtual uint64_t busyUntil() const = 0;
-
-    virtual void reset() = 0;
 
     /** Display name ("L2", "dram", ...). */
     virtual const char *name() const = 0;
@@ -132,7 +102,6 @@ class FixedLatencyMem final : public MemLevel
 
     void warm(uint32_t, bool) override {}  // stateless backend
     uint64_t busyUntil() const override { return 0; }
-    void reset() override {}
     const char *name() const override { return "mem"; }
 
   private:

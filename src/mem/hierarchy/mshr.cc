@@ -73,38 +73,4 @@ MshrFile::maxFillCycle() const
     return m;
 }
 
-void
-MshrFile::reset()
-{
-    for (Entry &e : slots)
-        e = Entry{};
-    st = MshrStats{};
-}
-
-void
-MshrFile::saveState(ser::Writer &w) const
-{
-    w.u64(slots.size());
-    for (const Entry &e : slots) {
-        w.u32(e.block);
-        w.u64(e.fillCycle);
-    }
-    ser::put(w, st);
-}
-
-void
-MshrFile::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == slots.size(),
-                  "checkpoint MSHR file has %llu entries, this config "
-                  "has %zu",
-                  static_cast<unsigned long long>(n), slots.size());
-    for (Entry &e : slots) {
-        e.block = r.u32();
-        e.fillCycle = r.u64();
-    }
-    ser::get(r, st);
-}
-
 } // namespace facsim

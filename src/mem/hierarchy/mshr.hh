@@ -108,12 +108,13 @@ class MshrFile
     /** Latest fill-completion cycle of any entry (0 when none/disabled). */
     uint64_t maxFillCycle() const;
 
-    void reset();
-
-    /** Serialize entries (absolute fill cycles) and statistics. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (entry count must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: entries (absolute fill cycles) and statistics. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(ser::Table{"MSHR slots", &MshrFile::slots}, &MshrFile::st);
+    }
 
     const MshrStats &stats() const { return st; }
 
@@ -122,6 +123,13 @@ class MshrFile
     {
         uint32_t block = 0;
         uint64_t fillCycle = 0;  ///< entry free once fillCycle <= now
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Entry::block, &Entry::fillCycle);
+        }
     };
 
     MshrConfig cfg;

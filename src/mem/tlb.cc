@@ -7,8 +7,7 @@ namespace facsim
 {
 
 Tlb::Tlb(unsigned entries, uint32_t page_bytes, uint64_t seed)
-    : vpn(entries, 0), valid(entries, false),
-      pageShift(log2i(page_bytes)), rng(seed)
+    : table(entries), pageShift(log2i(page_bytes)), rng(seed)
 {
     FACSIM_ASSERT(isPow2(page_bytes), "page size must be a power of two");
     FACSIM_ASSERT(entries > 0, "TLB needs at least one entry");
@@ -32,10 +31,10 @@ Tlb::lookup(uint32_t addr, bool count_stats)
     if (count_stats)
         ++accesses_;
     uint32_t page = addr >> pageShift;
-    if (valid[mru] && vpn[mru] == page)
+    if (table[mru].valid && table[mru].vpn == page)
         return true;
-    for (size_t i = 0; i < vpn.size(); ++i) {
-        if (valid[i] && vpn[i] == page) {
+    for (size_t i = 0; i < table.size(); ++i) {
+        if (table[i].valid && table[i].vpn == page) {
             mru = i;
             return true;
         }
@@ -43,57 +42,24 @@ Tlb::lookup(uint32_t addr, bool count_stats)
     if (count_stats)
         ++misses_;
     // Fill an invalid slot if one exists, else evict at random.
-    for (size_t i = 0; i < vpn.size(); ++i) {
-        if (!valid[i]) {
-            valid[i] = true;
-            vpn[i] = page;
+    for (size_t i = 0; i < table.size(); ++i) {
+        if (!table[i].valid) {
+            table[i] = {page, true};
             mru = i;
             return false;
         }
     }
-    size_t victim = static_cast<size_t>(rng.range(vpn.size()));
-    vpn[victim] = page;
+    size_t victim = static_cast<size_t>(rng.range(table.size()));
+    table[victim].vpn = page;
     mru = victim;
     return false;
 }
 
 void
-Tlb::reset()
+Tlb::checkRestored(ser::TryReader &r) const
 {
-    std::fill(valid.begin(), valid.end(), false);
-    accesses_ = 0;
-    misses_ = 0;
-}
-
-void
-Tlb::saveState(ser::Writer &w) const
-{
-    w.u64(vpn.size());
-    for (size_t i = 0; i < vpn.size(); ++i) {
-        w.u32(vpn[i]);
-        w.b(valid[i]);
-    }
-    w.u64(mru);
-    w.u64(rng.rawState());
-    w.u64(accesses_);
-    w.u64(misses_);
-}
-
-void
-Tlb::loadState(ser::Reader &r)
-{
-    uint64_t n = r.u64();
-    FACSIM_ASSERT(n == vpn.size(),
-                  "checkpoint TLB has %llu entries, this config has %zu",
-                  static_cast<unsigned long long>(n), vpn.size());
-    for (size_t i = 0; i < vpn.size(); ++i) {
-        vpn[i] = r.u32();
-        valid[i] = r.b();
-    }
-    mru = static_cast<size_t>(r.u64());
-    rng.setRawState(r.u64());
-    accesses_ = r.u64();
-    misses_ = r.u64();
+    if (mru >= table.size())
+        r.fail(strprintf("TLB MRU slot %zu out of range", mru));
 }
 
 } // namespace facsim

@@ -55,20 +55,37 @@ class Tlb
      */
     void warm(uint32_t addr);
 
-    /** Empty the TLB and reset counters. */
-    void reset();
-
-    /** Serialize entries, MRU slot, replacement-RNG state and stats. */
-    void saveState(ser::Writer &w) const;
-    /** Restore state saved by saveState (entry count must match). */
-    void loadState(ser::Reader &r);
+    /** Saved state: entries, MRU slot, replacement RNG and stats. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(ser::Table{"TLB", &Tlb::table}, &Tlb::mru, &Tlb::rng,
+          &Tlb::accesses_, &Tlb::misses_,
+          ser::OnRestore{&Tlb::checkRestored});
+    }
 
   private:
+    struct Entry
+    {
+        uint32_t vpn = 0;
+        bool valid = false;
+
+        template <class V>
+        static void
+        fields(V &&v)
+        {
+            v(&Entry::vpn, &Entry::valid);
+        }
+    };
+
     /** Common probe/fill path; returns hit. */
     bool lookup(uint32_t addr, bool count_stats);
 
-    std::vector<uint32_t> vpn;
-    std::vector<bool> valid;
+    /** Reject a restored MRU slot outside the table. */
+    void checkRestored(ser::TryReader &r) const;
+
+    std::vector<Entry> table;
     size_t mru = 0;
     uint32_t pageShift;
     Rng rng;

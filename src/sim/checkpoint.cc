@@ -43,8 +43,8 @@ CheckpointKind
 kindOf(const std::string &path, ser::Reader &r)
 {
     uint8_t kind = r.u8();
-    FACSIM_ASSERT(kind <= static_cast<uint8_t>(CheckpointKind::Timing),
-                  "checkpoint '%s' has unknown kind %u", path.c_str(), kind);
+    if (kind > static_cast<uint8_t>(CheckpointKind::Timing))
+        fatal("checkpoint '%s' has unknown kind %u", path.c_str(), kind);
     return static_cast<CheckpointKind>(kind);
 }
 
@@ -59,19 +59,18 @@ openAs(const std::string &path, const std::string &image,
     std::string_view body = ser::sealedBody(image);
     ser::Reader r(body.data(), body.size(), "checkpoint");
     CheckpointKind got = kindOf(path, r);
-    FACSIM_ASSERT(got == want,
-                  "checkpoint '%s' is a %s checkpoint but a %s restore "
-                  "was requested",
-                  path.c_str(), kindName(got), kindName(want));
+    if (got != want)
+        fatal("checkpoint '%s' is a %s checkpoint but a %s restore was "
+              "requested", path.c_str(), kindName(got), kindName(want));
     BuildIdentity id;
     ser::get(r, id);
     id.check(m, "checkpoint", path);
     uint64_t fp = r.u64();
-    FACSIM_ASSERT(fp == pipe_fp,
-                  "checkpoint pipeline-config fingerprint %016llx does "
-                  "not match this run's %016llx",
-                  static_cast<unsigned long long>(fp),
-                  static_cast<unsigned long long>(pipe_fp));
+    if (fp != pipe_fp)
+        fatal("checkpoint pipeline-config fingerprint %016llx does not "
+              "match this run's %016llx",
+              static_cast<unsigned long long>(fp),
+              static_cast<unsigned long long>(pipe_fp));
     return r;
 }
 
@@ -90,7 +89,7 @@ void
 saveFunctionalCheckpoint(const std::string &path, const Machine &m)
 {
     ser::Writer w = begin(CheckpointKind::Functional, m, 0);
-    m.emulator().saveState(w);
+    ser::put(w, m.emulator());
     m.memory().saveState(w);
     save(path, w);
 }
@@ -100,7 +99,7 @@ restoreFunctionalCheckpoint(const std::string &path, Machine &m)
 {
     std::string image = ser::loadSealed(path, format);
     ser::Reader r = openAs(path, image, CheckpointKind::Functional, m, 0);
-    m.emulator().loadState(r);
+    ser::get(r, m.emulator());
     m.memory().loadState(r);
     r.expectEnd();
 }
@@ -111,9 +110,9 @@ saveTimingCheckpoint(const std::string &path, const Machine &m,
 {
     ser::Writer w =
         begin(CheckpointKind::Timing, m, configFingerprint(pipe.config()));
-    m.emulator().saveState(w);
+    ser::put(w, m.emulator());
     m.memory().saveState(w);
-    pipe.saveState(w);
+    ser::put(w, pipe);
     save(path, w);
 }
 
@@ -123,9 +122,9 @@ restoreTimingCheckpoint(const std::string &path, Machine &m, Pipeline &pipe)
     std::string image = ser::loadSealed(path, format);
     ser::Reader r = openAs(path, image, CheckpointKind::Timing, m,
                          configFingerprint(pipe.config()));
-    m.emulator().loadState(r);
+    ser::get(r, m.emulator());
     m.memory().loadState(r);
-    pipe.loadState(r);
+    ser::get(r, pipe);
     r.expectEnd();
 }
 

@@ -72,7 +72,7 @@ buildLvptLibrary(const std::string &path, const LvptBuildRequest &req)
     auto total = [&]() { return pipe.fastForwardedInsts(); };
     while (!pipe.done() && (req.maxInsts == 0 || total() < req.maxInsts)) {
         ser::Writer ew;
-        m.emulator().saveState(ew);
+        ser::put(ew, m.emulator());
         m.memory().saveState(ew);
         pipe.saveWarmState(ew);
         blobs.emplace_back(total(), ew.data());
@@ -125,11 +125,11 @@ LvptLibrary::LvptLibrary(const std::string &path)
     totalInsts_ = r.u64();
 
     uint64_t count = r.u64();
-    FACSIM_ASSERT(count <= r.remaining() / indexRecordBytes,
-                  "live-point library '%s' has a truncated index: %llu "
-                  "entries indexed but the file holds %zu bytes",
-                  path_.c_str(), static_cast<unsigned long long>(count),
-                  data_.size());
+    if (count > r.remaining() / indexRecordBytes)
+        fatal("live-point library '%s' has a truncated index: %llu "
+              "entries indexed but the file holds %zu bytes",
+              path_.c_str(), static_cast<unsigned long long>(count),
+              data_.size());
     entries_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
         Entry e;
@@ -158,27 +158,26 @@ LvptLibrary::restoreEntry(size_t i, Machine &m, Pipeline &pipe) const
 
     id_.check(m, "live-point library", path_);
     uint64_t fp = warmStateFingerprint(pipe.config());
-    FACSIM_ASSERT(fp == id_.warmFingerprint,
-                  "live-point library '%s' warm-structure fingerprint "
-                  "%016llx does not match this pipeline's %016llx "
-                  "(cache/TLB/BTB geometry must match the mklib run)",
-                  path_.c_str(),
-                  static_cast<unsigned long long>(id_.warmFingerprint),
-                  static_cast<unsigned long long>(fp));
+    if (fp != id_.warmFingerprint)
+        fatal("live-point library '%s' warm-structure fingerprint %016llx "
+              "does not match this pipeline's %016llx (cache/TLB/BTB "
+              "geometry must match the mklib run)",
+              path_.c_str(),
+              static_cast<unsigned long long>(id_.warmFingerprint),
+              static_cast<unsigned long long>(fp));
 
     const Entry &e = entries_[i];
     // The 8-byte trailer is not addressable payload. Compared without
     // adding offset + size, which could wrap.
     const uint64_t end = data_.size() - 8;
-    FACSIM_ASSERT(e.size > 0 && e.offset <= end && e.size <= end - e.offset,
-                  "live-point entry %zu of '%s' is missing or out of "
-                  "bounds (offset %llu + %llu bytes vs %zu-byte file)",
-                  i, path_.c_str(),
-                  static_cast<unsigned long long>(e.offset),
-                  static_cast<unsigned long long>(e.size), data_.size());
+    if (e.size == 0 || e.offset > end || e.size > end - e.offset)
+        fatal("live-point entry %zu of '%s' is missing or out of bounds "
+              "(offset %llu + %llu bytes vs %zu-byte file)",
+              i, path_.c_str(), static_cast<unsigned long long>(e.offset),
+              static_cast<unsigned long long>(e.size), data_.size());
 
     ser::Reader r(data_.data() + e.offset, e.size, "live-point entry");
-    m.emulator().loadState(r);
+    ser::get(r, m.emulator());
     m.memory().loadState(r);
     pipe.loadWarmState(r);
     r.expectEnd();

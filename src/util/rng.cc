@@ -10,13 +10,6 @@ Rng::Rng(uint64_t seed)
 {
 }
 
-void
-Rng::setRawState(uint64_t s)
-{
-    FACSIM_ASSERT(s != 0, "Rng state must be non-zero");
-    state = s;
-}
-
 uint64_t
 Rng::next()
 {

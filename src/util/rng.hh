@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "util/serialize.hh"
+
 namespace facsim
 {
 
@@ -36,13 +38,22 @@ class Rng
     /** Bernoulli trial with probability @p p of returning true. */
     bool chance(double p);
 
-    /** Raw generator state, for checkpointing. Never zero. */
-    uint64_t rawState() const { return state; }
-
-    /** Restore state captured by rawState (must be non-zero). */
-    void setRawState(uint64_t s);
+    /** Saved state (TLB checkpoints); it is never zero. */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        v(&Rng::state, ser::OnRestore{&Rng::checkRestored});
+    }
 
   private:
+    void
+    checkRestored(ser::TryReader &r) const
+    {
+        if (state == 0)
+            r.fail("RNG state is zero");
+    }
+
     uint64_t state;
 };
 

@@ -2,10 +2,10 @@
  * @file
  * Header-only binary serialization: the Writer and the two readers
  * behind checkpoints, live-point libraries, the request codec and the
- * result cache, plus put()/get() for structs with a field list. Kept
- * in util/ and fully inline so that low-level structures (Cache, Btb,
- * Tlb, MshrFile, ...) can implement saveState()/loadState() without
- * linking against the sim layer.
+ * result cache, plus put()/get() for structs and model components with
+ * a field list. Kept in util/ and fully inline so that low-level
+ * structures (Cache, Btb, Tlb, MshrFile, ...) can list their state
+ * without linking against the sim layer.
  *
  * The encoding is fixed-width little-endian with no alignment; strings
  * and byte blocks are length-prefixed. Both readers are bounds-checked:
@@ -19,6 +19,8 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -258,10 +260,27 @@ class Reader : public TryReader
 //     static void fields(V &&v) { v(&S::a, &S::b, ...); }
 //
 // is encoded by put() and decoded by get() with no per-field code. A
-// member may be a scalar (bool, uint8_t, uint32_t, uint64_t, double), a
-// std::string, a one-byte enum (range-checked on decode against
-// enumLast(), found next to the enum), a std::array, a std::vector
-// (u64 length prefix), or another field-listed struct.
+// member may be a scalar (bool, uint8_t, uint32_t, int32_t, uint64_t,
+// double), a std::string, a one-byte enum (range-checked on decode
+// against enumLast(), found next to the enum), a std::array, a
+// std::vector (u64 length prefix), a std::unique_ptr (its pointee when
+// there is one, nothing otherwise) or another field-listed struct.
+//
+// Model components (Cache, Btb, Pipeline, ...) list the state a
+// checkpoint saves the same way. Restore works in place on an object
+// its constructor already shaped from the run's configuration, so a
+// component's list may also hold these entries:
+//
+//  - Table{name, &C::v}: a vector, or an array of vectors, whose
+//    length the constructor fixed. A stored length that differs is an
+//    error naming the table; the wire rule below never resizes it.
+//  - Queue{name, &C::q, cap}: a container filled at run time (size(),
+//    operator[] and resize()), stored oldest first. More than cap(c)
+//    elements is an error naming the queue.
+//  - First{&C::a, n}: only the first n elements of a std::array.
+//  - OnRestore{&C::f}: after the entries before it are restored,
+//    c.f(reader) re-derives or checks what the stream does not say;
+//    it is skipped once the reader has failed.
 
 template <class T>
 concept FieldListed = requires { T::fields([](auto...) {}); };
@@ -284,15 +303,176 @@ struct IsArray<std::array<E, N>> : std::true_type
 {
 };
 
+template <class T>
+struct IsUniquePtr : std::false_type
+{
+};
+template <class E>
+struct IsUniquePtr<std::unique_ptr<E>> : std::true_type
+{
+};
+
 /** Cap on a decoded vector: more elements means a corrupt stream. */
 constexpr uint64_t maxVectorLen = 4096;
+
+template <class T>
+void put(Writer &w, const T &v);
+template <class T>
+void get(TryReader &r, T &v);
+
+/** A fixed-length table (see Table above). */
+template <class P>
+struct Table
+{
+    const char *name;
+    P member;
+
+    template <class C>
+    void
+    put(Writer &w, const C &c) const
+    {
+        ser::put(w, c.*member);
+    }
+
+    template <class C>
+    void
+    get(TryReader &r, C &c) const
+    {
+        restore(r, c.*member);
+    }
+
+    template <class T>
+    void
+    restore(TryReader &r, T &t) const
+    {
+        if constexpr (IsArray<T>::value) {
+            for (auto &e : t)
+                restore(r, e);
+        } else {
+            uint64_t n = r.u64();
+            if (n != t.size()) {
+                r.fail(strprintf("%s: %llu entries stored, %zu in this "
+                                 "machine", name,
+                                 static_cast<unsigned long long>(n),
+                                 t.size()));
+                return;
+            }
+            for (auto &e : t)
+                ser::get(r, e);
+        }
+    }
+};
+
+/** A run-time queue bounded by a capacity (see Queue above). */
+template <class P, class Cap>
+struct Queue
+{
+    const char *name;
+    P member;
+    Cap cap;
+
+    template <class C>
+    void
+    put(Writer &w, const C &c) const
+    {
+        const auto &q = c.*member;
+        w.u64(q.size());
+        for (size_t i = 0; i < q.size(); ++i)
+            ser::put(w, q[i]);
+    }
+
+    template <class C>
+    void
+    get(TryReader &r, C &c) const
+    {
+        auto &q = c.*member;
+        uint64_t n = r.u64();
+        uint64_t most = std::invoke(cap, c);
+        if (n > most) {
+            r.fail(strprintf("%s: %llu entries stored, at most %llu fit "
+                             "this machine", name,
+                             static_cast<unsigned long long>(n),
+                             static_cast<unsigned long long>(most)));
+            return;
+        }
+        q.resize(static_cast<size_t>(n));
+        for (size_t i = 0; i < q.size(); ++i)
+            ser::get(r, q[i]);
+    }
+};
+
+/** The first n elements of an array (see First above). */
+template <class P>
+struct First
+{
+    P member;
+    size_t n;
+
+    template <class C>
+    void
+    put(Writer &w, const C &c) const
+    {
+        for (size_t i = 0; i < n; ++i)
+            ser::put(w, (c.*member)[i]);
+    }
+
+    template <class C>
+    void
+    get(TryReader &r, C &c) const
+    {
+        for (size_t i = 0; i < n; ++i)
+            ser::get(r, (c.*member)[i]);
+    }
+};
+
+/** A post-restore step (see OnRestore above). */
+template <class F>
+struct OnRestore
+{
+    F fn;
+
+    template <class C>
+    void
+    put(Writer &, const C &) const
+    {
+    }
+
+    template <class C>
+    void
+    get(TryReader &r, C &c) const
+    {
+        if (r.ok())
+            (c.*fn)(r);
+    }
+};
+
+/** One field-list entry of @p v: a member pointer or an entry above. */
+template <class T, class M>
+void
+putField(Writer &w, const T &v, const M &m)
+{
+    if constexpr (std::is_member_object_pointer_v<M>)
+        put(w, v.*m);
+    else
+        m.put(w, v);
+}
+
+template <class T, class M>
+void
+getField(TryReader &r, T &v, const M &m)
+{
+    if constexpr (std::is_member_object_pointer_v<M>)
+        get(r, v.*m);
+    else
+        m.get(r, v);
+}
 
 template <class T>
 void
 put(Writer &w, const T &v)
 {
     if constexpr (FieldListed<T>) {
-        T::fields([&](auto... m) { (put(w, v.*m), ...); });
+        T::fields([&](const auto &...m) { (putField(w, v, m), ...); });
     } else if constexpr (std::is_enum_v<T>) {
         static_assert(sizeof(T) == 1, "wire enums are one byte");
         w.u8(static_cast<uint8_t>(v));
@@ -302,6 +482,8 @@ put(Writer &w, const T &v)
         w.u8(v);
     } else if constexpr (std::is_same_v<T, uint32_t>) {
         w.u32(v);
+    } else if constexpr (std::is_same_v<T, int32_t>) {
+        w.u32(static_cast<uint32_t>(v));
     } else if constexpr (std::is_same_v<T, uint64_t>) {
         w.u64(v);
     } else if constexpr (std::is_same_v<T, double>) {
@@ -312,6 +494,9 @@ put(Writer &w, const T &v)
         w.u64(v.size());
         for (const auto &e : v)
             put(w, e);
+    } else if constexpr (IsUniquePtr<T>::value) {
+        if (v)
+            put(w, *v);
     } else {
         static_assert(IsArray<T>::value, "no wire encoding for this type");
         for (const auto &e : v)
@@ -325,7 +510,7 @@ void
 get(TryReader &r, T &v)
 {
     if constexpr (FieldListed<T>) {
-        T::fields([&](auto... m) { (get(r, v.*m), ...); });
+        T::fields([&](const auto &...m) { (getField(r, v, m), ...); });
     } else if constexpr (std::is_enum_v<T>) {
         uint8_t raw = r.u8();
         if (raw > static_cast<uint8_t>(enumLast(T{})))
@@ -338,6 +523,8 @@ get(TryReader &r, T &v)
         v = r.u8();
     } else if constexpr (std::is_same_v<T, uint32_t>) {
         v = r.u32();
+    } else if constexpr (std::is_same_v<T, int32_t>) {
+        v = static_cast<int32_t>(r.u32());
     } else if constexpr (std::is_same_v<T, uint64_t>) {
         v = r.u64();
     } else if constexpr (std::is_same_v<T, double>) {
@@ -353,6 +540,9 @@ get(TryReader &r, T &v)
         v.resize(n);
         for (auto &e : v)
             get(r, e);
+    } else if constexpr (IsUniquePtr<T>::value) {
+        if (v)
+            get(r, *v);
     } else {
         static_assert(IsArray<T>::value, "no wire decoding for this type");
         for (auto &e : v)

@@ -99,9 +99,6 @@ TEST(Cache, MissRatioAndReset)
     c.read(0x0);
     c.read(0x0);
     EXPECT_DOUBLE_EQ(c.missRatio(), 0.5);
-    c.reset();
-    EXPECT_EQ(c.accesses(), 0u);
-    EXPECT_FALSE(c.read(0x0).hit);
 }
 
 TEST(Cache, FourWayLruEvictionOrder)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,7 +105,7 @@ checkTimingRestore(const PipelineConfig &cfg, const char *file)
         Machine m1(workload("compress"), b);
         Pipeline p1(cfg, m1.emulator());
         atSave = p1.run(saveAt);
-        p1.saveState(saved);
+        ser::put(saved, p1);
         saveTimingCheckpoint(path, m1, p1);
     }
 
@@ -115,7 +116,7 @@ checkTimingRestore(const PipelineConfig &cfg, const char *file)
     restoreTimingCheckpoint(path, m2, p2);
     EXPECT_EQ(p2.stats().insts, saveAt);
     ser::Writer restored;
-    p2.saveState(restored);
+    ser::put(restored, p2);
     EXPECT_TRUE(restored.data() == saved.data());
     PipeStats resumed = p2.run(total);
 
@@ -148,6 +149,16 @@ TEST(CheckpointTest, ZooTimingRestoreIsBitIdentical)
     EXPECT_GT(atSave.strideSpeculated, 0u);
     EXPECT_GT(atSave.predRecoveryCycles, 0u);
     EXPECT_GT(atSave.wayMemoTagReadsSaved, 0u);
+}
+
+TEST(CheckpointTest, LargeL2TimingRestoreIsBitIdentical)
+{
+    // A 1 MB L2 of 64-byte lines has 16384 lines: more than the wire
+    // codec's vector cap, so only a length-checked in-place restore
+    // carries it across.
+    PipelineConfig cfg = timingConfig();
+    cfg.hierarchy.l2 = CacheConfig{1024 * 1024, 64, 8, 0};
+    checkTimingRestore(cfg, "timing_big_l2.ckpt");
 }
 
 TEST(CheckpointTest, TimingRestoreRunToCompletion)
@@ -218,7 +229,7 @@ TEST(CheckpointTest, RestoreInsideALongDataStallIsBitIdentical)
         saveAt = gaps[k].second;
         gap = gaps[k].first;
         fill = p1.fetchBuffered();
-        p1.saveState(saved);
+        ser::put(saved, p1);
         saveTimingCheckpoint(path, m1, p1);
     }
     ASSERT_NE(saveAt, 0u) << "no long stall behind a nearly full buffer";
@@ -230,7 +241,7 @@ TEST(CheckpointTest, RestoreInsideALongDataStallIsBitIdentical)
     EXPECT_EQ(p2.stats().insts, saveAt);
     EXPECT_EQ(p2.fetchBuffered(), fill);
     ser::Writer restored;
-    p2.saveState(restored);
+    ser::put(restored, p2);
     EXPECT_TRUE(restored.data() == saved.data());
 
     // The next issue lands exactly where the uninterrupted run put it,
@@ -377,13 +388,14 @@ TEST(CheckpointDeathTest, RejectsDamagedAndMismatchedFiles)
     // versa.
     const std::string func = tmpPath("func_kind.ckpt");
     saveFunctionalCheckpoint(func, m);
-    EXPECT_DEATH(restore(func), "functional checkpoint");
-    EXPECT_DEATH(
+    EXPECT_EXIT(restore(func), testing::ExitedWithCode(1),
+                "functional checkpoint");
+    EXPECT_EXIT(
         {
             Machine m2(workload("compress"), b);
             restoreFunctionalCheckpoint(good, m2);
         },
-        "timing checkpoint");
+        testing::ExitedWithCode(1), "timing checkpoint");
 
     // Wrong workload.
     EXPECT_DEATH(
@@ -406,13 +418,13 @@ TEST(CheckpointDeathTest, RejectsDamagedAndMismatchedFiles)
         "seed");
 
     // Wrong pipeline configuration.
-    EXPECT_DEATH(
+    EXPECT_EXIT(
         {
             Machine m2(workload("compress"), b);
             Pipeline p2(baselineConfig(16), m2.emulator());
             restoreTimingCheckpoint(good, m2, p2);
         },
-        "fingerprint");
+        testing::ExitedWithCode(1), "fingerprint");
 
     // Trailing junk between the last section and the checksum.
     const std::string tail = tmpPath("tail.ckpt");
@@ -421,6 +433,68 @@ TEST(CheckpointDeathTest, RejectsDamagedAndMismatchedFiles)
     padded.append(reinterpret_cast<const char *>(&sum), 8);
     spew(tail, padded);
     EXPECT_DEATH(restore(tail), "trailing byte");
+}
+
+namespace
+{
+
+/** Pipeline state of a compress run stopped with fetched work queued. */
+std::string
+midFlightPipelineState(const PipelineConfig &cfg)
+{
+    Machine m(workload("compress"), BuildOptions{});
+    Pipeline p(cfg, m.emulator());
+    p.run(5000);
+    EXPECT_GT(p.fetchBuffered(), 0u);
+    ser::Writer w;
+    ser::put(w, p);
+    return w.data();
+}
+
+/** Restore @p state into a fresh pipeline of @p cfg. */
+void
+restorePipelineState(const PipelineConfig &cfg, const std::string &state)
+{
+    Machine m(workload("compress"), BuildOptions{});
+    Pipeline p(cfg, m.emulator());
+    ser::Reader r(state.data(), state.size(), "checkpoint");
+    ser::get(r, p);
+}
+
+} // namespace
+
+TEST(CheckpointDeathTest, RejectsFetchedRecordsOutsideTheProgram)
+{
+    const PipelineConfig cfg = facPipelineConfig(32);
+    const std::string state = midFlightPipelineState(cfg);
+
+    // The first fetched record follows the statistics, two clocks,
+    // three flags, six counters, one flag and the ring's length (see
+    // Pipeline::fields()): its pc comes first, then its opcode byte.
+    ser::Writer stats;
+    ser::put(stats, PipeStats{});
+    const size_t pcOff = stats.data().size() + 2 * 8 + 3 + 6 * 8 + 1 + 8;
+
+    std::string badOp = state;
+    badOp[pcOff + 4] = static_cast<char>(0xff);
+    EXPECT_EXIT(restorePipelineState(cfg, badOp), testing::ExitedWithCode(1),
+                "enum value out of range");
+
+    std::string badPc = state;
+    std::memset(&badPc[pcOff], 0, 4);
+    EXPECT_EXIT(restorePipelineState(cfg, badPc), testing::ExitedWithCode(1),
+                "fetched pc 00000000 is not an instruction");
+}
+
+TEST(CheckpointDeathTest, RejectsTableOfAnotherSize)
+{
+    const PipelineConfig cfg = facPipelineConfig(32);
+    const std::string state = midFlightPipelineState(cfg);
+    PipelineConfig smallBtb = cfg;
+    smallBtb.btbEntries = 512;
+    EXPECT_EXIT(restorePipelineState(smallBtb, state),
+                testing::ExitedWithCode(1),
+                "BTB: 1024 entries stored, 512 in this machine");
 }
 
 TEST(CheckpointTest, FingerprintSeparatesConfigurations)

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "cpu/emulator.hh"
@@ -200,7 +201,7 @@ TEST(EmulatorEngine, RestoreInvalidatesAndResumesBitIdentical)
     ASSERT_EQ(emu.run(50'000), 50'000u);
 
     ser::Writer cpu, mem;
-    emu.saveState(cpu);
+    ser::put(cpu, emu);
     m.memory().saveState(mem);
     uint64_t translated = emu.translationStats().blocksTranslated;
 
@@ -214,17 +215,17 @@ TEST(EmulatorEngine, RestoreInvalidatesAndResumesBitIdentical)
     // bit-identically.
     Machine fresh(workload("compress"), tiny());
     ser::Reader cr(cpu.data().data(), cpu.data().size(), "test");
-    fresh.emulator().loadState(cr);
+    ser::get(cr, fresh.emulator());
     ser::Reader mr(mem.data().data(), mem.data().size(), "test");
     fresh.memory().loadState(mr);
     EXPECT_EQ(fresh.emulator().run(), more);
     expectSameArch(fresh.emulator(), emu, "fresh-machine restore");
     EXPECT_EQ(memoryImage(fresh), end_mem);
 
-    // Restore into the machine that made the snapshot: loadState must
+    // Restore into the machine that made the snapshot: restore must
     // drop its (stale-PC) block cache and re-translate.
     ser::Reader cr2(cpu.data().data(), cpu.data().size(), "test");
-    emu.loadState(cr2);
+    ser::get(cr2, emu);
     ser::Reader mr2(mem.data().data(), mem.data().size(), "test");
     m.memory().loadState(mr2);
     EXPECT_EQ(emu.run(), more);
@@ -235,6 +236,24 @@ TEST(EmulatorEngine, RestoreInvalidatesAndResumesBitIdentical)
 
 // ---------------------------------------------------------------------------
 // The engine identity reported in results and stats.
+
+TEST(EmulatorEngine, RestoreRejectsPcOutsideTheText)
+{
+    Machine m(workload("compress"), tiny());
+    m.emulator().run(1000);
+    ser::Writer w;
+    ser::put(w, m.emulator());
+    // The PC follows the integer and FP registers and the fpcc flag.
+    std::string state = w.data();
+    const size_t pcOff = numIntRegs * 4 + numFpRegs * 8 + 1;
+    std::memset(&state[pcOff], 0, 4);
+
+    Machine fresh(workload("compress"), tiny());
+    ser::TryReader r(state.data(), state.size());
+    ser::get(r, fresh.emulator());
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), "pc 00000000 is outside the program text");
+}
 
 TEST(EmulatorEngine, DefaultEngineIsThreaded)
 {

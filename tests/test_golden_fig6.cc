@@ -15,7 +15,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -23,32 +22,47 @@
 namespace
 {
 
+/** Every byte left in @p f. */
+std::string
+readAll(std::FILE *f)
+{
+    std::string data;
+    char buf[1 << 14];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        data.append(buf, n);
+    return data;
+}
+
 std::string
 slurp(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    if (!f) {
         ADD_FAILURE() << "cannot open " << path;
-    std::string data;
-    if (f) {
-        char buf[1 << 14];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            data.append(buf, n);
-        std::fclose(f);
+        return {};
     }
+    std::string data = readAll(f);
+    std::fclose(f);
     return data;
 }
 
-/** Run @p cmd, capture stdout bytes (stderr dropped), expect exit 0. */
+/**
+ * Run @p cmd, capture stdout bytes (stderr dropped), expect exit 0.
+ * Read through a pipe, not a file: ctest runs each case as its own
+ * process, so under -j a shared output file races between cases.
+ */
 std::string
 capture(const std::string &cmd)
 {
-    std::string out = testing::TempDir() + "/golden_out.txt";
-    int status =
-        std::system((cmd + " > " + out + " 2>/dev/null").c_str());
-    EXPECT_EQ(status, 0) << cmd;
-    return slurp(out);
+    std::FILE *p = popen((cmd + " 2>/dev/null").c_str(), "r");
+    if (!p) {
+        ADD_FAILURE() << "cannot run " << cmd;
+        return {};
+    }
+    std::string data = readAll(p);
+    EXPECT_EQ(pclose(p), 0) << cmd;
+    return data;
 }
 
 std::string

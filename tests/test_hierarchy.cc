@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the multi-level memory hierarchy: the MemPort/MemLevel
+ * Unit tests for the multi-level memory hierarchy: the MemHierarchy/MemLevel
  * timing contract, MSHR bookkeeping, the writeback buffer, the DRAM
  * occupancy model and the hierarchy presets.
  */
@@ -47,7 +47,6 @@ class RecordingMem final : public MemLevel
 
     uint64_t busyUntil() const override { return 0; }
 
-    void reset() override { reqs.clear(); warms.clear(); }
     const char *name() const override { return "rec"; }
 
     std::vector<Req> reqs;
@@ -99,9 +98,6 @@ TEST(Mshr, StatsAccumulate)
     EXPECT_EQ(m.stats().merges, 1u);
     EXPECT_EQ(m.stats().fullStallCycles, 5u);
     EXPECT_EQ(m.stats().maxOccupancy, 2u);
-    m.reset();
-    EXPECT_EQ(m.stats().allocations, 0u);
-    EXPECT_EQ(m.occupancyAt(5), 0u);
 }
 
 TEST(MshrDeathTest, AllocateWithoutFreeEntry)
@@ -124,9 +120,6 @@ TEST(WritebackBuffer, SlotsDrainOverTime)
     EXPECT_EQ(wb.whenFree(31u), 31u);
     wb.noteFullStall(20);
     EXPECT_EQ(wb.fullStallCycles(), 20u);
-    wb.reset();
-    EXPECT_EQ(wb.whenFree(0u), 0u);
-    EXPECT_EQ(wb.fullStallCycles(), 0u);
 }
 
 TEST(WritebackBuffer, DisabledWhenZeroEntries)
@@ -155,10 +148,9 @@ TEST(Dram, LatencyAndQueueing)
     EXPECT_EQ(d.stats().reads, 2u);
     EXPECT_EQ(d.stats().queuedCycles, 6u);
     EXPECT_EQ(d.stats().busyCycles, 16u);
-    d.reset();
-    EXPECT_EQ(d.stats().reads, 0u);
-    EXPECT_EQ(d.access(0x0, true, 0).doneCycle, 20u);
-    EXPECT_EQ(d.stats().writes, 1u);
+    DramModel fresh(DramConfig{20, 8});
+    EXPECT_EQ(fresh.access(0x0, true, 0).doneCycle, 20u);
+    EXPECT_EQ(fresh.stats().writes, 1u);
 }
 
 TEST(Dram, UnconstrainedChannelNeverQueues)
@@ -358,19 +350,6 @@ TEST(MemHierarchy, TlbMissPenaltyDelaysAccess)
     EXPECT_EQ(s.tlbAccesses, 2u);
     EXPECT_EQ(s.tlbMisses, 1u);
     EXPECT_DOUBLE_EQ(s.tlbMissRatio(), 0.5);
-}
-
-TEST(MemHierarchy, ResetClearsAllState)
-{
-    CacheConfig l1{1024, 32, 1, 6};
-    MemHierarchy h(l1, modernHierarchy());
-    h.read(0x100, 0);
-    h.read(0x104, 1);
-    h.reset();
-    HierarchyStats s = h.snapshot();
-    EXPECT_EQ(s.levels[0].accesses, 0u);
-    EXPECT_EQ(s.dram.reads, 0u);
-    EXPECT_FALSE(h.read(0x100, 0).l1Hit);  // cold again
 }
 
 // ---------------------------------------------------------------------------

@@ -72,14 +72,6 @@ TEST(Ltb, DirectMappedAliasing)
     EXPECT_TRUE(l.predict(pc_b).hit);
 }
 
-TEST(Ltb, ResetInvalidates)
-{
-    Ltb l(16);
-    l.update(0x00400000, 0x1234);
-    l.reset();
-    EXPECT_FALSE(l.predict(0x00400000).hit);
-}
-
 TEST(LtbDeathTest, RejectsNonPow2)
 {
     EXPECT_DEATH(Ltb(10), "power of two");

@@ -229,7 +229,7 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
 
     // Wrong warm-structure geometry: the library was cut with 32-byte
     // blocks, this pipeline wants 16-byte blocks.
-    EXPECT_DEATH(
+    EXPECT_EXIT(
         {
             LvptLibrary lib(good);
             Machine m(workload("espresso"),
@@ -237,7 +237,7 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
             Pipeline pipe(baselineConfig(16), m.emulator());
             lib.restoreEntry(0, m, pipe);
         },
-        "geometry must match the mklib run");
+        testing::ExitedWithCode(1), "geometry must match the mklib run");
 
     // Stale format version (re-sealed so the checksum passes).
     const std::string vers = tmpPath("version.lvpt");
@@ -248,14 +248,16 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
     // hold (high byte of the count patched, then re-sealed).
     const std::string trunc = tmpPath("truncindex.lvpt");
     spew(trunc, patchAndReseal(data, countOff + 6, 0x01));
-    EXPECT_DEATH(LvptLibrary{trunc}, "truncated index");
+    EXPECT_EXIT(LvptLibrary{trunc}, testing::ExitedWithCode(1),
+                "truncated index");
 
     // A count whose byte size wraps: 24 * (2^61 + 5) is 120 modulo
     // 2^64. Must die cleanly, not pass the bound and throw out of
     // reserve().
     const std::string wrap = tmpPath("wrapindex.lvpt");
     spew(wrap, patchU64AndReseal(data, countOff, (1ull << 61) + 5));
-    EXPECT_DEATH(LvptLibrary{wrap}, "truncated index");
+    EXPECT_EXIT(LvptLibrary{wrap}, testing::ExitedWithCode(1),
+                "truncated index");
 
     // A single damaged entry: entry 1's payload offset points far past
     // the end of the file. The library still *opens* (entry framing is
@@ -263,13 +265,14 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
     const std::string missing = tmpPath("missing.lvpt");
     spew(missing,
          patchAndReseal(data, countOff + 8 + 24 * 1 + 8 + 6, 0x01));
-    EXPECT_DEATH(
+    EXPECT_EXIT(
         {
             LvptLibrary lib(missing);
             FarmRequest req;
             req.pipe = baselineConfig(32);
             runFarm(lib, req);
         },
+        testing::ExitedWithCode(1),
         "entry 1 of .* is missing or out of bounds");
 
     // An entry offset near 2^64, so offset + size wraps to a small
@@ -277,13 +280,14 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
     const std::string wild = tmpPath("wildentry.lvpt");
     spew(wild, patchU64AndReseal(data, countOff + 8 + 24 * 1 + 8,
                                  ~uint64_t{0} - 15));
-    EXPECT_DEATH(
+    EXPECT_EXIT(
         {
             LvptLibrary lib(wild);
             FarmRequest req;
             req.pipe = baselineConfig(32);
             runFarm(lib, req);
         },
+        testing::ExitedWithCode(1),
         "entry 1 of .* is missing or out of bounds");
 
     // Plain corruption is still caught up front.

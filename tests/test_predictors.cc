@@ -173,10 +173,10 @@ TEST(LoadPredictor, SaveLoadRoundTripPreservesTables)
     a.trainWay(0x1000, 0x3000, 1);
 
     ser::Writer w;
-    a.saveState(w);
+    ser::put(w, a);
     LoadPredictor b(false, FacConfig{}, pc);
     ser::Reader r(w.data().data(), w.data().size());
-    b.loadState(r);
+    ser::get(r, b);
 
     PredResult pa = a.predict(0x1000, 0, 0, false, 0);
     PredResult pb = b.predict(0x1000, 0, 0, false, 0);
@@ -236,15 +236,16 @@ TEST(WayMemoSafety, StaleEntriesAlwaysCaughtByLateVerify)
     EXPECT_GT(fresh, 0u) << "sequence never exercised a fresh memo hit";
     EXPECT_GT(stale, 0u) << "sequence never exercised a stale entry";
 
-    // Whole-cache invalidation: every memoized way must now fail the
-    // late verify — wayOf() reports the block absent.
-    cache.reset();
+    // Whole-cache invalidation (a cold cache of the same geometry):
+    // every memoized way must now fail the late verify — wayOf()
+    // reports the block absent.
+    Cache cold(cc);
     for (uint32_t slot = 0; slot < 4; ++slot) {
         const uint32_t ipc = 0x1000 + 4 * slot;
         for (uint32_t block = 0; block < 8 * 32; block += 32) {
             int memo = wm.lookup(ipc, block);
             if (memo >= 0) {
-                EXPECT_NE(memo, cache.wayOf(block))
+                EXPECT_NE(memo, cold.wayOf(block))
                     << "stale way survived invalidation undetected";
             }
         }

@@ -1,5 +1,8 @@
 /** @file Unit tests for the 64-entry fully associative TLB model. */
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "mem/tlb.hh"
@@ -61,13 +64,27 @@ TEST(Tlb, MissRatio)
     EXPECT_DOUBLE_EQ(t.missRatio(), 0.25);
 }
 
-TEST(Tlb, ResetClears)
+TEST(Tlb, RestoreRejectsStateItCannotUse)
 {
-    Tlb t;
+    Tlb t(4);
     t.access(0);
-    t.reset();
-    EXPECT_EQ(t.accesses(), 0u);
-    EXPECT_FALSE(t.access(0));
+    ser::Writer w;
+    ser::put(w, t);
+    // The entries (length, then four vpn/valid pairs), the MRU slot,
+    // then the replacement RNG state.
+    const size_t mruOff = 8 + 4 * 5;
+    const size_t rngOff = mruOff + 8;
+    auto restore = [&](size_t off, uint64_t v) {
+        std::string s = w.data();
+        std::memcpy(&s[off], &v, 8);
+        Tlb fresh(4);
+        ser::TryReader r(s.data(), s.size());
+        ser::get(r, fresh);
+        return r.ok() ? std::string() : r.error();
+    };
+    EXPECT_EQ(restore(mruOff, 0), "");
+    EXPECT_EQ(restore(mruOff, 4), "TLB MRU slot 4 out of range");
+    EXPECT_EQ(restore(rngOff, 0), "RNG state is zero");
 }
 
 } // anonymous namespace
