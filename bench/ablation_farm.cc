@@ -52,7 +52,8 @@ main(int argc, char **argv)
         flags::u64("--warmup=N", &s.warmup,
                    "detailed warmup per window (default 2000)"),
     });
-    s.validate();
+    if (std::string bad = s.check(); !bad.empty())
+        fatal("usage: %s", bad.c_str());
 
     // Reference truth and the serial sampler, batched across workloads:
     // full FAC, full baseline, sampled FAC, sampled baseline.

@@ -59,12 +59,13 @@ main(int argc, char **argv)
     std::vector<Cfg> cfgs;
     for (uint64_t u : periods) {
         for (uint64_t w : warmups) {
-            if (w + detail <= u)
-                cfgs.push_back({SamplingConfig{u, detail, w}});
+            const SamplingConfig s{u, detail, w};
+            if (s.check().empty())
+                cfgs.push_back({s});
         }
     }
     if (cfgs.empty())
-        fatal("no (period, warmup) pair fits --detail=%llu",
+        fatal("usage: no (period, warmup) pair fits --detail=%llu",
               static_cast<unsigned long long>(detail));
 
     // Per workload: full-detail FAC + baseline, then per config the

@@ -50,9 +50,10 @@ BM_CacheRead(benchmark::State &state)
 }
 BENCHMARK(BM_CacheRead);
 
-// Per-step emulation with a live ExecRecord — the profiling loops'
-// inner path (Emulator::stepImpl<true>), as opposed to BM_EmulatorRate's
-// record-free Emulator::run.
+// Per-step emulation with a live ExecRecord — the inner path of the
+// pipeline and profiling loops (Emulator::step: one handler record,
+// switch-dispatched), as opposed to BM_EmulatorRate's record-free
+// Emulator::run over chained blocks.
 void
 BM_EmulatorStep(benchmark::State &state)
 {

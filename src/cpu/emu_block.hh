@@ -1,13 +1,13 @@
 /**
  * @file
- * Translated-block data model for the threaded-code emulator core
- * (cpu/emulator.hh). The predecoded instruction stream is translated
- * once, lazily, into *basic blocks* of pre-bound handler records: per
- * instruction, the operand register indices, the immediate, the
- * memory addressing mode and (for the computed-goto engine) the
- * handler's label address are all resolved at translation time, so the
- * dispatch loop does no per-instruction decoding, no bounds checking
- * and no PC arithmetic. Blocks chain to their fall-through and
+ * Translated-block data model for the emulator core (cpu/emulator.hh).
+ * Each predecoded instruction is translated once into a pre-bound
+ * handler record: the operand register indices, the immediate, the
+ * memory addressing mode and the direct target are all resolved at
+ * translation time. Basic blocks of these records are cut lazily and
+ * bound to the computed-goto handlers' label addresses, so the block
+ * loop does no per-instruction decoding, no bounds checking and no PC
+ * arithmetic. Blocks chain to their fall-through and
  * direct-target successors ("superblocks"), so straight-line code and
  * hot loops run without even a block-cache lookup between blocks.
  *
@@ -118,14 +118,16 @@ enum class EmuKind : uint8_t
  *                    redirected base writeback target (_PI),
  *                    imm = offset / post-increment stride,
  *                    aux = instruction PC (alignment-fault message)
- *  - branches:       b/c = comparands (target is the block's takenPc)
+ *  - branches:       b/c = comparands, aux = target PC
+ *  - J/JAL:          aux = target PC
  *  - JAL/JALR:       a = link register, imm = link value (PC+4)
  *  - JR/JALR:        b = target register
  *  - FP:             a/b/c = FP register indices
  *
  * `handler` is the computed-goto label address for `kind`, bound
- * lazily the first time a dispatch loop runs the block. `op` is kept
- * only for fault messages.
+ * lazily the first time the block loop runs the block (step()
+ * dispatches on `kind` and never reads it). `op` is kept only for
+ * fault messages.
  */
 struct EmuOpRec
 {
@@ -170,7 +172,7 @@ struct EmuBlock
     uint32_t startPc = 0;
     uint32_t numOps = 0;
     uint32_t fallPc = 0;   ///< startPc + 4*numOps
-    uint32_t takenPc = 0;  ///< direct branch/jump target (else 0)
+    uint32_t takenPc = 0;  ///< terminal record's aux: direct target (else 0)
     bool bound = false;    ///< handler pointers resolved
     EmuBlock *fall = nullptr;
     EmuBlock *taken = nullptr;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Translation layer of the threaded-code emulator core: decodes the
- * predecoded instruction stream into basic blocks of pre-bound handler
- * records (cpu/emu_block.hh) and maintains the block cache. The
- * dispatch loops that execute the blocks live in cpu/emulator.cc.
+ * Translation layer of the emulator: translates each predecoded
+ * instruction into its pre-bound handler record (cpu/emu_block.hh),
+ * cuts basic blocks from those records and maintains the block cache.
+ * The two dispatchers that execute the records live in
+ * cpu/emulator.cc.
  */
 
 #include "cpu/emulator.hh"
@@ -87,7 +88,7 @@ memKind(Op op, AMode m)
 } // namespace
 
 EmuOpRec
-Emulator::translateInst(const Inst &in, uint32_t pc, EmuBlock &blk) const
+Emulator::translateInst(const Inst &in, uint32_t pc) const
 {
     // Redirect $zero destinations to the sink slot so handlers write
     // unconditionally. Source registers keep their real indices.
@@ -146,27 +147,27 @@ Emulator::translateInst(const Inst &in, uint32_t pc, EmuBlock &blk) const
         rec.kind = simpleKind(in.op);
         rec.b = in.rs;
         rec.c = in.rt;
-        blk.takenPc = pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
+        rec.aux = pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
         break;
       case Op::BLEZ: case Op::BGTZ: case Op::BLTZ: case Op::BGEZ:
         rec.kind = simpleKind(in.op);
         rec.b = in.rs;
-        blk.takenPc = pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
+        rec.aux = pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
         break;
       case Op::BC1T: case Op::BC1F:
         rec.kind = simpleKind(in.op);
-        blk.takenPc = pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
+        rec.aux = pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
         break;
 
       case Op::J:
         rec.kind = EmuKind::J;
-        blk.takenPc = static_cast<uint32_t>(in.imm) << 2;
+        rec.aux = static_cast<uint32_t>(in.imm) << 2;
         break;
       case Op::JAL:
         rec.kind = EmuKind::JAL;
         rec.a = reg::ra;
         rec.imm = static_cast<int32_t>(pc + 4);
-        blk.takenPc = static_cast<uint32_t>(in.imm) << 2;
+        rec.aux = static_cast<uint32_t>(in.imm) << 2;
         break;
       case Op::JR:
         rec.kind = EmuKind::JR;
@@ -226,16 +227,17 @@ Emulator::translateBlock(uint32_t pc, uint32_t idx)
     bool terminated = false;
     for (uint32_t i = idx;
          i < numInsts_ && blk->ops.size() < emuMaxBlockOps; ++i) {
-        const Inst &in = code_[i];
-        blk->ops.push_back(translateInst(in, pc + 4 * (i - idx), *blk));
-        if (isControl(in.op) || in.op == Op::HALT) {
+        blk->ops.push_back(recs_[i]);
+        if (isControl(code_[i].op) || code_[i].op == Op::HALT) {
             terminated = true;
             break;
         }
     }
     blk->numOps = static_cast<uint32_t>(blk->ops.size());
     blk->fallPc = pc + 4 * blk->numOps;
-    if (!terminated) {
+    if (terminated) {
+        blk->takenPc = blk->ops.back().aux;
+    } else {
         // Size cap or end of text: synthetic terminator so the
         // dispatch loop needs no per-record counter.
         EmuOpRec end;
@@ -252,11 +254,7 @@ Emulator::translateBlock(uint32_t pc, uint32_t idx)
 EmuBlock *
 Emulator::acquireBlock(uint32_t pc)
 {
-    // Same validation (and fault messages) as the scalar fetch path;
-    // the wraparound for pc < textBase lands in the idx bound check.
-    const uint32_t idx = (pc - Program::textBase) >> 2;
-    if (idx >= numInsts_ || (pc & 3) != 0) [[unlikely]]
-        fetchFault(pc);
+    const uint32_t idx = fetchIndex(pc);
     if (blockMap_.empty())
         blockMap_.assign(numInsts_, nullptr);
     if (EmuBlock *blk = blockMap_[idx]) {

@@ -5,12 +5,13 @@
  * stream) and the engine behind the reference-behaviour profiler used for
  * Tables 1/3/4 and Figure 3.
  *
- * Bulk execution (run()/runWarm()) goes through a translated-block
- * engine: the predecoded stream is lazily decoded into basic blocks of
- * pre-bound handler records (cpu/emu_block.hh) dispatched by computed
- * goto. step() keeps the original one-instruction scalar path: it
- * serves the per-record consumers (pipeline, profiler, cosim) and is
- * the reference the block engine is tested against in lockstep.
+ * Every text instruction is translated once into a pre-bound handler
+ * record (cpu/emu_block.hh); the handler bodies in cpu/emu_exec.inc are
+ * the one statement of the ISA's semantics. Bulk execution
+ * (run()/runWarm()) copies the records into basic blocks dispatched by
+ * computed goto; step() runs one record through the same bodies under
+ * a switch and serves the per-record consumers (pipeline, profiler,
+ * cosim).
  */
 
 #ifndef FACSIM_CPU_EMULATOR_HH
@@ -198,14 +199,26 @@ class Emulator
 
   private:
     /**
-     * Core of step()/runWarm(). WithRec fills *rec with the execution
-     * record; WithWarm reports warming traffic to *sink. Both compile
-     * out entirely when false.
+     * Execute the one instruction at the PC through its handler record
+     * (the block engine's handler bodies, dispatched by switch). Fills
+     * *rec when @p rec is non-null; WithWarm reports the instruction's
+     * data and control traffic to *sink.
      */
-    template <bool WithRec, bool WithWarm>
-    bool stepImpl(ExecRecord *rec, WarmSink *sink);
+    template <bool WithWarm>
+    bool execOne(ExecRecord *rec, WarmSink *sink);
 
     [[noreturn]] void fetchFault(uint32_t pc) const;
+
+    /** Instruction index of @p pc; faults outside the text. */
+    uint32_t
+    fetchIndex(uint32_t pc) const
+    {
+        // The wraparound for pc < textBase lands in the idx bound check.
+        const uint32_t idx = (pc - Program::textBase) >> 2;
+        if (idx >= numInsts_ || (pc & 3) != 0) [[unlikely]]
+            fetchFault(pc);
+        return idx;
+    }
 
     /**
      * Restore (fields()): a running PC must lie in the text; drop the
@@ -238,10 +251,10 @@ class Emulator
 
     /** Block for @p pc from the cache, translating on miss (counted). */
     EmuBlock *acquireBlock(uint32_t pc);
-    /** Decode the basic block starting at @p pc (= index @p idx). */
+    /** Cut the basic block at @p pc (= index @p idx) from recs_. */
     EmuBlock *translateBlock(uint32_t pc, uint32_t idx);
-    /** Translate one instruction into a handler record. */
-    EmuOpRec translateInst(const Inst &in, uint32_t pc, EmuBlock &blk) const;
+    /** Translate the instruction at @p pc into its handler record. */
+    EmuOpRec translateInst(const Inst &in, uint32_t pc) const;
     /** Resolve computed-goto handler addresses for @p blk's records. */
     void bindBlock(EmuBlock &blk);
 
@@ -249,13 +262,13 @@ class Emulator
      * Block-dispatch loop (computed goto). WithWarm compiles in the
      * data-touch buffering and per-block warm flush. max_insts = 0
      * means unbounded; a block that would overrun the bound falls back
-     * to runScalar for the exact tail.
+     * to runTail for the exact tail.
      */
     template <bool WithWarm>
     uint64_t runBlocksThreaded(uint64_t max_insts, WarmCtx *wc);
 
-    /** Exact per-instruction fallback (bound tails). */
-    uint64_t runScalar(uint64_t n, WarmCtx *wc);
+    /** Exact per-instruction tail of a bounded run (execOne loop). */
+    uint64_t runTail(uint64_t n, WarmCtx *wc);
 
     /** Deliver one executed block's batched warming traffic. */
     void flushWarm(const EmuBlock &blk, EmuExit exit_kind, uint32_t next_pc,
@@ -272,6 +285,13 @@ class Emulator
      */
     const Inst *code_ = nullptr;
     uint32_t numInsts_ = 0;
+    /**
+     * One handler record per text instruction, translated at
+     * construction (index = (pc - textBase) / 4). step() dispatches
+     * these; translateBlock() copies them into blocks. Direct branch
+     * and jump records carry their target in aux.
+     */
+    std::vector<EmuOpRec> recs_;
     Memory &mem_;
     /**
      * Architectural integer registers plus the zero-sink slot

@@ -160,8 +160,14 @@ Memory::loadState(ser::Reader &r)
 {
     clear();
     uint64_t n = r.u64();
+    uint32_t prev = 0;
     for (uint64_t i = 0; i < n; ++i) {
         uint32_t pn = r.u32();
+        // saveState writes strictly ascending page numbers.
+        if (i > 0 && pn <= prev)
+            r.fail(strprintf("memory page %08x stored after page %08x",
+                             pn, prev));
+        prev = pn;
         auto page = std::make_unique<uint8_t[]>(pageBytes);
         r.bytes(page.get(), pageBytes);
         pages.emplace(pn, std::move(page));

@@ -359,9 +359,8 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
         job.key.workloadFp =
             workloadFingerprint(job.treq.workload, job.treq.build);
         job.key.configFp = configFingerprint(job.treq.pipe);
-        const SamplingConfig &s = job.treq.sampling;
-        if (s.enabled() && (s.detail < 1 || s.warmup + s.detail > s.period)) {
-            replyError("incoherent sampling parameters");
+        if (std::string bad = job.treq.sampling.check(); !bad.empty()) {
+            replyError("incoherent sampling parameters: " + bad);
             return true;
         }
         if (std::string bad = job.treq.pipe.check(); !bad.empty()) {

@@ -59,7 +59,8 @@ buildLvptLibrary(const std::string &path, const LvptBuildRequest &req)
     FACSIM_ASSERT(req.sampling.enabled(),
                   "live-point library needs a sampling period "
                   "(--sample-period)");
-    req.sampling.validate();
+    const std::string bad = req.sampling.check();
+    FACSIM_ASSERT(bad.empty(), "%s", bad.c_str());
 
     Machine m(workload(req.workload), req.build);
     Pipeline pipe(req.pipe, m.emulator());

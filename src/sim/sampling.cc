@@ -8,19 +8,20 @@
 namespace facsim
 {
 
-void
-SamplingConfig::validate() const
+std::string
+SamplingConfig::check() const
 {
     if (!enabled())
-        return;
-    FACSIM_ASSERT(detail >= 1,
-                  "sampling: detail window must be at least 1 instruction");
-    FACSIM_ASSERT(warmup + detail <= period,
-                  "sampling: warmup (%llu) + detail (%llu) must fit in the "
-                  "period (%llu)",
-                  static_cast<unsigned long long>(warmup),
-                  static_cast<unsigned long long>(detail),
-                  static_cast<unsigned long long>(period));
+        return "";
+    if (detail < 1)
+        return "sampling: detail window must be at least 1 instruction";
+    if (warmup > period || detail > period - warmup)
+        return strprintf("sampling: warmup (%llu) + detail (%llu) must fit "
+                         "in the period (%llu)",
+                         static_cast<unsigned long long>(warmup),
+                         static_cast<unsigned long long>(detail),
+                         static_cast<unsigned long long>(period));
+    return "";
 }
 
 namespace
@@ -118,8 +119,9 @@ ratioEstimate(const std::vector<double> &num, const std::vector<double> &den)
 SampleEstimate
 runSampled(Pipeline &pipe, const SamplingConfig &cfg, uint64_t max_insts)
 {
-    cfg.validate();
     FACSIM_ASSERT(cfg.enabled(), "runSampled called with sampling disabled");
+    const std::string bad = cfg.check();
+    FACSIM_ASSERT(bad.empty(), "%s", bad.c_str());
     FACSIM_ASSERT(pipe.currentCycle() == 0 && pipe.stats().insts == 0,
                   "runSampled requires a freshly constructed pipeline");
 

@@ -21,6 +21,7 @@
 #define FACSIM_SIM_SAMPLING_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cpu/pipeline.hh"
@@ -50,10 +51,11 @@ struct SamplingConfig
     }
 
     /**
-     * Die with a usage message unless the parameters are coherent:
-     * detail >= 1 and warmup + detail <= period.
+     * Why the parameters are incoherent, or "" when sampling is off or
+     * they are coherent: detail >= 1 and warmup + detail <= period
+     * (tested without overflow).
      */
-    void validate() const;
+    std::string check() const;
 };
 
 /** A sample-mean estimate with its 95% confidence interval. */

@@ -1,16 +1,22 @@
 /**
  * @file
- * Equivalence tests for the translated-block execution engine. The
- * computed-goto block loop, the scalar step() path and the batched
- * functional-warming flush must all retire the identical architectural
- * stream; these tests run them in lockstep over every workload and
- * compare registers, memory images and warm traffic.
+ * Equivalence tests for the emulator's two dispatchers of the same
+ * handler records: step() runs one record at a time under a switch;
+ * run()/runWarm() run chained blocks by computed goto, finish a budget
+ * mid-block one record at a time, and batch their warming traffic.
+ * All must retire the identical architectural stream; these tests run
+ * them in lockstep over every workload and compare registers, memory
+ * images and warm traffic, and pin step()'s record stream to a golden.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -65,10 +71,10 @@ memoryImage(Machine &m)
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep against the reference: the switch-dispatched scalar step()
-// path and the threaded block engine must agree on every architectural
-// bit at every chunk boundary. The chunk size is prime so the bound
-// lands mid-block and exercises the scalar tail.
+// Lockstep: single-op dispatch (step()) and block dispatch with
+// superblock chaining (run()) must agree on every architectural bit at
+// every chunk boundary. The chunk size is prime so the bound lands
+// mid-block and exercises the budget tail.
 
 class EngineLockstepTest : public ::testing::TestWithParam<const char *>
 {
@@ -108,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// run() bound behaviour and interaction with the scalar step() path.
+// run() bound behaviour and interaction with step().
 
 TEST(EmulatorEngine, RunBoundIsExactMidBlock)
 {
@@ -158,6 +164,53 @@ TEST(EmulatorEngine, UnboundedRunHalts)
     EXPECT_EQ(na, nb);
     expectSameArch(a.emulator(), b.emulator(), "run to halt");
     EXPECT_EQ(memoryImage(a), memoryImage(b));
+}
+
+// ---------------------------------------------------------------------------
+// The record stream itself: the operand values that drive FAC. For
+// every workload, the first 50k step() records, serialized field by
+// field and folded through FNV-1a, must match the digest recorded in
+// tests/golden/exec_records_50k.txt.
+
+uint64_t
+recordDigest(const char *wl, uint64_t n)
+{
+    Machine m(workload(wl), tiny());
+    uint64_t h = ser::fnv1a(nullptr, 0);
+    ExecRecord rec;
+    for (uint64_t i = 0; i < n && m.emulator().step(&rec); ++i) {
+        ser::Writer w;
+        ser::put(w, rec);
+        h = ser::fnv1a(w.data().data(), w.data().size(), h);
+    }
+    return h;
+}
+
+TEST(EmulatorEngine, StepRecordsMatchGolden)
+{
+    std::map<std::string, std::string> golden;
+    std::ifstream in(std::string(FACSIM_GOLDEN_DIR) +
+                     "/exec_records_50k.txt");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string wl, digest;
+        ls >> wl >> digest;
+        golden[wl] = digest;
+    }
+    ASSERT_FALSE(golden.empty()) << "golden file missing or empty";
+    for (const WorkloadInfo &w : allWorkloads()) {
+        char got[17];
+        std::snprintf(got, sizeof(got), "%016llx",
+                      static_cast<unsigned long long>(
+                          recordDigest(w.name, 50'000)));
+        auto it = golden.find(w.name);
+        EXPECT_TRUE(it != golden.end() && it->second == got)
+            << "record stream drifted (or no golden); if intended, the "
+            << "golden line is: " << w.name << " " << got;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -265,8 +318,8 @@ TEST(EmulatorEngine, DefaultEngineIsThreaded)
 
 // ---------------------------------------------------------------------------
 // Batched functional warming: runWarm() buffers a block's traffic and
-// flushes it per stream; each stream must carry exactly the events the
-// per-instruction scalar path would have reported, in the same order.
+// flushes it per stream; each stream must carry exactly the events a
+// per-instruction replay reports, in the same order.
 
 struct Event
 {
@@ -298,9 +351,11 @@ struct RecordingSink : Emulator::WarmSink
 };
 
 // Per-instruction reference: replay the documented warm semantics off
-// ExecRecords from the scalar step() path.
+// step()'s ExecRecords. Each runWarm() call starts its fetch stream
+// afresh; @p chunk is the per-call budget being modelled.
 RecordingSink
-scalarWarmReference(const char *wl, uint64_t max_insts, unsigned shift)
+scalarWarmReference(const char *wl, uint64_t max_insts, unsigned shift,
+                    uint64_t chunk)
 {
     Machine m(workload(wl), tiny());
     Emulator &emu = m.emulator();
@@ -308,6 +363,8 @@ scalarWarmReference(const char *wl, uint64_t max_insts, unsigned shift)
     uint32_t prev_iblock = 0xffffffffu;
     ExecRecord rec;
     while (s.done < max_insts && !emu.halted()) {
+        if (s.done % chunk == 0)
+            prev_iblock = 0xffffffffu;
         uint32_t pc = emu.pc();
         if ((pc >> shift) != prev_iblock) {
             prev_iblock = pc >> shift;
@@ -326,17 +383,26 @@ scalarWarmReference(const char *wl, uint64_t max_insts, unsigned shift)
 
 TEST(EmulatorEngine, BatchedWarmMatchesScalarReference)
 {
+    // One runWarm() call, then many with a prime budget: most of those
+    // end mid-block, so the budget tail carries a share of the traffic.
     for (const char *wl : {"eqntott", "grep", "alvinn"}) {
         for (unsigned shift : {4u, 6u}) {
-            RecordingSink ref = scalarWarmReference(wl, 100'000, shift);
-            Machine m(workload(wl), tiny());
-            RecordingSink got;
-            got.done = m.emulator().runWarm(100'000, shift, got);
-            ASSERT_EQ(got.done, ref.done) << wl << " shift " << shift;
-            EXPECT_EQ(got.fetch, ref.fetch) << wl << " shift " << shift;
-            EXPECT_TRUE(got.data == ref.data) << wl << " shift " << shift;
-            EXPECT_TRUE(got.control == ref.control)
-                << wl << " shift " << shift;
+            for (uint64_t chunk : {100'000ull, 61ull}) {
+                const uint64_t total = 100'000 / chunk * chunk;
+                RecordingSink ref =
+                    scalarWarmReference(wl, total, shift, chunk);
+                Machine m(workload(wl), tiny());
+                RecordingSink got;
+                while (got.done < total && !m.emulator().halted())
+                    got.done += m.emulator().runWarm(chunk, shift, got);
+                SCOPED_TRACE(std::string(wl) + " shift " +
+                             std::to_string(shift) + " chunk " +
+                             std::to_string(chunk));
+                ASSERT_EQ(got.done, ref.done);
+                EXPECT_EQ(got.fetch, ref.fetch);
+                EXPECT_TRUE(got.data == ref.data);
+                EXPECT_TRUE(got.control == ref.control);
+            }
         }
     }
 }

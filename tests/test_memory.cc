@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "mem/memory.hh"
+#include "util/serialize.hh"
 
 namespace facsim
 {
@@ -80,6 +84,39 @@ TEST(Memory, ClearResets)
     m.write32(0x100, 7);
     m.clear();
     EXPECT_EQ(m.pagesTouched(), 0u);
+}
+
+/** A saved-memory stream holding one zero page per entry of @p pns. */
+std::string
+pageStream(std::initializer_list<uint32_t> pns)
+{
+    ser::Writer w;
+    w.u64(pns.size());
+    const std::string zeros(Memory::pageBytes, '\0');
+    for (uint32_t pn : pns) {
+        w.u32(pn);
+        w.bytes(zeros.data(), zeros.size());
+    }
+    return w.data();
+}
+
+void
+load(const std::string &stream)
+{
+    Memory m;
+    ser::Reader r(stream.data(), stream.size(), "checkpoint");
+    m.loadState(r);
+}
+
+TEST(MemoryDeathTest, LoadRejectsPagesNotAscending)
+{
+    // A repeated page would otherwise keep its first copy silently.
+    EXPECT_EXIT(load(pageStream({1, 4, 4})), testing::ExitedWithCode(1),
+                "checkpoint corrupt: memory page 00000004 stored after "
+                "page 00000004");
+    EXPECT_EXIT(load(pageStream({7, 3})), testing::ExitedWithCode(1),
+                "checkpoint corrupt: memory page 00000003 stored after "
+                "page 00000007");
 }
 
 } // anonymous namespace

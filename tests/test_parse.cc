@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "util/parse.hh"
@@ -111,6 +113,19 @@ expectCommandUsageFailure(const std::string &cmd)
     int status = runCommand(cmd, &out);
     EXPECT_NE(status, 0) << out;
     EXPECT_NE(out.find("usage"), std::string::npos) << out;
+}
+
+/** @p cmd must fail through fatal("usage: ..."): exit status 1. */
+std::string
+expectCommandUsageExit(const std::string &cmd)
+{
+    SCOPED_TRACE(cmd);
+    std::string out;
+    int status = runCommand(cmd, &out);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+        << "status " << status << ": " << out;
+    EXPECT_NE(out.find("usage"), std::string::npos) << out;
+    return out;
 }
 
 void
@@ -233,12 +248,23 @@ TEST(CliFlagAuditTest, FlagsWritingOneFieldConflict)
 
 TEST(CliFlagAuditTest, SamplingInvariantsEnforced)
 {
-    std::string out;
+    const std::string cli = std::string(FACSIM_CLI_BIN) + " time @compress ";
     // warmup + detail must fit in the period.
-    int status = runCli("time @compress --sample-period=1000 "
-                        "--sample-detail=600 --sample-warmup=600",
-                        &out);
-    EXPECT_NE(status, 0);
+    std::string out = expectCommandUsageExit(
+        cli + "--sample-period=1000 --sample-detail=600 --sample-warmup=600");
+    EXPECT_NE(out.find("fit in the period"), std::string::npos) << out;
+    out = expectCommandUsageExit(
+        cli + "--sample-period=100 --sample-detail=200");
+    EXPECT_NE(out.find("fit in the period"), std::string::npos) << out;
+}
+
+TEST(CliFlagAuditTest, SamplingWarmupCannotWrap)
+{
+    // 2^64 - 1 + 2 wraps to 1, which a sum check would let through.
+    std::string out = expectCommandUsageExit(
+        std::string(FACSIM_CLI_BIN) +
+        " time @grep --sample-warmup=18446744073709551615 "
+        "--sample-detail=2 --sample-period=1000");
     EXPECT_NE(out.find("fit in the period"), std::string::npos) << out;
 }
 
@@ -282,6 +308,8 @@ TEST_P(BenchFlagAuditTest, RejectsBadFlagsWithUsage)
         expectCommandUsageFailure(bin + " " + args);
     if (GetParam() == "ablation_sampling")
         expectCommandUsageFailure(bin + " --period=abc");
+    if (GetParam() == "ablation_farm")
+        expectCommandUsageExit(bin + " --period=100 --detail=200");
     expectHelp(bin + " --help");
 }
 

@@ -12,6 +12,8 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -60,17 +62,26 @@ TEST(SamplingConfigTest, ValidateRejectsIncoherentParameters)
     ok.period = 1000;
     ok.detail = 100;
     ok.warmup = 100;
-    ok.validate();  // does not die
+    EXPECT_EQ(ok.check(), "");
+    EXPECT_EQ((SamplingConfig{1000, 600, 400}.check()), "");  // exact fit
 
     SamplingConfig off;
     off.period = 0;
-    off.validate();  // disabled: anything goes
+    off.detail = 0;
+    EXPECT_EQ(off.check(), "");  // disabled: anything goes
 
     SamplingConfig zero_detail{1000, 0, 100};
-    EXPECT_DEATH(zero_detail.validate(), "at least 1");
+    EXPECT_NE(zero_detail.check().find("at least 1"), std::string::npos);
 
     SamplingConfig overfull{1000, 600, 600};
-    EXPECT_DEATH(overfull.validate(), "fit in the period");
+    EXPECT_NE(overfull.check().find("fit in the period"), std::string::npos);
+    SamplingConfig long_detail{100, 200, 0};
+    EXPECT_NE(long_detail.check().find("fit in the period"),
+              std::string::npos);
+
+    // warmup + detail wraps around 2^64 to 1; the check must not.
+    SamplingConfig wrap{1000, 2, UINT64_MAX};
+    EXPECT_NE(wrap.check().find("fit in the period"), std::string::npos);
 }
 
 TEST(EstimatorTest, MeanAndStudentTInterval)

@@ -11,6 +11,7 @@
  * --concurrency.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -743,6 +744,40 @@ TEST(ServeDaemon, InvalidPipelineConfigsGetErrorsNotAborts)
         << err;
     EXPECT_TRUE(res.stats == runTiming(smallTimingRequest()).stats);
     ASSERT_TRUE(client.ping(&err)) << err;
+    ASSERT_TRUE(client.shutdown(&err)) << err;
+    EXPECT_EQ(daemon.join(), 0);
+}
+
+TEST(ServeDaemon, WrappingSamplingGetsAnErrorAndTheConnectionServes)
+{
+    sv::ServerOptions opts;
+    opts.socketPath = tmpPath("badsample.sock");
+    DaemonFixture daemon(opts);
+
+    int fd = connectWithRetry(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    sv::ServeClient client(fd);
+    std::string err;
+    sv::ResponseEnvelope resp;
+
+    // warmup + detail wraps around 2^64 to 1, inside the period.
+    TimingRequest wrap = smallTimingRequest();
+    wrap.sampling.period = 1000;
+    wrap.sampling.detail = 2;
+    wrap.sampling.warmup = UINT64_MAX;
+    ASSERT_TRUE(client.exchange(sv::WireKind::Timing,
+                                encodeTimingBody(wrap), &resp, &err))
+        << err;
+    EXPECT_EQ(resp.status, sv::WireStatus::Error);
+    EXPECT_NE(resp.body.find("fit in the period"), std::string::npos)
+        << resp.body;
+
+    // The same connection keeps serving real work.
+    TimingResult res;
+    bool cached = true;
+    ASSERT_TRUE(client.timing(smallTimingRequest(), &res, &cached, &err))
+        << err;
+    EXPECT_TRUE(res.stats == runTiming(smallTimingRequest()).stats);
     ASSERT_TRUE(client.shutdown(&err)) << err;
     EXPECT_EQ(daemon.join(), 0);
 }

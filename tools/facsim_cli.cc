@@ -308,8 +308,8 @@ checkOptions(const CliOptions &o, const std::string &target)
               "be combined with --sample-period or --compare");
     if (ckpt && !isWorkload(target))
         fatal("usage: checkpoints require a built-in @workload target");
-    if (o.sampling.enabled())
-        o.sampling.validate();
+    if (std::string bad = o.sampling.check(); !bad.empty())
+        fatal("usage: %s", bad.c_str());
     if (o.fuzz.minItems > o.fuzz.maxItems)
         fatal("usage: --min-items (%u) exceeds --max-items (%u)",
               o.fuzz.minItems, o.fuzz.maxItems);
@@ -541,9 +541,9 @@ cmdRun(const std::string &target, const CliOptions &o)
 
     // --max-insts bounds *total* executed instructions so a save/restore
     // pair covers exactly the same stream as an uninterrupted run. The
-    // first --print-insts instructions go through the scalar step()
-    // path (they need per-instruction records to disassemble); the rest
-    // runs on the translated-block engine.
+    // first --print-insts instructions go one at a time through step()
+    // (they need per-instruction records to disassemble); the rest run
+    // as chained blocks.
     uint64_t n = 0;
     ExecRecord rec;
     while (n < o.printInsts &&
