@@ -63,12 +63,8 @@ class Btb
           &Btb::mispredicts_);
     }
 
-    /** @{ @name Statistics (direction+target correctness) */
+    /** Predictions made (the pipeline counts mispredicts itself). */
     uint64_t lookups() const { return lookups_; }
-    uint64_t mispredicts() const { return mispredicts_; }
-    /** Called by the pipeline when a prediction proves wrong. */
-    void noteMispredict() { ++mispredicts_; }
-    /** @} */
 
   private:
     struct Entry
@@ -91,6 +87,7 @@ class Btb
     unsigned size;
     std::vector<Entry> table;
     mutable uint64_t lookups_ = 0;
+    /** Always 0; kept because checkpoints carry it. */
     uint64_t mispredicts_ = 0;
 };
 

@@ -6,6 +6,15 @@
 namespace facsim
 {
 
+std::string
+FacConfig::check() const
+{
+    if (blockBits < 1 || blockBits >= setBits || setBits >= 32)
+        return strprintf("FAC fields must satisfy 1 <= B < S < 32 "
+                         "(B=%u S=%u)", blockBits, setBits);
+    return {};
+}
+
 FastAddrCalc::FastAddrCalc(const FacConfig &config)
     : cfg(config)
 {

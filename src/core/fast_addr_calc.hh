@@ -61,6 +61,12 @@ struct FacConfig
      */
     bool speculateRegReg = true;
 
+    /**
+     * Empty when the field widths describe a buildable circuit
+     * (1 <= B < S < 32), else what is wrong with them. Never aborts.
+     */
+    std::string check() const;
+
     /** Every field in wire order (request codec, configFingerprint). */
     template <class V>
     static void

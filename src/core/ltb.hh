@@ -62,13 +62,6 @@ class Ltb
      */
     void update(uint32_t pc, uint32_t eff_addr);
 
-    /**
-     * Functional-warming train (alias of update(), which keeps no
-     * counters; kept for interface symmetry with the other warmable
-     * structures).
-     */
-    void warm(uint32_t pc, uint32_t eff_addr) { update(pc, eff_addr); }
-
     /** The active policy. */
     LtbPolicy policy() const { return pol; }
 

@@ -32,38 +32,6 @@
 namespace facsim
 {
 
-/**
- * Everything the timing model needs to know about one executed
- * instruction: the decoded op, its effective address and the operand
- * values that feed the fast-address-calculation predictor, and the
- * resolved control-flow outcome.
- */
-struct ExecRecord
-{
-    uint32_t pc = 0;
-    Inst inst;
-
-    // Memory operations.
-    uint32_t effAddr = 0;     ///< architectural effective address
-    uint32_t baseVal = 0;     ///< base register value at execute
-    int32_t offsetVal = 0;    ///< constant or index-register value
-    bool offsetFromReg = false;
-
-    // Control flow.
-    bool taken = false;       ///< control transfer changed the PC
-    uint32_t nextPc = 0;      ///< PC of the following instruction
-
-    /** Every field in checkpoint order (fetched records). */
-    template <class V>
-    static void
-    fields(V &&v)
-    {
-        using R = ExecRecord;
-        v(&R::pc, &R::inst, &R::effAddr, &R::baseVal, &R::offsetVal,
-          &R::offsetFromReg, &R::taken, &R::nextPc);
-    }
-};
-
 /** Architectural-state executor. */
 class Emulator
 {
@@ -172,8 +140,6 @@ class Emulator
     void setIntReg(unsigned r, uint32_t v);
     /** FP register value. */
     double fpReg(unsigned r) const { return fregs[r]; }
-    /** Set an FP register. */
-    void setFpReg(unsigned r, double v) { fregs[r] = v; }
 
     /** FP condition-code flag (set by C.cond.D compares). */
     bool fpccFlag() const { return fpcc; }

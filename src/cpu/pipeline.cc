@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "isa/disasm.hh"
 #include "obs/debug.hh"
 #include "util/logging.hh"
 
@@ -43,13 +42,9 @@ PipelineConfig::check() const
 
     for (std::string err : {icache.check("I-cache"),
                             dcache.check("data cache"), hierarchy.check(),
-                            pred.check()})
+                            pred.check(), fac.check()})
         if (!err.empty())
             return err;
-    if (fac.blockBits < 1 || fac.blockBits >= fac.setBits ||
-        fac.setBits >= 32)
-        return strprintf("FAC fields must satisfy 1 <= B < S < 32 "
-                         "(B=%u S=%u)", fac.blockBits, fac.setBits);
 
     if (agiOrganization && (facEnabled || oneCycleLoads))
         return "the AGI organisation is an alternative to fast address "
@@ -122,41 +117,21 @@ Pipeline::panicHistoryThunk(void *self)
 }
 
 void
-Pipeline::recordInst(const FetchedInst &fi, bool spec, bool spec_failed,
-                     uint64_t done, uint8_t level)
+Pipeline::notifyIssue(IssueEvent ev)
 {
-    uint64_t seq = dynSeq_++;
-    const ExecRecord &rec = fi.rec;
-    bool is_mem = isMem(rec.inst.op);
-    if (ring_) {
-        obs::RingEntry e;
-        e.seq = seq;
-        e.issueCycle = cycle;
-        e.doneCycle = done;
-        e.pc = rec.pc;
-        e.inst = rec.inst;
-        e.effAddr = rec.effAddr;
-        e.isMem = is_mem;
-        e.specAccess = spec && is_mem;
-        e.specFailed = spec_failed;
-        e.memLevel = level;
-        ring_->push(e);
+    // Record before the hook fires so a divergence/panic raised from
+    // inside the hook sees this instruction in the history ring.
+    ev.seq = dynSeq_;
+    if (trace_ || ring_) {
+        ++dynSeq_;
+        if (ring_)
+            ring_->push(ev);
+        if (trace_ && ev.seq >= traceStart_ &&
+            ev.seq - traceStart_ < traceCount_)
+            trace_->instruction(ev);
     }
-    if (trace_ && seq >= traceStart_ && seq - traceStart_ < traceCount_) {
-        obs::InstTraceRecord r;
-        r.seq = seq;
-        r.pc = rec.pc;
-        r.text = disasm(rec.inst, rec.pc);
-        r.fetchCycle = fi.fetchCycle;
-        r.issueCycle = cycle;
-        r.doneCycle = done;
-        r.isLoad = isLoad(rec.inst.op);
-        r.isStore = isStore(rec.inst.op);
-        r.specAccess = spec && is_mem;
-        r.specFailed = spec_failed;
-        r.memLevel = level;
-        trace_->instruction(r);
-    }
+    if (issueHook)
+        issueHook(ev);
 }
 
 MemResult
@@ -360,49 +335,103 @@ Pipeline::fetchGroup()
 }
 
 bool
+Pipeline::maySpeculate(bool load) const
+{
+    if (!cfg.facEnabled && !cfg.pred.stride)
+        return false;
+    // Section 5.5 issue rule: memory ops issued the cycle after a
+    // misprediction access the cache in MEM — unless this is a load
+    // right after a misspeculated load. (The FAC R+R policy gate lives
+    // inside the predictor: an unattempted prediction costs nothing.)
+    if (cycle == lastMispredictCycle + 1 && !(load && lastMispredictWasLoad))
+        return false;
+    // A load's EX access needs a free read port; a store's goes to the
+    // store buffer, if stores speculate at all.
+    return load ? readPorts[cycle % portWindow] < cfg.maxLoadsPerCycle
+                : cfg.speculateStores;
+}
+
+// Inlined into tryIssue(): every load and store issues through it.
+[[gnu::always_inline]] inline PredResult
+Pipeline::speculate(const ExecRecord &rec, bool load)
+{
+    PredResult pr = predictor.predict(rec.pc, rec.baseVal, rec.offsetVal,
+                                      rec.offsetFromReg, rec.effAddr);
+    if (!pr.attempted)
+        return pr;
+    const bool stride = pr.source == PredSource::Stride;
+    ++(load ? st.loadsSpeculated : st.storesSpeculated);
+    if (stride)
+        ++st.strideSpeculated;
+    if (pr.success) {
+        FACSIM_ASSERT(pr.predictedAddr == rec.effAddr,
+                      "predictor success with wrong address");
+        return pr;
+    }
+    // The EX access used the wrong address: a load's read is wasted
+    // (bandwidth only — the fill is squashed) and replays in MEM next
+    // cycle; a store's tag probe is wasted and its buffer entry is
+    // patched by the MEM-stage re-execution.
+    FACSIM_DPRINTF(FacVerify, "cycle=%llu pc=%08x %s %s mispredict "
+                   "pred=%08x actual=%08x, %s",
+                   static_cast<unsigned long long>(cycle), rec.pc,
+                   load ? "load" : "store", stride ? "stride" : "FAC",
+                   pr.predictedAddr, rec.effAddr,
+                   load ? "MEM replay" : "buffer entry patched");
+    ++(load ? st.loadSpecFailures : st.storeSpecFailures);
+    if (stride)
+        ++st.strideSpecFailures;
+    recover(load);
+    return pr;
+}
+
+void
+Pipeline::recover(bool load)
+{
+    ++st.predRecoveryCycles;
+    ++st.extraAccesses;
+    ++st.dcacheAccesses;
+    lastMispredictCycle = cycle;
+    lastMispredictWasLoad = load;
+}
+
+bool
 Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
                    bool &store_forced_retire)
 {
     lastStall = StallReason::None;
-    if (fbuf.count == 0) {
+    if (fbuf.count == 0 || fbuf[0].readyCycle > cycle) {
         lastStall = StallReason::Fetch;
         return false;
     }
     FetchedInst &fi = fbuf[0];
-    if (fi.readyCycle > cycle) {
-        lastStall = StallReason::Fetch;
-        return false;
-    }
     const ExecRecord &rec = fi.rec;
     const Timing &t = fi.t;
 
-    if (t.kind == Kind::Halt) {
-        ++st.insts;
-        halted = true;
-        notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        fbuf.pop();
-        return false;
-    }
-    if (t.kind == Kind::Nop) {
-        ++st.insts;
-        notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        fbuf.pop();
-        return true;
-    }
-
-    if (readyAt(t) > cycle) {
-        lastStall = StallReason::Data;
-        return false;
+    // NOP and HALT need neither operands nor a unit.
+    uint64_t *unit = nullptr;
+    if (t.kind != Kind::Nop && t.kind != Kind::Halt) {
+        if (readyAt(t) > cycle) {
+            lastStall = StallReason::Data;
+            return false;
+        }
+        unit = freeUnit(t.fu);
+        if (!unit) {
+            lastStall = StallReason::Structural;
+            return false;
+        }
     }
 
-    uint64_t *const unit = freeUnit(t.fu);
-    if (!unit) {
-        lastStall = StallReason::Structural;
-        return false;
-    }
+    // What observers hear: the result-ready cycle, the level that
+    // serviced a load, and the speculation outcome.
+    uint64_t done = cycle + t.lat;
+    uint8_t level = memlevel::None;
+    PredResult pr;
+    bool wm_used = false;
+    bool wm_stale = false;
 
-    // ---------------- loads ------------------------------------------------
-    if (t.kind == Kind::Load) {
+    switch (t.kind) {
+      case Kind::Load: {
         if (loads_this_cycle >= cfg.maxLoadsPerCycle) {
             lastStall = StallReason::Structural;
             return false;
@@ -415,165 +444,73 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
             lastStall = StallReason::StoreBuffer;
             return false;
         }
-
-        bool allow_spec = cfg.facEnabled || cfg.pred.stride;
-        // Section 5.5 issue rule: memory ops issued the cycle after a
-        // misprediction access the cache in MEM — unless this is a load
-        // right after a misspeculated load. (The FAC R+R policy gate
-        // lives inside the predictor: an unattempted prediction costs
-        // nothing, exactly like allow_spec=false.)
-        if (cycle == lastMispredictCycle + 1 && !lastMispredictWasLoad)
-            allow_spec = false;
-
-        bool issued_spec = false;
-        bool spec_failed = false;
-        bool wm_used = false;
-        bool wm_stale = false;
-        uint64_t data_ready = 0;
-        uint8_t mem_level = memlevel::None;
-        PredResult pr;
-
-        if (allow_spec && readPortsAt(cycle) < cfg.maxLoadsPerCycle) {
-            pr = predictor.predict(rec.pc, rec.baseVal, rec.offsetVal,
-                                   rec.offsetFromReg, rec.effAddr);
-            if (pr.attempted) {
-                ++st.loadsSpeculated;
-                if (pr.source == PredSource::Stride)
-                    ++st.strideSpeculated;
-                ++readPortsAt(cycle);
-                if (pr.success) {
-                    FACSIM_ASSERT(pr.predictedAddr == rec.effAddr,
-                                  "predictor success with wrong address");
-                    // Way memoization: a confident FAC hit may reuse the
-                    // memoized way and skip the L1 tag read; the
-                    // mandatory late verify against the tag state turns
-                    // a stale memo into a MEM replay, never wrong data.
-                    bool skip_tag = false;
-                    if (cfg.pred.wayMemo &&
-                        pr.source == PredSource::Fac) {
-                        uint32_t block = rec.effAddr &
-                            ~(cfg.dcache.blockBytes - 1);
-                        int memo = predictor.memoWay(rec.pc, block);
-                        if (memo >= 0) {
-                            wm_used = true;
-                            if (memo == dmem.l1().wayOf(rec.effAddr)) {
-                                skip_tag = true;
-                                ++st.wayMemoTagReadsSaved;
-                            } else {
-                                wm_stale = true;
-                            }
-                        }
-                    }
-                    if (!wm_stale) {
-                        if (!skip_tag)
-                            ++tagReadsAt(cycle);
-                        MemResult mr = dcacheReadAt(cycle, rec.effAddr);
-                        data_ready = mr.doneCycle;
-                        mem_level = mr.level;
-                    } else {
-                        // The set/way data read returned the wrong line;
-                        // squash and re-execute in MEM with a full tag
-                        // read, like an address mispredict.
-                        FACSIM_DPRINTF(FacVerify, "cycle=%llu pc=%08x "
-                                       "load way-memo stale, MEM replay",
-                                       static_cast<unsigned long long>(
-                                           cycle), rec.pc);
-                        ++st.wayMemoStale;
-                        ++st.predRecoveryCycles;
-                        ++st.extraAccesses;
-                        ++st.dcacheAccesses;
-                        ++readPortsAt(cycle + 1);
-                        ++tagReadsAt(cycle + 1);
-                        MemResult mr =
-                            dcacheReadAt(cycle + 1, rec.effAddr);
-                        data_ready = mr.doneCycle;
-                        mem_level = mr.level;
-                        lastMispredictCycle = cycle;
-                        lastMispredictWasLoad = true;
-                    }
-                } else {
-                    // Wasted speculative access with the wrong address
-                    // (bandwidth only — the fill is squashed), then a
-                    // MEM-stage re-execution next cycle.
+        // One data access: in EX on a verified prediction, else in MEM
+        // (as the normal path or as the replay of a failed one).
+        const uint32_t block = rec.effAddr & ~(cfg.dcache.blockBytes - 1);
+        uint64_t at = cfg.oneCycleLoads ? cycle : cycle + 1;
+        bool tag_read = true;
+        if (maySpeculate(true))
+            pr = speculate(rec, true);
+        if (pr.attempted) {
+            ++readPortsAt(cycle);
+            at = cycle;
+            if (!pr.success) {
+                ++tagReadsAt(cycle);
+                at = cycle + 1;
+            } else if (cfg.pred.wayMemo && pr.source == PredSource::Fac) {
+                // Way memoization: a confident FAC hit may reuse the
+                // memoized way and skip the L1 tag read; the mandatory
+                // late verify against the tag state turns a stale memo
+                // into a MEM replay with a full tag read, never wrong
+                // data.
+                int memo = predictor.memoWay(rec.pc, block);
+                wm_used = memo >= 0;
+                wm_stale = wm_used && memo != dmem.l1().wayOf(rec.effAddr);
+                if (wm_stale) {
                     FACSIM_DPRINTF(FacVerify, "cycle=%llu pc=%08x load "
-                                   "%s mispredict pred=%08x actual=%08x, "
-                                   "MEM replay",
+                                   "way-memo stale, MEM replay",
                                    static_cast<unsigned long long>(cycle),
-                                   rec.pc,
-                                   pr.source == PredSource::Stride
-                                       ? "stride" : "FAC",
-                                   pr.predictedAddr, rec.effAddr);
-                    ++st.loadSpecFailures;
-                    if (pr.source == PredSource::Stride)
-                        ++st.strideSpecFailures;
-                    ++st.predRecoveryCycles;
-                    ++st.extraAccesses;
-                    ++st.dcacheAccesses;
-                    ++tagReadsAt(cycle);
-                    ++readPortsAt(cycle + 1);
-                    ++tagReadsAt(cycle + 1);
-                    MemResult mr = dcacheReadAt(cycle + 1, rec.effAddr);
-                    data_ready = mr.doneCycle;
-                    mem_level = mr.level;
-                    lastMispredictCycle = cycle;
-                    lastMispredictWasLoad = true;
-                    spec_failed = true;
+                                   rec.pc);
+                    ++st.wayMemoStale;
+                    recover(true);
+                    at = cycle + 1;
+                } else if (wm_used) {
+                    tag_read = false;
+                    ++st.wayMemoTagReadsSaved;
                 }
-                issued_spec = true;
             }
-        }
-
-        if (!issued_spec) {
-            uint64_t at = cfg.oneCycleLoads ? cycle : cycle + 1;
+            if (at != cycle)
+                ++readPortsAt(at);  // the MEM replay
+        } else {
             if (readPortsAt(at) >= cfg.maxLoadsPerCycle) {
                 // Structural stall on a data-cache port.
                 lastStall = StallReason::Structural;
                 return false;
             }
             ++readPortsAt(at);
-            ++tagReadsAt(at);
-            MemResult mr = dcacheReadAt(at, rec.effAddr);
-            data_ready = mr.doneCycle;
-            mem_level = mr.level;
         }
-
-        // Train the tables in program order (issue is in-order), once
-        // per load — including non-speculated ones, so the cosim shadow
-        // can reproduce the state from the retire stream alone.
-        predictor.train(rec.pc, rec.effAddr);
+        if (tag_read)
+            ++tagReadsAt(at);
+        MemResult mr = dcacheReadAt(at, rec.effAddr);
+        done = mr.doneCycle;
+        level = mr.level;
+        // Under the AGI organisation the consumer's ALU stage sits level
+        // with the cache-access stage, so loaded data forwards to an
+        // instruction issued one cycle earlier than in the LUI pipeline
+        // (that is the hazard AGI removes).
+        setReady(t.dst, done + (cfg.agiOrganization ? 0 : 1));
         if (cfg.pred.wayMemo) {
-            uint32_t block = rec.effAddr & ~(cfg.dcache.blockBytes - 1);
             int way = dmem.l1().wayOf(rec.effAddr);
             if (way >= 0)
                 predictor.trainWay(rec.pc, block,
                                    static_cast<uint32_t>(way));
         }
-
-        // Under the AGI organisation the consumer's ALU stage sits level
-        // with the cache-access stage, so loaded data forwards to an
-        // instruction issued one cycle earlier than in the LUI pipeline
-        // (that is the hazard AGI removes).
-        uint64_t use_delay = cfg.agiOrganization ? 0 : 1;
-        setReady(t.dst, data_ready + use_delay);
-        setReady(t.base, cycle + 1);
-
-        *unit = cycle + t.busy;
         ++st.loads;
-        ++st.insts;
         ++loads_this_cycle;
-        // The event flag must reflect *this* access's verification
-        // outcome. Deriving it from lastMispredict{Cycle,WasLoad} would
-        // alias: a second load issuing successfully in the same cycle as
-        // another load's misprediction would be reported as mispredicted
-        // too.
-        notifyIssue(fi, issued_spec, spec_failed, data_ready, mem_level,
-                    static_cast<uint8_t>(pr.source), wm_used, wm_stale);
-        fbuf.pop();
-        return true;
-    }
+        break;
+      }
 
-    // ---------------- stores ----------------------------------------------
-    if (t.kind == Kind::Store) {
+      case Kind::Store: {
         if (stores_this_cycle >= cfg.maxStoresPerCycle) {
             lastStall = StallReason::Structural;
             return false;
@@ -588,84 +525,26 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
             lastStall = StallReason::StoreBuffer;
             return false;
         }
-
         uint64_t seq = seqCounter++;
-        bool allow_spec =
-            (cfg.facEnabled || cfg.pred.stride) && cfg.speculateStores;
-        if (cycle == lastMispredictCycle + 1)
-            allow_spec = false;  // the load-after-load exception is loads-only
-
-        bool handled = false;
-        bool spec_failed = false;
-        PredResult pr;
-        if (allow_spec) {
-            pr = predictor.predict(rec.pc, rec.baseVal, rec.offsetVal,
-                                   rec.offsetFromReg, rec.effAddr);
-            if (pr.attempted) {
-                ++st.storesSpeculated;
-                if (pr.source == PredSource::Stride)
-                    ++st.strideSpeculated;
-                if (pr.success) {
-                    FACSIM_ASSERT(pr.predictedAddr == rec.effAddr,
-                                  "predictor success with wrong address");
-                    sbuf.push(rec.effAddr, seq, true);
-                } else {
-                    // Wasted tag probe; the buffered entry is patched by
-                    // the MEM-stage re-execution next cycle.
-                    FACSIM_DPRINTF(FacVerify, "cycle=%llu pc=%08x store "
-                                   "%s mispredict pred=%08x actual=%08x, "
-                                   "buffer entry patched",
-                                   static_cast<unsigned long long>(cycle),
-                                   rec.pc,
-                                   pr.source == PredSource::Stride
-                                       ? "stride" : "FAC",
-                                   pr.predictedAddr, rec.effAddr);
-                    ++st.storeSpecFailures;
-                    if (pr.source == PredSource::Stride)
-                        ++st.strideSpecFailures;
-                    ++st.predRecoveryCycles;
-                    ++st.extraAccesses;
-                    ++st.dcacheAccesses;
-                    sbuf.push(0, seq, false);
-                    patches.push_back({cycle + 1, seq, rec.effAddr});
-                    lastMispredictCycle = cycle;
-                    lastMispredictWasLoad = false;
-                    spec_failed = true;
-                }
-                handled = true;
-            }
-        }
-        if (!handled) {
-            // Non-speculative: the address is produced in EX and enters
-            // the buffer in MEM, one cycle later.
+        if (maySpeculate(false))
+            pr = speculate(rec, false);
+        if (pr.success) {
+            sbuf.push(rec.effAddr, seq, true);
+        } else {
+            // The address is produced in EX and enters the buffer in
+            // MEM, one cycle later — also the patch of a failed verify.
             sbuf.push(0, seq, false);
             patches.push_back({cycle + 1, seq, rec.effAddr});
         }
-
-        // Stores train the stride table too (the PCAX-style predictor
-        // keys on the static memory instruction, loads and stores
-        // alike); stores never touch the way memo — only loads read.
-        predictor.train(rec.pc, rec.effAddr);
-
-        setReady(t.base, cycle + 1);
-
-        *unit = cycle + t.busy;
+        // A store's data leaves the core when its buffer entry is
+        // complete (done = cycle + 1); the cache write and its service
+        // level happen at retirement, asynchronously.
         ++st.stores;
-        ++st.insts;
         ++stores_this_cycle;
-        // Per-access flag, same reasoning as the load path (here the
-        // aliased form happened to be correct only because at most one
-        // store issues per cycle). A store's data leaves the core when
-        // its buffer entry is complete (cycle+1); the cache write and
-        // its service level happen at retirement, asynchronously.
-        notifyIssue(fi, handled, spec_failed, cycle + 1, memlevel::None,
-                    static_cast<uint8_t>(pr.source));
-        fbuf.pop();
-        return true;
-    }
+        break;
+      }
 
-    // ---------------- control ----------------------------------------------
-    if (t.kind == Kind::Control) {
+      case Kind::Control:
         btb.update(rec.pc, rec.taken, rec.nextPc);
         if (fi.ctlMispredicted) {
             ++st.btbMispredicts;
@@ -677,22 +556,41 @@ Pipeline::tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
             uint64_t resume = cycle + penalty - 1;
             fetchReadyCycle = std::max(fetchReadyCycle, resume);
         }
-        setReady(t.dst, cycle + t.lat);
-        *unit = cycle + t.busy;
-        ++st.insts;
-        notifyIssue(fi, false, false, cycle + 1, memlevel::None);
-        fbuf.pop();
-        return true;
+        [[fallthrough]];
+      case Kind::Alu:
+        setReady(t.dst, done);
+        setReady(t.cc, done);
+        break;
+
+      case Kind::Halt:
+        halted = true;
+        break;
+
+      default:
+        break;
     }
 
-    // ---------------- ALU / FP ----------------------------------------------
-    setReady(t.dst, cycle + t.lat);
-    setReady(t.cc, cycle + t.lat);
-    *unit = cycle + t.busy;
+    if (t.kind == Kind::Load || t.kind == Kind::Store) {
+        // Train the tables in program order (issue is in-order), once
+        // per memory op — speculated or not, loads and stores alike
+        // (the PCAX-style stride source keys on the static memory
+        // instruction), so the cosim shadow can reproduce the state
+        // from the retire stream alone.
+        predictor.train(rec.pc, rec.effAddr);
+        setReady(t.base, cycle + 1);
+    }
+    if (unit)
+        *unit = cycle + t.busy;
     ++st.insts;
-    notifyIssue(fi, false, false, cycle + t.lat, memlevel::None);
+    // The event's flags are this access's own outcome, never derived
+    // from lastMispredict{Cycle,WasLoad}: that would alias a second
+    // load issuing in the same cycle as another's misprediction.
+    if (trace_ || ring_ || issueHook)
+        notifyIssue({cycle, rec, pr.attempted, pr.attempted && !pr.success,
+                     static_cast<uint8_t>(pr.source), wm_used, wm_stale,
+                     fi.fetchCycle, done, level});
     fbuf.pop();
-    return true;
+    return t.kind != Kind::Halt;
 }
 
 bool

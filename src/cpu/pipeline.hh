@@ -398,20 +398,8 @@ class Pipeline
     /** Restore structures saved by saveWarmState (fresh pipeline). */
     void loadWarmState(ser::Reader &r);
 
-    /** Per-issue observer event. */
-    struct IssueEvent
-    {
-        uint64_t cycle;          ///< issue (EX-entry) cycle
-        ExecRecord rec;          ///< the instruction issued
-        bool speculated = false; ///< speculative cache access (any source)
-        bool mispredicted = false; ///< address verify fired
-        /** PredSource of the speculation (None when !speculated). */
-        uint8_t predSource = 0;
-        /** A memoized way was consulted for this load's access. */
-        bool wayMemoUsed = false;
-        /** The memoized way was stale: late verify forced a replay. */
-        bool wayMemoStale = false;
-    };
+    /** Per-issue observer event: the record traces and the ring keep. */
+    using IssueEvent = obs::IssueEvent;
 
     /**
      * Install an observer invoked at every instruction issue — the hook
@@ -439,8 +427,8 @@ class Pipeline
     /**
      * Attach a per-instruction lifecycle trace sink (nullptr detaches;
      * not owned — must outlive the run). Only dynamic instructions in
-     * [@p start, @p start + @p count) are reported. The pipeline checks
-     * one pointer per issued instruction, so detached tracing is free.
+     * [@p start, @p start + @p count) are reported. With no observer
+     * attached the pipeline makes one test per issued instruction.
      * Trace/ring progress is not checkpointed: a restored run restarts
      * its dynamic-sequence numbering from the checkpoint's counter but
      * needs its sink re-attached.
@@ -469,9 +457,6 @@ class Pipeline
 
     /** The store buffer (observer access for diagnostics/co-sim). */
     const StoreBuffer &storeBuffer() const { return sbuf; }
-
-    /** The data-memory hierarchy (observer access for tests/stats). */
-    const MemHierarchy &dataMem() const { return dmem; }
 
     /** Per-level hierarchy counters (exported with timing results). */
     HierarchyStats hierarchyStats() const { return dmem.snapshot(); }
@@ -507,7 +492,7 @@ class Pipeline
         uint8_t cc;       ///< fpcc definition (FP compares)
         Kind kind;
         uint8_t fu;       ///< functional-unit class
-        uint8_t lat;      ///< result latency (ALU/FP ops)
+        uint8_t lat;      ///< result latency (1 except for ALU/FP ops)
         uint8_t busy;     ///< cycles the unit stays occupied
     };
 
@@ -597,6 +582,15 @@ class Pipeline
     bool tryIssue(unsigned &loads_this_cycle, unsigned &stores_this_cycle,
                   bool &store_forced_retire);
 
+    // The speculative access every memory op shares (Section 5.5).
+    // May a load (@p load) or store access the cache in EX this cycle?
+    bool maySpeculate(bool load) const;
+    // Predict and verify its address; a failed verify recovers.
+    PredResult speculate(const ExecRecord &rec, bool load);
+    // Charge the MEM-stage replay of a failed verify or a stale
+    // memoized way, and arm the post-mispredict issue rule.
+    void recover(bool load);
+
     StallReason lastStall = StallReason::None;
     // Issue-side helpers.
     Timing bind(const Inst &in) const;
@@ -653,26 +647,10 @@ class Pipeline
     unsigned &readPortsAt(uint64_t t) { return readPorts[t % portWindow]; }
     unsigned &tagReadsAt(uint64_t t) { return tagReads[t % portWindow]; }
 
-    // Observability slow path: history-ring push + windowed trace
-    // emission for one issued instruction (done = result-ready cycle,
-    // level = hierarchy level that serviced a memory access).
-    void recordInst(const FetchedInst &fi, bool spec, bool spec_failed,
-                    uint64_t done, uint8_t level);
+    // Observability slow path: number @p ev and hand it to the ring,
+    // the trace window and the hook. Called only when one is attached.
+    void notifyIssue(IssueEvent ev);
     static std::string panicHistoryThunk(void *self);
-
-    void
-    notifyIssue(const FetchedInst &fi, bool spec, bool mispred,
-                uint64_t done, uint8_t level, uint8_t pred_source = 0,
-                bool wm_used = false, bool wm_stale = false)
-    {
-        // Record before the hook fires so a divergence/panic raised from
-        // inside the hook sees this instruction in the history ring.
-        if (trace_ || ring_)
-            recordInst(fi, spec, mispred, done, level);
-        if (issueHook)
-            issueHook(IssueEvent{cycle, fi.rec, spec, mispred,
-                                 pred_source, wm_used, wm_stale});
-    }
 
     std::function<void(const IssueEvent &)> issueHook;
     std::function<void(uint64_t, uint32_t)> storeRetireHook;

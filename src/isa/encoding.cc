@@ -426,13 +426,4 @@ decode(uint32_t word, Inst &in)
     }
 }
 
-Inst
-decodeOrPanic(uint32_t word)
-{
-    Inst in;
-    if (!decode(word, in))
-        panic("invalid instruction word 0x%08x", word);
-    return in;
-}
-
 } // namespace facsim

@@ -43,9 +43,6 @@ uint32_t encode(const Inst &inst);
  */
 bool decode(uint32_t word, Inst &inst);
 
-/** Decode, panicking on an invalid word (use for trusted images). */
-Inst decodeOrPanic(uint32_t word);
-
 } // namespace facsim
 
 #endif // FACSIM_ISA_ENCODING_HH

@@ -147,6 +147,40 @@ struct Inst
 };
 
 /**
+ * Everything the timing model needs to know about one executed
+ * instruction: the decoded op, its effective address and the operand
+ * values that feed the fast-address-calculation predictor, and the
+ * resolved control-flow outcome.
+ */
+struct ExecRecord
+{
+    uint32_t pc = 0;
+    Inst inst;
+
+    // Memory operations.
+    uint32_t effAddr = 0;     ///< architectural effective address
+    uint32_t baseVal = 0;     ///< base register value at execute
+    int32_t offsetVal = 0;    ///< constant or index-register value
+    bool offsetFromReg = false;
+
+    // Control flow.
+    bool taken = false;       ///< control transfer changed the PC
+    uint32_t nextPc = 0;      ///< PC of the following instruction
+
+    bool operator==(const ExecRecord &) const = default;
+
+    /** Every field in checkpoint order (fetched records). */
+    template <class V>
+    static void
+    fields(V &&v)
+    {
+        using R = ExecRecord;
+        v(&R::pc, &R::inst, &R::effAddr, &R::baseVal, &R::offsetVal,
+          &R::offsetFromReg, &R::taken, &R::nextPc);
+    }
+};
+
+/**
  * Operation-class bit flags, one byte per opcode. The predicates below
  * sit on the per-instruction hot paths of both the emulator and the
  * timing pipeline (and the sampled-simulation fast-forward loop runs

@@ -1,7 +1,6 @@
 #include "obs/ring.hh"
 
 #include "isa/disasm.hh"
-#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace facsim::obs
@@ -13,7 +12,7 @@ RetireRing::RetireRing(size_t capacity)
     buf_.resize(capacity);
 }
 
-const RingEntry &
+const IssueEvent &
 RetireRing::fromNewest(size_t i) const
 {
     FACSIM_ASSERT(i < count_, "ring index %zu out of range (%zu entries)",
@@ -30,27 +29,20 @@ RetireRing::dump() const
         "pipeline history (last %zu of capacity %zu, oldest first):\n",
         count_, buf_.size());
     for (size_t i = count_; i-- > 0;) {
-        const RingEntry &e = fromNewest(i);
+        const IssueEvent &e = fromNewest(i);
         out += strprintf("  seq=%-8llu cy=%-8llu %08x: %-28s",
                          static_cast<unsigned long long>(e.seq),
-                         static_cast<unsigned long long>(e.issueCycle),
-                         e.pc, disasm(e.inst, e.pc).c_str());
-        if (e.isMem) {
-            out += strprintf(" ea=%08x %s", e.effAddr,
+                         static_cast<unsigned long long>(e.cycle),
+                         e.rec.pc, disasm(e.rec.inst, e.rec.pc).c_str());
+        if (isMem(e.rec.inst.op)) {
+            out += strprintf(" ea=%08x %s", e.rec.effAddr,
                              memLevelName(e.memLevel));
-            if (e.specAccess)
-                out += e.specFailed ? " fac=mispredict" : " fac=hit";
+            if (e.speculated)
+                out += e.mispredicted ? " fac=mispredict" : " fac=hit";
         }
         out += "\n";
     }
     return out;
-}
-
-void
-RetireRing::clear()
-{
-    next_ = 0;
-    count_ = 0;
 }
 
 } // namespace facsim::obs

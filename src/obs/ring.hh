@@ -1,12 +1,12 @@
 /**
  * @file
  * Crash-dump history ring: the last N issued instructions, retained as
- * plain data (one struct copy per instruction, no formatting, no
- * allocation after construction) and disassembled only when a dump is
- * actually requested — by panic() via the thread-local panic-context
- * hook, or by the co-simulation's divergence reporter. Fuzz failures
- * and deadlock panics thereby arrive with their pipeline history
- * attached.
+ * the pipeline's IssueEvents (one struct copy per instruction, no
+ * formatting, no allocation after construction) and disassembled only
+ * when a dump is actually requested — by panic() via the thread-local
+ * panic-context hook, or by the co-simulation's divergence reporter.
+ * Fuzz failures and deadlock panics thereby arrive with their pipeline
+ * history attached.
  */
 
 #ifndef FACSIM_OBS_RING_HH
@@ -16,25 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "isa/inst.hh"
+#include "obs/trace.hh"
 
 namespace facsim::obs
 {
-
-/** One retained instruction (POD; formatted only at dump time). */
-struct RingEntry
-{
-    uint64_t seq = 0;        ///< dynamic instruction index
-    uint64_t issueCycle = 0;
-    uint64_t doneCycle = 0;
-    uint32_t pc = 0;
-    Inst inst;
-    uint32_t effAddr = 0;    ///< memory ops only
-    bool isMem = false;
-    bool specAccess = false;
-    bool specFailed = false;
-    uint8_t memLevel = 0;    ///< 0 none, 1 L1, 2 L2, 3 memory
-};
 
 /** Fixed-capacity overwrite-oldest history of issued instructions. */
 class RetireRing
@@ -43,7 +28,7 @@ class RetireRing
     explicit RetireRing(size_t capacity);
 
     void
-    push(const RingEntry &e)
+    push(const IssueEvent &e)
     {
         buf_[next_] = e;
         next_ = (next_ + 1) % buf_.size();
@@ -56,7 +41,7 @@ class RetireRing
     bool empty() const { return count_ == 0; }
 
     /** Entry @p i back from the newest (0 = most recent). */
-    const RingEntry &fromNewest(size_t i) const;
+    const IssueEvent &fromNewest(size_t i) const;
 
     /**
      * Multi-line disassembled dump, oldest first — the text appended to
@@ -64,10 +49,8 @@ class RetireRing
      */
     std::string dump() const;
 
-    void clear();
-
   private:
-    std::vector<RingEntry> buf_;
+    std::vector<IssueEvent> buf_;
     size_t next_ = 0;   ///< slot the next push writes
     size_t count_ = 0;  ///< valid entries
 };

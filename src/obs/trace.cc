@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "isa/disasm.hh"
 #include "util/logging.hh"
 
 namespace facsim::obs
@@ -24,11 +25,11 @@ namespace
 
 /** FAC outcome rendered for hover text / event args. */
 const char *
-facOutcome(const InstTraceRecord &rec)
+facOutcome(const IssueEvent &ev)
 {
-    if (!rec.specAccess)
+    if (!ev.speculated)
         return "none";
-    return rec.specFailed ? "mispredict" : "hit";
+    return ev.mispredicted ? "mispredict" : "hit";
 }
 
 /**
@@ -45,14 +46,14 @@ struct Stages
 };
 
 Stages
-stagesOf(const InstTraceRecord &rec)
+stagesOf(const IssueEvent &ev)
 {
     Stages s{};
-    s.fetch = rec.fetchCycle;
-    s.issue = std::max(rec.issueCycle, rec.fetchCycle + 1);
-    bool mem = rec.isLoad || rec.isStore;
-    s.xEnd = mem ? s.issue + 1 : std::max(rec.doneCycle, s.issue + 1);
-    s.memEnd = std::max(rec.doneCycle, s.xEnd);
+    s.fetch = ev.fetchCycle;
+    s.issue = std::max(ev.cycle, ev.fetchCycle + 1);
+    bool mem = isMem(ev.rec.inst.op);
+    s.xEnd = mem ? s.issue + 1 : std::max(ev.doneCycle, s.issue + 1);
+    s.memEnd = std::max(ev.doneCycle, s.xEnd);
     s.hasMem = mem && s.memEnd > s.xEnd;
     return s;
 }
@@ -68,21 +69,23 @@ KonataTraceSink::KonataTraceSink(std::ostream &out) : out_(out)
 }
 
 void
-KonataTraceSink::instruction(const InstTraceRecord &rec)
+KonataTraceSink::instruction(const IssueEvent &ev)
 {
-    Stages s = stagesOf(rec);
+    Stages s = stagesOf(ev);
     uint64_t id = nextId_++;
 
     // One self-contained block per instruction, jumping the clock with
     // C= at each stage boundary (Konata accepts absolute cycle sets).
     out_ << "C=\t" << s.fetch << "\n";
-    out_ << "I\t" << id << "\t" << rec.seq << "\t0\n";
+    out_ << "I\t" << id << "\t" << ev.seq << "\t0\n";
     out_ << "L\t" << id << "\t0\t"
-         << strprintf("%08x: %s", rec.pc, rec.text.c_str()) << "\n";
+         << strprintf("%08x: %s", ev.rec.pc,
+                      disasm(ev.rec.inst, ev.rec.pc).c_str())
+         << "\n";
     out_ << "L\t" << id << "\t1\t"
          << strprintf("seq=%llu fac=%s level=%s",
-                      static_cast<unsigned long long>(rec.seq),
-                      facOutcome(rec), memLevelName(rec.memLevel))
+                      static_cast<unsigned long long>(ev.seq),
+                      facOutcome(ev), memLevelName(ev.memLevel))
          << "\n";
     out_ << "S\t" << id << "\t0\tF\n";
     out_ << "C=\t" << s.issue << "\n";
@@ -117,16 +120,31 @@ ChromeTraceSink::ChromeTraceSink(std::ostream &out) : out_(out)
 
 void
 ChromeTraceSink::event(const char *stage, uint64_t ts, uint64_t dur,
-                       const InstTraceRecord &rec)
+                       const IssueEvent &ev, const std::string &text)
 {
     if (!first_)
         out_ << ",";
     first_ = false;
-    // JSON-escape the disassembly conservatively: the text is generated
-    // by disasm() and contains no quotes/backslashes, but a stray
-    // control byte must not produce invalid JSON.
+    out_ << strprintf(
+        "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
+        "\"pid\":0,\"tid\":%llu,\"args\":{\"seq\":%llu,"
+        "\"pc\":\"0x%08x\",\"inst\":\"%s\",\"fac\":\"%s\","
+        "\"level\":\"%s\"}}",
+        stage, static_cast<unsigned long long>(ts),
+        static_cast<unsigned long long>(dur),
+        static_cast<unsigned long long>(ev.seq % 16),
+        static_cast<unsigned long long>(ev.seq), ev.rec.pc, text.c_str(),
+        facOutcome(ev), memLevelName(ev.memLevel));
+}
+
+void
+ChromeTraceSink::instruction(const IssueEvent &ev)
+{
+    // JSON-escape the disassembly conservatively: disasm() emits no
+    // quotes/backslashes, but a stray control byte must not produce
+    // invalid JSON.
     std::string text;
-    for (char c : rec.text) {
+    for (char c : disasm(ev.rec.inst, ev.rec.pc)) {
         if (c == '"' || c == '\\') {
             text += '\\';
             text += c;
@@ -135,26 +153,11 @@ ChromeTraceSink::event(const char *stage, uint64_t ts, uint64_t dur,
         else
             text += c;
     }
-    out_ << strprintf(
-        "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
-        "\"pid\":0,\"tid\":%llu,\"args\":{\"seq\":%llu,"
-        "\"pc\":\"0x%08x\",\"inst\":\"%s\",\"fac\":\"%s\","
-        "\"level\":\"%s\"}}",
-        stage, static_cast<unsigned long long>(ts),
-        static_cast<unsigned long long>(dur),
-        static_cast<unsigned long long>(rec.seq % 16),
-        static_cast<unsigned long long>(rec.seq), rec.pc, text.c_str(),
-        facOutcome(rec), memLevelName(rec.memLevel));
-}
-
-void
-ChromeTraceSink::instruction(const InstTraceRecord &rec)
-{
-    Stages s = stagesOf(rec);
-    event("F", s.fetch, s.issue - s.fetch, rec);
-    event("X", s.issue, s.xEnd - s.issue, rec);
+    Stages s = stagesOf(ev);
+    event("F", s.fetch, s.issue - s.fetch, ev, text);
+    event("X", s.issue, s.xEnd - s.issue, ev, text);
     if (s.hasMem)
-        event("M", s.xEnd, s.memEnd - s.xEnd, rec);
+        event("M", s.xEnd, s.memEnd - s.xEnd, ev, text);
 }
 
 void

@@ -2,9 +2,10 @@
  * @file
  * Per-instruction pipeline event tracing.
  *
- * The pipeline reports one `InstTraceRecord` per issued instruction —
+ * The pipeline reports one `IssueEvent` per issued instruction —
  * fetch/issue/completion cycles, the FAC predict+verify outcome and the
- * hierarchy level that serviced a memory access — to a `TraceSink`.
+ * hierarchy level that serviced a memory access — to a `TraceSink`,
+ * which disassembles it.
  * Two backends render the stream for existing viewers:
  *
  *  - `KonataTraceSink` writes the Kanata log format understood by the
@@ -16,8 +17,9 @@
  *    event per pipeline stage, cycles mapped to microseconds, and
  *    instructions spread over 16 rows so overlap is visible.
  *
- * Tracing is zero-cost when disabled: the pipeline checks one pointer
- * per issued instruction and never constructs a record.
+ * Tracing is zero-cost when disabled: with no observer attached the
+ * pipeline makes one test per issued instruction and never builds an
+ * event.
  */
 
 #ifndef FACSIM_OBS_TRACE_HH
@@ -33,26 +35,40 @@
 #include <string>
 #include <thread>
 
+#include "isa/inst.hh"
+
 namespace facsim::obs
 {
 
-/** Lifecycle of one issued instruction, as the pipeline saw it. */
-struct InstTraceRecord
+/**
+ * One issued instruction, as the pipeline saw it: the one record the
+ * issue hook, the trace sinks and the history ring all receive.
+ */
+struct IssueEvent
 {
-    uint64_t seq = 0;         ///< dynamic instruction index (issue order)
-    uint32_t pc = 0;
-    std::string text;         ///< disassembly
-    uint64_t fetchCycle = 0;  ///< cycle the instruction entered the fbuf
-    uint64_t issueCycle = 0;  ///< EX-entry cycle
-    uint64_t doneCycle = 0;   ///< result-available cycle
-    bool isLoad = false;
-    bool isStore = false;
-    bool specAccess = false;  ///< FAC speculative access performed in EX
-    bool specFailed = false;  ///< FAC verify failed => MEM-stage replay
-    uint8_t memLevel = 0;     ///< 0 none, 1 L1, 2 L2, 3 memory/DRAM
+    uint64_t cycle = 0;        ///< issue (EX-entry) cycle
+    ExecRecord rec;            ///< the instruction issued
+    bool speculated = false;   ///< speculative cache access (any source)
+    bool mispredicted = false; ///< address verify fired
+    /** PredSource of the speculation (None when !speculated). */
+    uint8_t predSource = 0;
+    /** A memoized way was consulted for this load's access. */
+    bool wayMemoUsed = false;
+    /** The memoized way was stale: late verify forced a replay. */
+    bool wayMemoStale = false;
+    uint64_t fetchCycle = 0;   ///< cycle the instruction was fetched
+    uint64_t doneCycle = 0;    ///< result-available cycle
+    uint8_t memLevel = 0;      ///< 0 none, 1 L1, 2 L2, 3 memory/DRAM
+    /**
+     * Dynamic index in issue order. Numbered only while a trace sink
+     * or history ring is attached; otherwise the count reached so far.
+     */
+    uint64_t seq = 0;
+
+    bool operator==(const IssueEvent &) const = default;
 };
 
-/** Human-readable name of an InstTraceRecord::memLevel value. */
+/** Human-readable name of an IssueEvent::memLevel value. */
 const char *memLevelName(uint8_t level);
 
 /** Consumer of the pipeline's per-instruction lifecycle stream. */
@@ -62,7 +78,7 @@ class TraceSink
     virtual ~TraceSink() = default;
 
     /** One issued instruction (called in issue == retirement order). */
-    virtual void instruction(const InstTraceRecord &rec) = 0;
+    virtual void instruction(const IssueEvent &ev) = 0;
 
     /** Write any trailer and flush. Idempotent; called by the dtor. */
     virtual void finish() = 0;
@@ -74,7 +90,7 @@ class KonataTraceSink final : public TraceSink
   public:
     explicit KonataTraceSink(std::ostream &out);
 
-    void instruction(const InstTraceRecord &rec) override;
+    void instruction(const IssueEvent &ev) override;
     void finish() override;
 
   private:
@@ -90,12 +106,12 @@ class ChromeTraceSink final : public TraceSink
     explicit ChromeTraceSink(std::ostream &out);
     ~ChromeTraceSink() override { finish(); }
 
-    void instruction(const InstTraceRecord &rec) override;
+    void instruction(const IssueEvent &ev) override;
     void finish() override;
 
   private:
     void event(const char *stage, uint64_t ts, uint64_t dur,
-               const InstTraceRecord &rec);
+               const IssueEvent &ev, const std::string &text);
 
     std::ostream &out_;
     bool first_ = true;

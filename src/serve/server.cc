@@ -343,6 +343,10 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
         workload_name = job.preq.workload;
         job.key.workloadFp =
             workloadFingerprint(job.preq.workload, job.preq.build);
+        if (std::string bad = job.preq.check(); !bad.empty()) {
+            replyError("invalid profile request: " + bad);
+            return true;
+        }
     } else {
         {
             std::lock_guard<std::mutex> lk(statsMu_);

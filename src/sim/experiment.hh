@@ -25,6 +25,9 @@ namespace facsim
 /** One load-target-buffer configuration to evaluate during a profile. */
 struct LtbRequest
 {
+    /** Largest table ProfileRequest::check() accepts. */
+    static constexpr unsigned maxEntries = 1u << 20;
+
     unsigned entries = 1024;
     LtbPolicy policy = LtbPolicy::LastAddress;
 
@@ -50,6 +53,15 @@ struct ProfileRequest
     bool withTlb = false;
     /** Stop after this many instructions (0 = run to completion). */
     uint64_t maxInsts = 0;
+
+    /**
+     * Empty when every FAC and LTB configuration can be built (LTB
+     * sizes a power of two in [1, LtbRequest::maxEntries]), else the
+     * first problem found. Never aborts — the experiment daemon
+     * rejects requests with it; runProfile() panics on a non-empty
+     * answer.
+     */
+    std::string check() const;
 
     /** Wire order (request codec). */
     template <class V>
@@ -93,6 +105,9 @@ struct ProfileResult
           &R::tlbAccesses, &R::tlbMisses, &R::memUsageBytes);
     }
 };
+
+/** The counters @p prof gathered (memUsageBytes is the caller's). */
+ProfileResult profileResult(const Profiler &prof);
 
 /** Run a functional profile of one workload. */
 ProfileResult runProfile(const ProfileRequest &req);
@@ -175,12 +190,6 @@ struct TimingResult
     {
         return sample.enabled ? sample.estCycles()
                               : static_cast<double>(stats.cycles);
-    }
-    /** Whole-program IPC: measured, or the sampling estimate. */
-    double
-    estimatedIpc() const
-    {
-        return sample.enabled ? sample.ipc.mean : stats.ipc();
     }
 };
 

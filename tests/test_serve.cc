@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -778,6 +779,53 @@ TEST(ServeDaemon, WrappingSamplingGetsAnErrorAndTheConnectionServes)
     ASSERT_TRUE(client.timing(smallTimingRequest(), &res, &cached, &err))
         << err;
     EXPECT_TRUE(res.stats == runTiming(smallTimingRequest()).stats);
+    ASSERT_TRUE(client.shutdown(&err)) << err;
+    EXPECT_EQ(daemon.join(), 0);
+}
+
+TEST(ServeDaemon, InvalidProfileConfigsGetErrorsNotAborts)
+{
+    sv::ServerOptions opts;
+    opts.socketPath = tmpPath("badprofile.sock");
+    DaemonFixture daemon(opts);
+
+    int fd = connectWithRetry(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    sv::ServeClient client(fd);
+    std::string err;
+    sv::ResponseEnvelope resp;
+
+    // A FAC circuit with no block-offset field, and an LTB whose size
+    // is not a power of two: both would trip a constructor assertion
+    // inside the daemon.
+    ProfileRequest bad_fac = smallProfileRequest();
+    bad_fac.facConfigs = {{0, 14, true, true}};
+    ProfileRequest bad_ltb = smallProfileRequest();
+    bad_ltb.ltbConfigs = {{10, LtbPolicy::Stride}};
+    const std::pair<ProfileRequest, const char *> cases[] = {
+        {bad_fac, "1 <= B < S < 32"},
+        {bad_ltb, "power of two"},
+    };
+    for (const auto &[req, why] : cases) {
+        ASSERT_TRUE(client.exchange(sv::WireKind::Profile,
+                                    encodeProfileBody(req), &resp, &err))
+            << err;
+        EXPECT_EQ(resp.status, sv::WireStatus::Error);
+        EXPECT_NE(resp.body.find("invalid profile request: "),
+                  std::string::npos)
+            << resp.body;
+        EXPECT_NE(resp.body.find(why), std::string::npos) << resp.body;
+    }
+
+    // The same connection keeps serving real work.
+    ProfileResult res;
+    bool cached = true;
+    ASSERT_TRUE(client.profile(smallProfileRequest(), &res, &cached, &err))
+        << err;
+    ser::Writer got, want;
+    encodeProfileResult(got, res);
+    encodeProfileResult(want, runProfile(smallProfileRequest()));
+    EXPECT_EQ(got.data(), want.data());
     ASSERT_TRUE(client.shutdown(&err)) << err;
     EXPECT_EQ(daemon.join(), 0);
 }

@@ -878,17 +878,7 @@ cmdProfile(const std::string &target, const CliOptions &o)
             break;
     }
     printProfile(prof);
-    ProfileResult pr;
-    pr.insts = prof.insts();
-    pr.loads = prof.loads();
-    pr.stores = prof.stores();
-    pr.fracGlobal = prof.loadFrac(RefClass::Global);
-    pr.fracStack = prof.loadFrac(RefClass::Stack);
-    pr.fracGeneral = prof.loadFrac(RefClass::General);
-    for (size_t i = 0; i < prof.numFacConfigs(); ++i)
-        pr.fac.push_back(prof.fac(i));
-    pr.tlbAccesses = prof.tlbAccesses();
-    pr.tlbMisses = prof.tlbMisses();
+    const ProfileResult pr = profileResult(prof);
     writeStatsFile(o.statsOut, [&](obs::Group &root) {
         registerProfileStats(root.group("profile"), pr);
     });
