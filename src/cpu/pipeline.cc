@@ -41,7 +41,8 @@ PipelineConfig::check() const
                              b.lo, b.hi, b.value);
 
     for (std::string err : {icache.check("I-cache"),
-                            dcache.check("data cache"), hierarchy.check(),
+                            dcache.check("data cache"),
+                            hierarchy.check(dcache),
                             pred.check(), fac.check()})
         if (!err.empty())
             return err;

@@ -13,11 +13,36 @@ namespace facsim
 // HierarchyConfig
 
 std::string
-HierarchyConfig::check() const
+HierarchyConfig::check(const CacheConfig &l1) const
 {
-    if (depth == HierarchyDepth::L2)
+    const bool has_l2 = depth == HierarchyDepth::L2;
+    const struct
+    {
+        const char *name;
+        unsigned value;
+        bool used;
+    } queues[] = {
+        {"L1 MSHR entries", l1Mshr.entries, true},
+        {"L1 writeback slots", l1WbEntries, true},
+        {"L2 MSHR entries", l2Mshr.entries, has_l2},
+        {"L2 writeback slots", l2WbEntries, has_l2},
+    };
+    for (const auto &q : queues)
+        if (q.used && q.value > queueCap)
+            return strprintf("%s must be at most %u (got %u)", q.name,
+                             queueCap, q.value);
+    if (has_l2) {
         if (std::string err = l2.check("L2 cache"); !err.empty())
             return err;
+        if (l2.blockBytes < l1.blockBytes)
+            return strprintf("L2 block (%uB) must be at least the L1 block "
+                             "(%uB)",
+                             l2.blockBytes, l1.blockBytes);
+        if (l2.sizeBytes < l1.sizeBytes)
+            return strprintf("L2 (%uB) must be at least as large as L1 "
+                             "(%uB)",
+                             l2.sizeBytes, l1.sizeBytes);
+    }
     if (tlbEnabled) {
         if (tlbEntries == 0)
             return "TLB needs at least one entry";
@@ -29,9 +54,9 @@ HierarchyConfig::check() const
 }
 
 void
-HierarchyConfig::validate() const
+HierarchyConfig::validate(const CacheConfig &l1) const
 {
-    if (std::string err = check(); !err.empty())
+    if (std::string err = check(l1); !err.empty())
         panic("%s", err.c_str());
 }
 
@@ -196,7 +221,7 @@ MemHierarchy::MemHierarchy(const CacheConfig &l1,
     : cfg(config)
 {
     l1.validate("L1 data cache");
-    cfg.validate();
+    cfg.validate(l1);
 
     CacheLevel::Params p1{l1, 0, cfg.l1Mshr, cfg.l1WbEntries,
                           memlevel::L1};
@@ -204,13 +229,6 @@ MemHierarchy::MemHierarchy(const CacheConfig &l1,
         flat_ = std::make_unique<FixedLatencyMem>(l1.missLatency);
         l1_ = std::make_unique<CacheLevel>("L1D", p1, *flat_);
     } else {
-        FACSIM_ASSERT(cfg.l2.blockBytes >= l1.blockBytes,
-                      "L2 block (%uB) must be at least the L1 block "
-                      "(%uB)",
-                      cfg.l2.blockBytes, l1.blockBytes);
-        FACSIM_ASSERT(cfg.l2.sizeBytes >= l1.sizeBytes,
-                      "L2 (%uB) must be at least as large as L1 (%uB)",
-                      cfg.l2.sizeBytes, l1.sizeBytes);
         dram_ = std::make_unique<DramModel>(cfg.dram);
         CacheLevel::Params p2{cfg.l2, cfg.l2HitLatency, cfg.l2Mshr,
                               cfg.l2WbEntries, memlevel::L2};

@@ -89,11 +89,18 @@ struct HierarchyConfig
     /** Cycles added to an access that misses the TLB. */
     unsigned tlbMissPenalty = 0;
 
-    /** Empty when the parameters are coherent, else what is wrong. */
-    std::string check() const;
+    /** Most MSHR entries or writeback slots at any level. */
+    static constexpr unsigned queueCap = 256;
+
+    /**
+     * Empty when the parameters are coherent below the L1 @p l1 — an
+     * L2 at least as large as the L1 and with blocks at least as
+     * large, queues of at most queueCap entries — else what is wrong.
+     */
+    std::string check(const CacheConfig &l1) const;
 
     /** Die with check()'s message unless the parameters are coherent. */
-    void validate() const;
+    void validate(const CacheConfig &l1) const;
 
     /** Every field in wire order (request codec, configFingerprint). */
     template <class V>

@@ -1,12 +1,10 @@
 #include "obs/prof.hh"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
@@ -38,50 +36,19 @@ profCompiledIn()
 namespace
 {
 
-struct Accum
-{
-    uint64_t count = 0;
-    double sumUs = 0.0;
-    double sumSqUs = 0.0;
-    double minUs = std::numeric_limits<double>::infinity();
-    double maxUs = -std::numeric_limits<double>::infinity();
-
-    void
-    add(double us)
-    {
-        ++count;
-        sumUs += us;
-        sumSqUs += us * us;
-        minUs = std::min(minUs, us);
-        maxUs = std::max(maxUs, us);
-    }
-
-    void
-    merge(const Accum &o)
-    {
-        if (!o.count)
-            return;
-        count += o.count;
-        sumUs += o.sumUs;
-        sumSqUs += o.sumSqUs;
-        minUs = std::min(minUs, o.minUs);
-        maxUs = std::max(maxUs, o.maxUs);
-    }
-};
-
 /** One thread's accumulators; its own mutex keeps snapshots coherent
  *  against the (uncontended) owner without a global lock per scope. */
 struct Block
 {
     std::mutex mu;
-    Accum acc[numProfPhases];
+    DistData acc[numProfPhases];
 };
 
 /** Registration list + the tally of exited threads. Lock order:
  *  g_mu before any Block::mu. */
 std::mutex g_mu;
 std::vector<std::shared_ptr<Block>> g_blocks;
-Accum g_retired[numProfPhases];
+DistData g_retired[numProfPhases];
 
 /** Merges the thread's block into g_retired when the thread exits, so
  *  a long-lived daemon does not accumulate one Block per ephemeral
@@ -128,32 +95,23 @@ profScopeEnd(ProfPhase p, std::chrono::steady_clock::time_point t0,
     Block &b = myBlock();
     {
         std::lock_guard<std::mutex> lk(b.mu);
-        b.acc[static_cast<unsigned>(p)].add(us);
+        b.acc[static_cast<unsigned>(p)].sample(us);
     }
     if (SpanTracer *tr = spanTracer())
         tr->complete(profPhaseName(p), currentSpanReqId(), t0, t1);
 }
 
-ProfTally
+DistData
 profSnapshot(ProfPhase p)
 {
     unsigned i = static_cast<unsigned>(p);
-    Accum merged;
-    {
-        std::lock_guard<std::mutex> lk(g_mu);
-        merged = g_retired[i];
-        for (const auto &b : g_blocks) {
-            std::lock_guard<std::mutex> blk(b->mu);
-            merged.merge(b->acc[i]);
-        }
+    std::lock_guard<std::mutex> lk(g_mu);
+    DistData merged = g_retired[i];
+    for (const auto &b : g_blocks) {
+        std::lock_guard<std::mutex> blk(b->mu);
+        merged.merge(b->acc[i]);
     }
-    ProfTally t;
-    t.count = merged.count;
-    t.sumUs = merged.sumUs;
-    t.sumSqUs = merged.sumSqUs;
-    t.minUs = merged.count ? merged.minUs : 0.0;
-    t.maxUs = merged.count ? merged.maxUs : 0.0;
-    return t;
+    return merged;
 }
 
 void
@@ -161,11 +119,11 @@ profReset()
 {
     std::lock_guard<std::mutex> lk(g_mu);
     for (auto &a : g_retired)
-        a = Accum{};
+        a = DistData{};
     for (const auto &b : g_blocks) {
         std::lock_guard<std::mutex> blk(b->mu);
         for (auto &a : b->acc)
-            a = Accum{};
+            a = DistData{};
     }
 }
 
@@ -174,19 +132,10 @@ registerProfStats(Group &g)
 {
     for (unsigned i = 0; i < numProfPhases; ++i) {
         auto p = static_cast<ProfPhase>(i);
-        g.distributionView(
-            profPhaseName(p),
-            std::string("host us per ") + profPhaseName(p) + " scope",
-            [p] {
-                ProfTally t = profSnapshot(p);
-                DistData d;
-                d.count = t.count;
-                d.sum = t.sumUs;
-                d.sumSq = t.sumSqUs;
-                d.min = t.minUs;
-                d.max = t.maxUs;
-                return d;
-            });
+        g.distribution(profPhaseName(p),
+                       std::string("host us per ") + profPhaseName(p) +
+                           " scope",
+                       [p] { return profSnapshot(p); });
     }
 }
 

@@ -4,7 +4,7 @@
  * (`FACSIM_PROF_SCOPE(Phase)`) that aggregate wall time per coarse
  * host phase — block translation, functional warmup, detailed
  * windows, drain, cache (de)serialization, response encoding — into a
- * process-global store published as `prof.*` Distribution stats
+ * process-global store published as `prof.*` distribution stats
  * (registerProfStats).
  *
  * Cost model: every scope is two steady_clock reads plus an
@@ -29,6 +29,8 @@
 #include <chrono>
 #include <cstdint>
 
+#include "obs/stats.hh"
+
 /** Compile-time master switch for prof scopes (1 = compiled in). */
 #ifndef FACSIM_PROF_ON
 #define FACSIM_PROF_ON 1
@@ -36,8 +38,6 @@
 
 namespace facsim::obs
 {
-
-class Group;
 
 /** The attributed host phases (extend here; keep names in sync). */
 enum class ProfPhase : unsigned
@@ -61,24 +61,17 @@ const char *profPhaseName(ProfPhase p);
 /** Whether scopes were compiled in (false under -DFACSIM_PROF=OFF). */
 bool profCompiledIn();
 
-/** Merged per-phase tally across every thread that ever recorded. */
-struct ProfTally
-{
-    uint64_t count = 0;
-    double sumUs = 0.0;
-    double sumSqUs = 0.0;
-    double minUs = 0.0;  ///< 0 when count == 0
-    double maxUs = 0.0;
-};
-
-/** Snapshot one phase's merged tally (live threads + retired). */
-ProfTally profSnapshot(ProfPhase p);
+/**
+ * Snapshot one phase's tally in microseconds per scope, merged across
+ * every thread that ever recorded (live threads + retired).
+ */
+DistData profSnapshot(ProfPhase p);
 
 /** Zero every accumulator (test isolation). */
 void profReset();
 
 /**
- * Publish one `prof.<phase>` DistributionView per phase (sample unit:
+ * Publish one `prof.<phase>` distribution per phase (sample unit:
  * microseconds per scope) into @p g — conventionally the registry
  * root's "prof" group.
  */

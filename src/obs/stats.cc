@@ -1,26 +1,12 @@
 #include "obs/stats.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hh"
 #include "util/sealed.hh"
 
 namespace facsim::obs
 {
-
-// ---------------------------------------------------------------------------
-// Stat
-
-Stat::Stat(StatKind kind, std::string name, std::string desc)
-    : kind_(kind), name_(std::move(name)), desc_(std::move(desc))
-{
-    FACSIM_ASSERT(!name_.empty(), "stat registered with an empty name");
-    FACSIM_ASSERT(name_.find('.') == std::string::npos,
-                  "stat name '%s' must not contain '.' (use nested "
-                  "groups for hierarchy)",
-                  name_.c_str());
-}
 
 std::string
 jsonNumber(double v)
@@ -32,42 +18,24 @@ jsonNumber(double v)
     return strprintf("%.9g", v);
 }
 
-void
-Counter::jsonValue(std::string &out) const
+double
+DistData::stddev() const
 {
-    out += strprintf("%llu", static_cast<unsigned long long>(v_));
-}
-
-std::string
-Counter::textValue() const
-{
-    return strprintf("%llu", static_cast<unsigned long long>(v_));
-}
-
-void
-Scalar::jsonValue(std::string &out) const
-{
-    out += jsonNumber(v_);
-}
-
-std::string
-Scalar::textValue() const
-{
-    return strprintf("%.6f", v_);
+    if (count < 2)
+        return 0.0;
+    double m = sum / count;
+    double var = sumSq / count - m * m;
+    return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 // ---------------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(std::string name, std::string desc, double lo,
-                     double hi, unsigned nbuckets)
-    : Stat(StatKind::Histogram, std::move(name), std::move(desc)),
-      lo_(lo), hi_(hi)
+Histogram::Histogram(double lo, double hi, unsigned nbuckets)
+    : lo_(lo), hi_(hi)
 {
-    FACSIM_ASSERT(nbuckets > 0, "histogram '%s' needs at least 1 bucket",
-                  this->name().c_str());
-    FACSIM_ASSERT(hi > lo, "histogram '%s' range [%g, %g) is empty",
-                  this->name().c_str(), lo, hi);
+    FACSIM_ASSERT(nbuckets > 0, "histogram needs at least 1 bucket");
+    FACSIM_ASSERT(hi > lo, "histogram range [%g, %g) is empty", lo, hi);
     width_ = (hi_ - lo_) / nbuckets;
     buckets_.assign(nbuckets, 0);
 }
@@ -87,24 +55,6 @@ Histogram::sample(double v, uint64_t weight)
             i = buckets_.size() - 1;
         buckets_[i] += weight;
     }
-}
-
-void
-Histogram::jsonValue(std::string &out) const
-{
-    out += strprintf("{\"lo\":%s,\"hi\":%s,\"bucket_width\":%s,"
-                     "\"underflow\":%llu,\"overflow\":%llu,\"count\":%llu,"
-                     "\"sum\":%s,\"buckets\":[",
-                     jsonNumber(lo_).c_str(), jsonNumber(hi_).c_str(),
-                     jsonNumber(width_).c_str(),
-                     static_cast<unsigned long long>(underflow_),
-                     static_cast<unsigned long long>(overflow_),
-                     static_cast<unsigned long long>(count_),
-                     jsonNumber(sum_).c_str());
-    for (size_t i = 0; i < buckets_.size(); ++i)
-        out += strprintf("%s%llu", i ? "," : "",
-                         static_cast<unsigned long long>(buckets_[i]));
-    out += "]}";
 }
 
 double
@@ -133,94 +83,6 @@ Histogram::percentile(double p) const
     return hi_;
 }
 
-std::string
-Histogram::textValue() const
-{
-    return strprintf("count=%llu mean=%.4f (%zu buckets [%g, %g), "
-                     "under=%llu over=%llu)",
-                     static_cast<unsigned long long>(count_),
-                     count_ ? sum_ / count_ : 0.0, buckets_.size(), lo_,
-                     hi_, static_cast<unsigned long long>(underflow_),
-                     static_cast<unsigned long long>(overflow_));
-}
-
-// ---------------------------------------------------------------------------
-// Distribution
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    double mean = sum_ / count_;
-    double var = sumSq_ / count_ - mean * mean;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::jsonValue(std::string &out) const
-{
-    out += strprintf("{\"count\":%llu,\"mean\":%s,\"stddev\":%s,"
-                     "\"min\":%s,\"max\":%s}",
-                     static_cast<unsigned long long>(count_),
-                     jsonNumber(mean()).c_str(),
-                     jsonNumber(stddev()).c_str(),
-                     jsonNumber(min()).c_str(),
-                     jsonNumber(max()).c_str());
-}
-
-std::string
-Distribution::textValue() const
-{
-    return strprintf("count=%llu mean=%.4f stddev=%.4f min=%.4f max=%.4f",
-                     static_cast<unsigned long long>(count_), mean(),
-                     stddev(), min(), max());
-}
-
-double
-DistData::stddev() const
-{
-    if (count < 2)
-        return 0.0;
-    double m = sum / count;
-    double var = sumSq / count - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-DistributionView::jsonValue(std::string &out) const
-{
-    DistData d = fn_();
-    out += strprintf("{\"count\":%llu,\"mean\":%s,\"stddev\":%s,"
-                     "\"min\":%s,\"max\":%s}",
-                     static_cast<unsigned long long>(d.count),
-                     jsonNumber(d.mean()).c_str(),
-                     jsonNumber(d.stddev()).c_str(),
-                     jsonNumber(d.min).c_str(),
-                     jsonNumber(d.max).c_str());
-}
-
-std::string
-DistributionView::textValue() const
-{
-    DistData d = fn_();
-    return strprintf("count=%llu mean=%.4f stddev=%.4f min=%.4f max=%.4f",
-                     static_cast<unsigned long long>(d.count), d.mean(),
-                     d.stddev(), d.min, d.max);
-}
-
-void
-Formula::jsonValue(std::string &out) const
-{
-    out += jsonNumber(value());
-}
-
-std::string
-Formula::textValue() const
-{
-    return strprintf("%.6f", value());
-}
-
 // ---------------------------------------------------------------------------
 // Group
 
@@ -236,8 +98,8 @@ Group::checkNewName(const std::string &name) const
                       "registered here",
                       name.c_str());
     }
-    for (const auto &s : stats_) {
-        FACSIM_ASSERT(s->name() != name,
+    for (const Stat &s : stats_) {
+        FACSIM_ASSERT(s.name != name,
                       "duplicate stats path: stat '%s' already "
                       "registered here",
                       name.c_str());
@@ -256,66 +118,42 @@ Group::group(const std::string &name)
     return *children_.back();
 }
 
-template <typename T, typename... Args>
-T &
-Group::add(const std::string &name, Args &&...args)
+void
+Group::add(Stat s)
 {
-    checkNewName(name);
-    auto node = std::make_unique<T>(name, std::forward<Args>(args)...);
-    T &ref = *node;
-    stats_.push_back(std::move(node));
-    return ref;
+    checkNewName(s.name);
+    FACSIM_ASSERT((s.kind != StatKind::Counter || s.counter) &&
+                      (s.kind != StatKind::Histogram || s.hist),
+                  "stat '%s' bound to null", s.name.c_str());
+    stats_.push_back(std::move(s));
 }
 
-Counter &
-Group::counter(const std::string &name, const std::string &desc)
+void
+Group::counter(const std::string &name, const std::string &desc,
+               const uint64_t *v)
 {
-    return add<Counter>(name, desc);
+    add({name, desc, StatKind::Counter, v});
 }
 
-Scalar &
-Group::scalar(const std::string &name, const std::string &desc)
-{
-    return add<Scalar>(name, desc);
-}
-
-Histogram &
-Group::histogram(const std::string &name, const std::string &desc,
-                 double lo, double hi, unsigned nbuckets)
-{
-    return add<Histogram>(name, desc, lo, hi, nbuckets);
-}
-
-Distribution &
-Group::distribution(const std::string &name, const std::string &desc)
-{
-    return add<Distribution>(name, desc);
-}
-
-Formula &
+void
 Group::formula(const std::string &name, const std::string &desc,
                std::function<double()> fn)
 {
-    return add<Formula>(name, desc, std::move(fn));
+    add({name, desc, StatKind::Gauge, nullptr, std::move(fn)});
 }
 
-DistributionView &
-Group::distributionView(const std::string &name, const std::string &desc,
-                        std::function<DistData()> fn)
+void
+Group::distribution(const std::string &name, const std::string &desc,
+                    std::function<DistData()> fn)
 {
-    return add<DistributionView>(name, desc, std::move(fn));
+    add({name, desc, StatKind::Distribution, nullptr, {}, std::move(fn)});
 }
 
-Formula &
-Group::counterView(const std::string &name, const std::string &desc,
-                   const uint64_t *v)
+void
+Group::histogram(const std::string &name, const std::string &desc,
+                 const Histogram *h)
 {
-    FACSIM_ASSERT(v != nullptr, "counterView '%s' bound to null",
-                  name.c_str());
-    // A bound view dumps as an integer; implemented over Formula with an
-    // exact conversion (counters stay far below 2^53 in practice).
-    return add<Formula>(name, desc,
-                        [v] { return static_cast<double>(*v); });
+    add({name, desc, StatKind::Histogram, nullptr, {}, {}, h});
 }
 
 const Stat *
@@ -323,80 +161,111 @@ Group::find(const std::string &path) const
 {
     size_t dot = path.find('.');
     if (dot == std::string::npos) {
-        for (const auto &s : stats_) {
-            if (s->name() == path)
-                return s.get();
+        for (const Stat &s : stats_) {
+            if (s.name == path)
+                return &s;
         }
         return nullptr;
     }
-    const Group *g = findGroup(path.substr(0, dot));
-    return g ? g->find(path.substr(dot + 1)) : nullptr;
-}
-
-const Group *
-Group::findGroup(const std::string &name) const
-{
     for (const auto &g : children_) {
-        if (g->name_ == name)
-            return g.get();
+        if (g->name_ == path.substr(0, dot))
+            return g->find(path.substr(dot + 1));
     }
     return nullptr;
 }
 
 void
-Group::dumpText(std::ostream &out, const std::string &prefix) const
+Group::forEach(const std::string &prefix,
+               const std::function<void(const std::string &,
+                                        const Stat &)> &fn) const
 {
-    std::string base = prefix.empty()
-        ? name_
-        : (name_.empty() ? prefix : prefix + "." + name_);
-    for (const auto &s : stats_) {
-        std::string path = base.empty() ? s->name() : base + "." + s->name();
-        std::string line = strprintf("%-44s %20s", path.c_str(),
-                                     s->textValue().c_str());
-        if (!s->desc().empty())
-            line += strprintf("  # %s", s->desc().c_str());
-        out << line << "\n";
-    }
+    auto path = [&](const std::string &name) {
+        return prefix.empty() ? name : prefix + "." + name;
+    };
+    for (const Stat &s : stats_)
+        fn(path(s.name), s);
     for (const auto &g : children_)
-        g->dumpText(out, base);
-}
-
-void
-Group::dumpJson(std::string &out, const std::string &prefix) const
-{
-    std::string base = prefix.empty()
-        ? name_
-        : (name_.empty() ? prefix : prefix + "." + name_);
-    for (const auto &s : stats_) {
-        if (out.size() > 1 && out.back() != '{')
-            out += ',';
-        std::string path = base.empty() ? s->name() : base + "." + s->name();
-        out += '"';
-        out += path;  // names are dot-free identifiers, no escaping needed
-        out += "\":";
-        s->jsonValue(out);
-    }
-    for (const auto &g : children_)
-        g->dumpJson(out, base);
+        g->forEach(path(g->name_), fn);
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus exposition
-
-std::string
-promName(const std::string &path)
-{
-    std::string out = "facsim_";
-    for (char c : path) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '_';
-        out += ok ? c : '_';
-    }
-    return out;
-}
+// Rendering: one switch per format
 
 namespace
 {
+
+using ull = unsigned long long;
+
+std::string
+textValue(const Stat &s)
+{
+    switch (s.kind) {
+      case StatKind::Counter:
+        return strprintf("%llu", static_cast<ull>(*s.counter));
+      case StatKind::Gauge:
+        return strprintf("%.6f", s.gauge());
+      case StatKind::Distribution: {
+        DistData d = s.dist();
+        return strprintf("count=%llu mean=%.4f stddev=%.4f min=%.4f "
+                         "max=%.4f",
+                         static_cast<ull>(d.count), d.mean(), d.stddev(),
+                         d.min, d.max);
+      }
+      case StatKind::Histogram: {
+        const Histogram &h = *s.hist;
+        return strprintf("count=%llu mean=%.4f (%u buckets [%g, %g), "
+                         "under=%llu over=%llu)",
+                         static_cast<ull>(h.count()),
+                         h.count() ? h.sum() / h.count() : 0.0,
+                         h.numBuckets(), h.lo(), h.hi(),
+                         static_cast<ull>(h.underflow()),
+                         static_cast<ull>(h.overflow()));
+      }
+    }
+    return {};
+}
+
+void
+jsonValue(std::string &out, const Stat &s)
+{
+    switch (s.kind) {
+      case StatKind::Counter:
+        out += strprintf("%llu", static_cast<ull>(*s.counter));
+        return;
+      case StatKind::Gauge:
+        out += jsonNumber(s.gauge());
+        return;
+      case StatKind::Distribution: {
+        DistData d = s.dist();
+        out += strprintf("{\"count\":%llu,\"mean\":%s,\"stddev\":%s,"
+                         "\"min\":%s,\"max\":%s}",
+                         static_cast<ull>(d.count),
+                         jsonNumber(d.mean()).c_str(),
+                         jsonNumber(d.stddev()).c_str(),
+                         jsonNumber(d.min).c_str(),
+                         jsonNumber(d.max).c_str());
+        return;
+      }
+      case StatKind::Histogram: {
+        const Histogram &h = *s.hist;
+        out += strprintf("{\"lo\":%s,\"hi\":%s,\"bucket_width\":%s,"
+                         "\"underflow\":%llu,\"overflow\":%llu,"
+                         "\"count\":%llu,\"sum\":%s,\"buckets\":[",
+                         jsonNumber(h.lo()).c_str(),
+                         jsonNumber(h.hi()).c_str(),
+                         jsonNumber(h.bucketWidth()).c_str(),
+                         static_cast<ull>(h.underflow()),
+                         static_cast<ull>(h.overflow()),
+                         static_cast<ull>(h.count()),
+                         jsonNumber(h.sum()).c_str());
+        for (unsigned i = 0; i < h.numBuckets(); ++i)
+            out += strprintf("%s%llu", i ? "," : "",
+                             static_cast<ull>(h.bucket(i)));
+        out += "]}";
+        return;
+      }
+    }
+}
 
 /** HELP text with the two characters the exposition format escapes. */
 std::string
@@ -426,80 +295,79 @@ promHeader(std::string &out, const std::string &name,
 }
 
 void
-promStat(std::string &out, const Stat &s, const std::string &path)
+promStat(std::string &out, const std::string &path, const Stat &s)
 {
     std::string name = promName(path);
-    if (const auto *c = dynamic_cast<const Counter *>(&s)) {
-        promHeader(out, name, s.desc(), "counter");
+    switch (s.kind) {
+      case StatKind::Counter:
+        promHeader(out, name, s.desc, "counter");
         out += strprintf("%s %llu\n", name.c_str(),
-                         static_cast<unsigned long long>(c->value()));
+                         static_cast<ull>(*s.counter));
         return;
-    }
-    if (const auto *sc = dynamic_cast<const Scalar *>(&s)) {
-        promHeader(out, name, s.desc(), "gauge");
-        out += name + " " + jsonNumber(sc->value()) + "\n";
+      case StatKind::Gauge:
+        promHeader(out, name, s.desc, "gauge");
+        out += name + " " + jsonNumber(s.gauge()) + "\n";
         return;
-    }
-    if (const auto *f = dynamic_cast<const Formula *>(&s)) {
-        promHeader(out, name, s.desc(), "gauge");
-        out += name + " " + jsonNumber(f->value()) + "\n";
+      case StatKind::Distribution: {
+        DistData d = s.dist();
+        promHeader(out, name, s.desc, "summary");
+        out += name + "_sum " + jsonNumber(d.sum) + "\n";
+        out += strprintf("%s_count %llu\n", name.c_str(),
+                         static_cast<ull>(d.count));
+        promHeader(out, name + "_min", s.desc + " (min)", "gauge");
+        out += name + "_min " + jsonNumber(d.min) + "\n";
+        promHeader(out, name + "_max", s.desc + " (max)", "gauge");
+        out += name + "_max " + jsonNumber(d.max) + "\n";
         return;
-    }
-    if (const auto *h = dynamic_cast<const Histogram *>(&s)) {
+      }
+      case StatKind::Histogram: {
         // Native Prometheus histogram: cumulative buckets. Underflow
         // mass is below every finite boundary, so it seeds the
         // cumulative count; overflow only appears at le="+Inf".
-        promHeader(out, name, s.desc(), "histogram");
-        unsigned long long cum = h->underflow();
-        for (unsigned i = 0; i < h->numBuckets(); ++i) {
-            cum += h->bucket(i);
-            double le = h->lo() + h->bucketWidth() * (i + 1);
+        const Histogram &h = *s.hist;
+        promHeader(out, name, s.desc, "histogram");
+        ull cum = h.underflow();
+        for (unsigned i = 0; i < h.numBuckets(); ++i) {
+            cum += h.bucket(i);
+            double le = h.lo() + h.bucketWidth() * (i + 1);
             out += strprintf("%s_bucket{le=\"%s\"} %llu\n", name.c_str(),
                              jsonNumber(le).c_str(), cum);
         }
         out += strprintf("%s_bucket{le=\"+Inf\"} %llu\n", name.c_str(),
-                         static_cast<unsigned long long>(h->count()));
-        out += name + "_sum " + jsonNumber(h->sum()) + "\n";
+                         static_cast<ull>(h.count()));
+        out += name + "_sum " + jsonNumber(h.sum()) + "\n";
         out += strprintf("%s_count %llu\n", name.c_str(),
-                         static_cast<unsigned long long>(h->count()));
+                         static_cast<ull>(h.count()));
         return;
+      }
     }
-    // Distribution and DistributionView share the summary rendering.
-    DistData d;
-    if (const auto *dist = dynamic_cast<const Distribution *>(&s)) {
-        d.count = dist->count();
-        d.sum = dist->mean() * dist->count();
-        d.min = dist->min();
-        d.max = dist->max();
-    } else if (const auto *v = dynamic_cast<const DistributionView *>(&s)) {
-        d = v->value();
-    } else {
-        return;  // unreachable while StatKind stays closed
-    }
-    promHeader(out, name, s.desc(), "summary");
-    out += name + "_sum " + jsonNumber(d.sum) + "\n";
-    out += strprintf("%s_count %llu\n", name.c_str(),
-                     static_cast<unsigned long long>(d.count));
-    promHeader(out, name + "_min", s.desc() + " (min)", "gauge");
-    out += name + "_min " + jsonNumber(d.min) + "\n";
-    promHeader(out, name + "_max", s.desc() + " (max)", "gauge");
-    out += name + "_max " + jsonNumber(d.max) + "\n";
 }
 
 } // namespace
 
-void
-Group::dumpProm(std::string &out, const std::string &prefix) const
+std::string
+promName(const std::string &path)
 {
-    std::string base = prefix.empty()
-        ? name_
-        : (name_.empty() ? prefix : prefix + "." + name_);
-    for (const auto &s : stats_) {
-        std::string path = base.empty() ? s->name() : base + "." + s->name();
-        promStat(out, *s, path);
+    std::string out = "facsim_";
+    for (char c : path) {
+        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9') || c == '_';
+        out += ok ? c : '_';
     }
-    for (const auto &g : children_)
-        g->dumpProm(out, base);
+    return out;
+}
+
+void
+Group::dumpJson(std::string &out) const
+{
+    forEach("", [&](const std::string &path, const Stat &s) {
+        if (!out.empty())
+            out += ',';
+        out += '"';
+        out += path;  // names are dot-free identifiers, no escaping needed
+        out += "\":";
+        jsonValue(out, s);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -508,28 +376,32 @@ Group::dumpProm(std::string &out, const std::string &prefix) const
 std::string
 Registry::jsonDump() const
 {
-    std::string out = strprintf("{\"schema_version\":%u,\"stats\":{",
-                                schemaVersion);
     std::string body;
     root_.dumpJson(body);
-    out += body;
-    out += "}}\n";
-    return out;
+    return strprintf("{\"schema_version\":%u,\"stats\":{", schemaVersion) +
+           body + "}}\n";
 }
 
 std::string
 Registry::textDump() const
 {
-    std::ostringstream ss;
-    root_.dumpText(ss);
-    return ss.str();
+    std::string out;
+    root_.forEach("", [&](const std::string &path, const Stat &s) {
+        out += strprintf("%-44s %20s", path.c_str(), textValue(s).c_str());
+        if (!s.desc.empty())
+            out += strprintf("  # %s", s.desc.c_str());
+        out += "\n";
+    });
+    return out;
 }
 
 std::string
 Registry::promDump() const
 {
     std::string out;
-    root_.dumpProm(out);
+    root_.forEach("", [&](const std::string &path, const Stat &s) {
+        promStat(out, path, s);
+    });
     return out;
 }
 

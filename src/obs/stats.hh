@@ -1,19 +1,22 @@
 /**
  * @file
- * Hierarchical statistics registry in the gem5 idiom: named stat nodes
- * (Counter / Scalar / Histogram / Distribution / Formula) registered
- * under dotted component paths ("pipeline.fac.mispredicts",
- * "hier.l1d.mshr.full_stalls", ...) and dumped as aligned text or as a
- * flat, stable-schema JSON object.
+ * Hierarchical statistics registry in the gem5 idiom: a tree of named
+ * *views* over numbers their components own, registered under dotted
+ * paths ("pipeline.fac.mispredicts", "hier.l1d.mshr.full_stalls", ...)
+ * and dumped as aligned text, as a flat stable-schema JSON object or as
+ * a Prometheus exposition.
  *
- * Hot-path cost model: a stat is a plain member object the owning
- * component increments directly (`++ctr`, `dist.sample(v)`) — no map
- * lookups, no virtual calls, no locks on the fast path. The tree is
- * only walked when dumping. Components that already keep raw counters
- * (PipeStats, HierarchyStats, ProfileResult) are published through
- * *view* nodes that bind the existing fields by pointer, so the legacy
- * structs remain the storage, the simulation loop is untouched, and
- * every figure/table byte stays identical (see sim/obs_views.hh).
+ * A node is one record: a name, a description and one of four sources
+ * (StatKind) — a counter bound to a uint64_t, a gauge computed by a
+ * function, a distribution summary (DistData) computed by a function,
+ * or a Histogram bound by pointer. The owner keeps the storage and
+ * bumps it directly (`++st.loads`, `dist.sample(v)`): no map lookups,
+ * no virtual calls, no locks on the fast path. The tree is only walked
+ * when dumping. A struct declared from a field list (util/fields.hh)
+ * registers every listed counter with one Group::fields() call.
+ *
+ * Lifetime rule: a bound source must outlive every dump of the registry
+ * it was registered into.
  *
  * Naming rules (enforced with panic(), death-tested): a component name
  * is non-empty, contains no '.', and is unique among its siblings —
@@ -23,111 +26,65 @@
 #ifndef FACSIM_OBS_STATS_HH
 #define FACSIM_OBS_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/fields.hh"
 
 namespace facsim::obs
 {
 
-/** What a stat node is; fixed at registration, drives the JSON shape. */
-enum class StatKind : uint8_t
+/** Running summary of a sampled value: count, sum, sum of squares,
+ *  min and max (both 0 while empty). */
+struct DistData
 {
-    Counter,       ///< monotonically increasing integer
-    Scalar,        ///< arbitrary settable double
-    Histogram,     ///< linear-bucket value histogram
-    Distribution,  ///< running count/mean/stddev/min/max
-    Formula,       ///< value computed from other stats at dump time
-};
+    uint64_t count = 0;
+    double sum = 0.0;
+    double sumSq = 0.0;
+    double min = 0.0;
+    double max = 0.0;
 
-/** Base of every registered node. */
-class Stat
-{
-  public:
-    Stat(StatKind kind, std::string name, std::string desc);
-    virtual ~Stat() = default;
-
-    Stat(const Stat &) = delete;
-    Stat &operator=(const Stat &) = delete;
-
-    StatKind kind() const { return kind_; }
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-    /** Append this node's JSON value (number or object) to @p out. */
-    virtual void jsonValue(std::string &out) const = 0;
-
-    /** One-line text rendering for the aligned dump. */
-    virtual std::string textValue() const = 0;
-
-  private:
-    StatKind kind_;
-    std::string name_;
-    std::string desc_;
-};
-
-/** Monotonic event counter. Plain increments; safe to copy-from never. */
-class Counter final : public Stat
-{
-  public:
-    Counter(std::string name, std::string desc)
-        : Stat(StatKind::Counter, std::move(name), std::move(desc))
+    void
+    sample(double v)
     {
+        min = count ? std::min(min, v) : v;
+        max = count ? std::max(max, v) : v;
+        ++count;
+        sum += v;
+        sumSq += v * v;
     }
 
-    Counter &operator++()
+    /** Fold another summary in, as if its samples had come here. */
+    void
+    merge(const DistData &o)
     {
-        ++v_;
-        return *this;
-    }
-    Counter &operator+=(uint64_t d)
-    {
-        v_ += d;
-        return *this;
-    }
-
-    uint64_t value() const { return v_; }
-
-    void jsonValue(std::string &out) const override;
-    std::string textValue() const override;
-
-  private:
-    uint64_t v_ = 0;
-};
-
-/** Settable floating-point value (sizes, rates computed by the owner). */
-class Scalar final : public Stat
-{
-  public:
-    Scalar(std::string name, std::string desc)
-        : Stat(StatKind::Scalar, std::move(name), std::move(desc))
-    {
+        if (!o.count)
+            return;
+        min = count ? std::min(min, o.min) : o.min;
+        max = count ? std::max(max, o.max) : o.max;
+        count += o.count;
+        sum += o.sum;
+        sumSq += o.sumSq;
     }
 
-    void set(double v) { v_ = v; }
-    double value() const { return v_; }
-
-    void jsonValue(std::string &out) const override;
-    std::string textValue() const override;
-
-  private:
-    double v_ = 0.0;
+    double mean() const { return count ? sum / count : 0.0; }
+    double stddev() const;
 };
 
 /**
  * Linear-bucket histogram over [lo, hi): @p nbuckets equal buckets plus
  * underflow/overflow counters. Bucket boundaries are fixed at
- * registration so the dumped schema is stable.
+ * construction so the dumped schema is stable.
  */
-class Histogram final : public Stat
+class Histogram
 {
   public:
-    Histogram(std::string name, std::string desc, double lo, double hi,
-              unsigned nbuckets);
+    Histogram(double lo, double hi, unsigned nbuckets);
 
     void sample(double v, uint64_t weight = 1);
 
@@ -153,9 +110,6 @@ class Histogram final : public Stat
      */
     double percentile(double p) const;
 
-    void jsonValue(std::string &out) const override;
-    std::string textValue() const override;
-
   private:
     double lo_, hi_, width_;
     std::vector<uint64_t> buckets_;
@@ -165,174 +119,111 @@ class Histogram final : public Stat
     double sum_ = 0.0;
 };
 
-/** Running distribution: count, sum, min, max, mean, stddev. */
-class Distribution final : public Stat
+/** Where a node's value comes from; drives every dump format. */
+enum class StatKind : uint8_t
 {
-  public:
-    Distribution(std::string name, std::string desc)
-        : Stat(StatKind::Distribution, std::move(name), std::move(desc))
-    {
-    }
-
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        sumSq_ += v * v;
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-
-    uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double stddev() const;
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void jsonValue(std::string &out) const override;
-    std::string textValue() const override;
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
+    Counter,       ///< exact integer, bound by pointer
+    Gauge,         ///< double computed at dump time
+    Distribution,  ///< DistData computed at dump time
+    Histogram,     ///< Histogram bound by pointer
 };
 
-/** Point-in-time summary of an externally accumulated distribution. */
-struct DistData
+/** One registered node: a name, a description and one source. */
+struct Stat
 {
-    uint64_t count = 0;
-    double sum = 0.0;
-    double sumSq = 0.0;
-    double min = 0.0;  ///< 0 when count == 0
-    double max = 0.0;  ///< 0 when count == 0
-
-    double mean() const { return count ? sum / count : 0.0; }
-    double stddev() const;
-};
-
-/**
- * Distribution-shaped view over data owned elsewhere (e.g. the
- * process-global phase profiler, obs/prof.hh): the callback is invoked
- * at dump time and the node renders exactly like a Distribution, so
- * the JSON schema cannot tell them apart.
- */
-class DistributionView final : public Stat
-{
-  public:
-    DistributionView(std::string name, std::string desc,
-                     std::function<DistData()> fn)
-        : Stat(StatKind::Distribution, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
-    {
-    }
-
-    DistData value() const { return fn_(); }
-
-    void jsonValue(std::string &out) const override;
-    std::string textValue() const override;
-
-  private:
-    std::function<DistData()> fn_;
-};
-
-/** Value derived from other stats, evaluated lazily at dump time. */
-class Formula final : public Stat
-{
-  public:
-    Formula(std::string name, std::string desc,
-            std::function<double()> fn)
-        : Stat(StatKind::Formula, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
-    {
-    }
-
-    double value() const { return fn_(); }
-
-    void jsonValue(std::string &out) const override;
-    std::string textValue() const override;
-
-  private:
-    std::function<double()> fn_;
+    std::string name;
+    std::string desc;
+    StatKind kind;
+    const uint64_t *counter = nullptr;
+    std::function<double()> gauge;
+    std::function<DistData()> dist;
+    const Histogram *hist = nullptr;
 };
 
 /**
  * One node of the registry tree. Components obtain a subgroup under
- * their parent and register their stats into it; nodes are owned by the
- * group and live until the group is destroyed.
+ * their parent and register views of their numbers into it.
  */
 class Group
 {
   public:
-    Group() : name_() {}
+    Group() = default;
 
     /** Get-or-create the child group @p name. */
     Group &group(const std::string &name);
 
     /** @{ @name Node registration (panics on duplicate path). */
-    Counter &counter(const std::string &name, const std::string &desc);
-    Scalar &scalar(const std::string &name, const std::string &desc);
-    Histogram &histogram(const std::string &name, const std::string &desc,
-                         double lo, double hi, unsigned nbuckets);
-    Distribution &distribution(const std::string &name,
-                               const std::string &desc);
-    Formula &formula(const std::string &name, const std::string &desc,
-                     std::function<double()> fn);
-    DistributionView &distributionView(const std::string &name,
-                                       const std::string &desc,
-                                       std::function<DistData()> fn);
+    void counter(const std::string &name, const std::string &desc,
+                 const uint64_t *v);
+    void formula(const std::string &name, const std::string &desc,
+                 std::function<double()> fn);
+    void distribution(const std::string &name, const std::string &desc,
+                      std::function<DistData()> fn);
+    void histogram(const std::string &name, const std::string &desc,
+                   const Histogram *h);
+
     /**
-     * Read-only integer view bound to an externally owned counter (the
-     * legacy-struct migration path; @p v must outlive every dump).
+     * Register every field of @p s that its list gives a key: u64
+     * counters as counters, other numbers as formulas, nested lists as
+     * subgroups. Formulas over several fields stay with the callers.
      */
-    Formula &counterView(const std::string &name, const std::string &desc,
-                         const uint64_t *v);
+    template <::facsim::fields::StatListed S>
+    void fields(const S &s);
     /** @} */
 
     /** Node at dotted @p path below this group, or nullptr. */
     const Stat *find(const std::string &path) const;
-    /** Child group @p name, or nullptr. */
-    const Group *findGroup(const std::string &name) const;
 
     /**
-     * Aligned text dump, one `path  value  # desc` line per node in
-     * registration order, prefixed by this group's dotted @p prefix.
+     * Visit every node below this group in dump order — a group's own
+     * nodes in registration order, then its subgroups — with its
+     * dotted path; @p prefix is this group's own path.
      */
-    void dumpText(std::ostream &out, const std::string &prefix = "") const;
+    void forEach(const std::string &prefix,
+                 const std::function<void(const std::string &path,
+                                          const Stat &)> &fn) const;
 
     /**
-     * Flat JSON object body: `"dotted.path":value` pairs in
-     * registration order (no surrounding braces so callers can embed).
+     * Append the flat JSON object body — `"dotted.path":value` pairs,
+     * no surrounding braces — to @p out, which must start empty.
      */
-    void dumpJson(std::string &out, const std::string &prefix = "") const;
-
-    /**
-     * Prometheus text-exposition lines for every node under this
-     * group (see Registry::promDump for the naming/typing rules).
-     */
-    void dumpProm(std::string &out, const std::string &prefix = "") const;
+    void dumpJson(std::string &out) const;
 
   private:
     explicit Group(std::string name) : name_(std::move(name)) {}
 
     void checkNewName(const std::string &name) const;
-    template <typename T, typename... Args>
-    T &add(const std::string &name, Args &&...args);
+    void add(Stat s);
 
     std::string name_;
     std::vector<std::unique_ptr<Group>> children_;
-    std::vector<std::unique_ptr<Stat>> stats_;
+    std::vector<Stat> stats_;
 };
 
+template <::facsim::fields::StatListed S>
+void
+Group::fields(const S &s)
+{
+    S::statFields([&](auto m, const ::facsim::fields::Meta &meta) {
+        if (!*meta.key)
+            return;
+        Group &dst = *meta.group ? group(meta.group) : *this;
+        const auto &v = s.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (::facsim::fields::StatListed<T>)
+            dst.group(meta.key).fields(v);
+        else if constexpr (std::is_same_v<T, uint64_t>)
+            dst.counter(meta.key, meta.desc, &v);
+        else if constexpr (std::is_arithmetic_v<T>)
+            dst.formula(meta.key, meta.desc,
+                        [p = &v] { return static_cast<double>(*p); });
+    });
+}
+
 /**
- * A registry is a root group plus the two canonical dump formats. The
- * JSON form is versioned so downstream diffing tools can detect schema
- * changes: `{"schema_version":1,"stats":{...}}`.
+ * A registry is a root group plus the dump formats. The JSON form is
+ * versioned so downstream diffing tools can detect schema changes:
+ * `{"schema_version":1,"stats":{...}}`.
  */
 class Registry
 {
@@ -346,7 +237,7 @@ class Registry
     /** Full JSON document (one object, stable key order). */
     std::string jsonDump() const;
 
-    /** Aligned text dump of every registered node. */
+    /** Aligned text dump, one `path  value  # desc` line per node. */
     std::string textDump() const;
 
     /**
@@ -354,11 +245,10 @@ class Registry
      * names are `facsim_` + the dotted path with every character
      * outside [a-zA-Z0-9_] replaced by '_'; each metric gets a
      * `# HELP` line (the registered description) and a `# TYPE` line.
-     * Counters expose as `counter`, scalars/formulas as `gauge`,
-     * histograms as a native Prometheus `histogram` (cumulative
-     * `_bucket{le="..."}` series plus `_sum`/`_count`), distributions
-     * as a `summary` (`_sum`/`_count`) with companion `_min`/`_max`
-     * gauges.
+     * Counters expose as `counter`, gauges as `gauge`, histograms as a
+     * native Prometheus `histogram` (cumulative `_bucket{le="..."}`
+     * series plus `_sum`/`_count`), distributions as a `summary`
+     * (`_sum`/`_count`) with companion `_min`/`_max` gauges.
      */
     std::string promDump() const;
 

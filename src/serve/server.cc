@@ -81,6 +81,31 @@ struct Connection
 using ConnPtr = std::shared_ptr<Connection>;
 using Clock = std::chrono::steady_clock;
 
+/**
+ * The daemon's counters (list: see util/fields.hh), registered under
+ * "serve". Stats only: the list is never on the wire.
+ */
+#define FACSIM_SERVE_STATS(X)                                               \
+    X(uint64_t, requests, Sum, "", "requests", "request frames handled")    \
+    X(uint64_t, pings, Sum, "", "pings", "ping requests")                   \
+    X(uint64_t, profileRequests, Sum, "", "profile_requests",               \
+      "profile requests")                                                   \
+    X(uint64_t, timingRequests, Sum, "", "timing_requests",                 \
+      "timing requests")                                                    \
+    X(uint64_t, statsRequests, Sum, "", "stats_requests",                   \
+      "live stats snapshot requests")                                       \
+    X(uint64_t, shutdowns, Sum, "", "shutdowns", "shutdown requests")       \
+    X(uint64_t, protocolErrors, Sum, "", "protocol_errors",                 \
+      "malformed frames rejected")                                          \
+    X(uint64_t, requestErrors, Sum, "", "request_errors",                   \
+      "well-framed requests answered with an error")                        \
+    X(uint64_t, connections, Sum, "", "connections", "connections accepted")
+
+struct ServeStats
+{
+    FACSIM_STATS_FIELDS(ServeStats, FACSIM_SERVE_STATS)
+};
+
 /** A decoded cache miss waiting for the Runner. */
 struct PendingJob
 {
@@ -100,46 +125,33 @@ class Server
         : opts_(opts), cache_(opts.cacheBytes)
     {
         obs::Group &sg = registry_.root().group("serve");
-        requests_ = &sg.counter("requests", "request frames handled");
-        pings_ = &sg.counter("pings", "ping requests");
-        profileReqs_ = &sg.counter("profile_requests", "profile requests");
-        timingReqs_ = &sg.counter("timing_requests", "timing requests");
-        shutdowns_ = &sg.counter("shutdowns", "shutdown requests");
-        protoErrors_ = &sg.counter("protocol_errors",
-                                   "malformed frames rejected");
-        reqErrors_ = &sg.counter("request_errors",
-                                 "well-framed requests answered with an "
-                                 "error");
-        connections_ = &sg.counter("connections", "connections accepted");
-        queueDepth_ = &sg.distribution("queue_depth",
-                                       "miss-queue depth at each enqueue");
-        latencyUs_ = &sg.distribution("latency_us",
-                                      "request latency, receipt to "
-                                      "response written");
-        hitLatencyUs_ = &sg.distribution("hit_latency_us",
-                                         "latency of cache hits");
-        missLatencyUs_ = &sg.distribution("miss_latency_us",
-                                          "latency of executed requests");
-        latencyLog2_ = &sg.histogram("latency_log2_us",
-                                     "log2(request latency in us)", 0.0,
-                                     30.0, 30);
-        statsReqs_ = &sg.counter("stats_requests",
-                                 "live stats snapshot requests");
+        sg.fields(stats_);
+        sg.distribution("queue_depth", "miss-queue depth at each enqueue",
+                        [this] { return queueDepth_; });
+        sg.distribution("latency_us",
+                        "request latency, receipt to response written",
+                        [this] { return latencyUs_; });
+        sg.distribution("hit_latency_us", "latency of cache hits",
+                        [this] { return hitLatencyUs_; });
+        sg.distribution("miss_latency_us", "latency of executed requests",
+                        [this] { return missLatencyUs_; });
+        sg.histogram("latency_log2_us", "log2(request latency in us)",
+                     &latencyLog2_);
         // Server-side latency percentiles, estimated from the log2
         // histogram so no client cooperation is needed (the estimate
         // interpolates in log space, hence exp2 back to microseconds).
         sg.formula("latency_p50_us",
                    "p50 request latency (log2-histogram estimate)",
                    [this] {
-                       return latencyLog2_->count()
-                           ? std::exp2(latencyLog2_->percentile(0.5))
+                       return latencyLog2_.count()
+                           ? std::exp2(latencyLog2_.percentile(0.5))
                            : 0.0;
                    });
         sg.formula("latency_p99_us",
                    "p99 request latency (log2-histogram estimate)",
                    [this] {
-                       return latencyLog2_->count()
-                           ? std::exp2(latencyLog2_->percentile(0.99))
+                       return latencyLog2_.count()
+                           ? std::exp2(latencyLog2_.percentile(0.99))
                            : 0.0;
                    });
         // Instantaneous miss-queue depth; the dump path takes statsMu_
@@ -169,6 +181,14 @@ class Server
         queueCv_.notify_all();
     }
 
+    /** Bump one daemon counter under statsMu_. */
+    void
+    count(uint64_t ServeStats::*c)
+    {
+        std::lock_guard<std::mutex> lk(statsMu_);
+        ++(stats_.*c);
+    }
+
     void reply(Connection &conn, const ResponseEnvelope &env);
     void recordLatency(Clock::time_point received, bool hit);
     void connectionLoop(const ConnPtr &conn);
@@ -191,14 +211,12 @@ class Server
     std::deque<PendingJob> queue_;
     bool readersDone_ = false;
 
-    obs::Registry registry_;
+    /** Every stat below is read and written under statsMu_. */
     std::mutex statsMu_;
-    obs::Counter *requests_, *pings_, *profileReqs_, *timingReqs_,
-        *shutdowns_, *protoErrors_, *reqErrors_, *connections_,
-        *statsReqs_;
-    obs::Distribution *queueDepth_, *latencyUs_, *hitLatencyUs_,
-        *missLatencyUs_;
-    obs::Histogram *latencyLog2_;
+    ServeStats stats_;
+    obs::DistData queueDepth_, latencyUs_, hitLatencyUs_, missLatencyUs_;
+    obs::Histogram latencyLog2_{0.0, 30.0, 30};
+    obs::Registry registry_;
 };
 
 void
@@ -227,9 +245,9 @@ Server::recordLatency(Clock::time_point received, bool hit)
                                                           received)
                     .count();
     std::lock_guard<std::mutex> lk(statsMu_);
-    latencyUs_->sample(us);
-    (hit ? hitLatencyUs_ : missLatencyUs_)->sample(us);
-    latencyLog2_->sample(us > 1.0 ? std::log2(us) : 0.0);
+    latencyUs_.sample(us);
+    (hit ? hitLatencyUs_ : missLatencyUs_).sample(us);
+    latencyLog2_.sample(us > 1.0 ? std::log2(us) : 0.0);
 }
 
 bool
@@ -239,19 +257,13 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
     RequestEnvelope env;
     std::string err;
     if (!decodeRequest(payload, &env, &err)) {
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++*protoErrors_;
-        }
+        count(&ServeStats::protocolErrors);
         reply(*conn, {WireStatus::Error, false, env.reqId,
                       "protocol error: " + err});
         return false;  // framing is unreliable now; drop the connection
     }
 
-    {
-        std::lock_guard<std::mutex> lk(statsMu_);
-        ++*requests_;
-    }
+    count(&ServeStats::requests);
 
     // Tag every span this thread emits while handling the frame
     // (including prof-scope spans fired inside inline work) with the
@@ -264,29 +276,20 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
     }
 
     auto replyError = [&](const std::string &msg) {
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++*reqErrors_;
-        }
+        count(&ServeStats::requestErrors);
         reply(*conn, {WireStatus::Error, false, env.reqId, msg});
         endRequestSpan(env.reqId, received);
     };
 
     switch (env.kind) {
       case static_cast<uint8_t>(WireKind::Ping): {
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++*pings_;
-        }
+        count(&ServeStats::pings);
         reply(*conn, {WireStatus::Ok, false, env.reqId, ""});
         endRequestSpan(env.reqId, received);
         return true;
       }
       case static_cast<uint8_t>(WireKind::Shutdown): {
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++*shutdowns_;
-        }
+        count(&ServeStats::shutdowns);
         reply(*conn, {WireStatus::Ok, false, env.reqId, ""});
         endRequestSpan(env.reqId, received);
         requestDrain();
@@ -303,7 +306,7 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
         ser::Writer w;
         {
             std::lock_guard<std::mutex> lk(statsMu_);
-            ++*statsReqs_;
+            ++stats_.statsRequests;
             w.str(registry_.jsonDump());
             w.str(registry_.promDump());
         }
@@ -329,10 +332,7 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
 
     std::string workload_name;
     if (job.kind == WireKind::Profile) {
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++*profileReqs_;
-        }
+        count(&ServeStats::profileRequests);
         ser::TryReader r(env.body.data(), env.body.size());
         if (!decodeProfileRequest(r, &job.preq) || !r.atEnd()) {
             replyError("malformed profile request: " +
@@ -348,10 +348,7 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
             return true;
         }
     } else {
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++*timingReqs_;
-        }
+        count(&ServeStats::timingRequests);
         ser::TryReader r(env.body.data(), env.body.size());
         if (!decodeTimingRequest(r, &job.treq) || !r.atEnd()) {
             replyError("malformed timing request: " +
@@ -405,7 +402,7 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
     // here would deadlock a stats request against an enqueue.
     {
         std::lock_guard<std::mutex> lk(statsMu_);
-        queueDepth_->sample(static_cast<double>(depth));
+        queueDepth_.sample(static_cast<double>(depth));
     }
     if (tr)
         tr->instant("enqueued", env.reqId);
@@ -416,10 +413,7 @@ Server::handleFrame(const ConnPtr &conn, const std::string &payload)
 void
 Server::connectionLoop(const ConnPtr &conn)
 {
-    {
-        std::lock_guard<std::mutex> lk(statsMu_);
-        ++*connections_;
-    }
+    count(&ServeStats::connections);
     for (;;) {
         std::string payload, err;
         FrameRead fr = readFrame(conn->rfd, &payload, &err, &drain_);
@@ -428,10 +422,7 @@ Server::connectionLoop(const ConnPtr &conn)
         if (fr == FrameRead::Eof)
             return;
         if (fr == FrameRead::Error) {
-            {
-                std::lock_guard<std::mutex> lk(statsMu_);
-                ++*protoErrors_;
-            }
+            count(&ServeStats::protocolErrors);
             reply(*conn,
                   {WireStatus::Error, false, 0, "protocol error: " + err});
             return;
@@ -486,10 +477,7 @@ Server::runBatch(std::vector<PendingJob> &batch)
     for (size_t i = 0; i < batch.size(); ++i) {
         PendingJob &j = batch[i];
         if (payloads[i].empty()) {
-            {
-                std::lock_guard<std::mutex> lk(statsMu_);
-                ++*reqErrors_;
-            }
+            count(&ServeStats::requestErrors);
             reply(*j.conn, {WireStatus::Error, false, j.reqId,
                             "experiment failed to run"});
             endRequestSpan(j.reqId, j.received);
@@ -721,7 +709,7 @@ Server::run()
     if (!opts_.statsOut.empty())
         writeStatsSnapshot();
     inform("drained: %llu requests, %llu cache hits",
-           static_cast<unsigned long long>(requests_->value()),
+           static_cast<unsigned long long>(stats_.requests),
            static_cast<unsigned long long>(cache_.hits()));
     return 0;
 }

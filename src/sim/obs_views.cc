@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -21,37 +20,12 @@ lowered(const std::string &s)
     return out;
 }
 
-/**
- * Register every field of @p s that its list gives a key: u64 counters
- * as live views, other numbers as formulas, nested lists as subgroups.
- * Formulas over several fields stay with the callers.
- */
-template <fields::StatListed S>
-void
-registerFields(obs::Group &g, const S &s)
-{
-    S::statFields([&](auto m, const fields::Meta &meta) {
-        if (!*meta.key)
-            return;
-        obs::Group &dst = *meta.group ? g.group(meta.group) : g;
-        const auto &v = s.*m;
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (fields::StatListed<T>)
-            registerFields(dst.group(meta.key), v);
-        else if constexpr (std::is_same_v<T, uint64_t>)
-            dst.counterView(meta.key, meta.desc, &v);
-        else if constexpr (std::is_arithmetic_v<T>)
-            dst.formula(meta.key, meta.desc,
-                        [p = &v] { return static_cast<double>(*p); });
-    });
-}
-
 } // anonymous namespace
 
 void
 registerPipeStats(obs::Group &g, const PipeStats &st)
 {
-    registerFields(g, st);
+    g.fields(st);
     g.formula("ipc", "instructions per cycle", [&st] { return st.ipc(); });
     g.group("dcache").formula("miss_ratio", "L1 data miss ratio",
                               [&st] { return st.dcacheMissRatio(); });
@@ -83,7 +57,7 @@ registerHierarchyStats(obs::Group &g, const HierarchyStats &hs)
 {
     for (const LevelStats &lvl : hs.levels) {
         obs::Group &lg = g.group(lowered(lvl.name));
-        registerFields(lg, lvl);
+        lg.fields(lvl);
         lg.formula("miss_ratio", "per-level miss ratio", [&lvl] {
             return lvl.accesses
                 ? static_cast<double>(lvl.misses) / lvl.accesses : 0.0;
@@ -93,8 +67,8 @@ registerHierarchyStats(obs::Group &g, const HierarchyStats &hs)
                                  [&lvl] { return lvl.mshr.avgOccupancy(); });
     }
     if (hs.hasDram)
-        registerFields(g.group("dram"), hs.dram);
-    registerFields(g, hs);
+        g.group("dram").fields(hs.dram);
+    g.fields(hs);
     g.group("tlb").formula("miss_ratio", "data-TLB miss ratio",
                            [&hs] { return hs.tlbMissRatio(); });
 }
@@ -102,9 +76,9 @@ registerHierarchyStats(obs::Group &g, const HierarchyStats &hs)
 void
 registerProfileStats(obs::Group &g, const ProfileResult &pr)
 {
-    g.counterView("insts", "instructions profiled", &pr.insts);
-    g.counterView("loads", "load references", &pr.loads);
-    g.counterView("stores", "store references", &pr.stores);
+    g.counter("insts", "instructions profiled", &pr.insts);
+    g.counter("loads", "load references", &pr.loads);
+    g.counter("stores", "store references", &pr.stores);
     g.formula("frac_global", "loads off the global pointer",
               [&pr] { return pr.fracGlobal; });
     g.formula("frac_stack", "loads off the stack/frame pointer",
@@ -114,24 +88,24 @@ registerProfileStats(obs::Group &g, const ProfileResult &pr)
     for (size_t i = 0; i < pr.fac.size(); ++i) {
         const FacProfile &fp = pr.fac[i];
         obs::Group &fg = g.group(strprintf("fac%zu", i));
-        registerFields(fg, fp);
+        fg.fields(fp);
         fg.formula("load_fail_rate", "Table 3 load failure rate",
                    [&fp] { return fp.loadFailRate(); });
         fg.formula("store_fail_rate", "Table 3 store failure rate",
                    [&fp] { return fp.storeFailRate(); });
     }
     obs::Group &tg = g.group("tlb");
-    tg.counterView("accesses", "data-TLB probes", &pr.tlbAccesses);
-    tg.counterView("misses", "data-TLB misses", &pr.tlbMisses);
+    tg.counter("accesses", "data-TLB probes", &pr.tlbAccesses);
+    tg.counter("misses", "data-TLB misses", &pr.tlbMisses);
 }
 
 void
 registerEmulatorStats(obs::Group &g, const EmuTranslationStats &ts,
                       EmuEngine engine)
 {
-    registerFields(g, ts);
-    g.scalar("dispatch_engine", "active engine (0=switch, 1=threaded)")
-        .set(engine == EmuEngine::Threaded ? 1.0 : 0.0);
+    g.fields(ts);
+    g.formula("dispatch_engine", "active engine (0=switch, 1=threaded)",
+              [v = engine == EmuEngine::Threaded ? 1.0 : 0.0] { return v; });
 }
 
 void
@@ -140,7 +114,7 @@ registerTimingStats(obs::Group &root, const TimingResult &tr)
     registerPipeStats(root.group("pipeline"), tr.stats);
     registerHierarchyStats(root.group("hier"), tr.hier);
     registerEmulatorStats(root.group("emu"), tr.emu, tr.emuEngine);
-    root.group("sim").counterView("mem_usage_bytes",
+    root.group("sim").counter("mem_usage_bytes",
                                   "peak simulated-memory footprint",
                                   &tr.memUsageBytes);
 }
@@ -266,9 +240,9 @@ StatsAccum::registerStats(obs::Group &root) const
     if (hasProfile_)
         registerProfileStats(root.group("profile"), prof_);
     obs::Group &sg = root.group("sim");
-    sg.counterView("runs", "result structs merged into this dump",
+    sg.counter("runs", "result structs merged into this dump",
                    &runs_);
-    sg.counterView("mem_usage_bytes",
+    sg.counter("mem_usage_bytes",
                    "peak simulated-memory footprint across runs",
                    &memUsageBytes_);
 }

@@ -1,12 +1,12 @@
 /**
  * @file
- * View registration: publishes the legacy result structs (PipeStats,
- * HierarchyStats, ProfileResult, TimingResult) through the hierarchical
- * stats registry (obs/stats.hh) as *bound views* — registry nodes that
- * read the existing struct fields by pointer at dump time. The structs
- * remain the storage and the hot loop, so every figure/table byte stays
- * identical; the registry adds the dotted-path naming, text/JSON dumps
- * and derived formulas on top.
+ * The simulator's schema in the stats registry (obs/stats.hh): where
+ * each result struct (PipeStats, HierarchyStats, ProfileResult,
+ * TimingResult, live-point libraries, farm sweeps) appears under the
+ * dotted paths, plus the derived formulas (miss ratios, IPC, failure
+ * rates). The structs own the numbers and the registry views them:
+ * field-listed structs register with one Group::fields() call, the
+ * rest field by field here.
  *
  * Lifetime rule: a bound struct must outlive every dump of the registry
  * it was registered into, and vectors inside it (hierarchy levels) must
@@ -50,7 +50,7 @@ void registerProfileStats(obs::Group &g, const ProfileResult &pr);
 /**
  * Register emulator translation-layer views over @p ts into @p g
  * (conventionally "emu"): block-cache counters plus a
- * "dispatch_engine" scalar (0 = switch, 1 = threaded).
+ * "dispatch_engine" formula (0 = switch, 1 = threaded).
  */
 void registerEmulatorStats(obs::Group &g, const EmuTranslationStats &ts,
                            EmuEngine engine);

@@ -19,8 +19,8 @@
  * and two visitors: fields() (member pointers, the ser::put/get codec
  * behind checkpoints and the request codec) and statFields() (member
  * pointer plus Meta: merging, registration, diffs in tests). Adding a
- * counter is one line in its list, plus a format-version bump because
- * the wire changes.
+ * counter is one line in its list, plus a format-version bump when the
+ * struct goes on the wire.
  */
 
 #ifndef FACSIM_UTIL_FIELDS_HH

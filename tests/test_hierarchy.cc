@@ -371,12 +371,12 @@ TEST(HierarchyDeathTest, RejectsBadConfigs)
     HierarchyConfig bad;
     bad.depth = HierarchyDepth::L2;
     bad.l2 = CacheConfig{1000, 32, 1, 0};
-    EXPECT_DEATH(bad.validate(), "powers of two");
+    EXPECT_DEATH(bad.validate(CacheConfig{}), "powers of two");
 
     HierarchyConfig badtlb;
     badtlb.tlbEnabled = true;
     badtlb.tlbPageBytes = 3000;
-    EXPECT_DEATH(badtlb.validate(), "power of two");
+    EXPECT_DEATH(badtlb.validate(CacheConfig{}), "power of two");
 
     // L2 smaller than L1 is incoherent.
     HierarchyConfig tiny;

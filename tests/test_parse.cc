@@ -268,6 +268,31 @@ TEST(CliFlagAuditTest, SamplingWarmupCannotWrap)
     EXPECT_NE(out.find("fit in the period"), std::string::npos) << out;
 }
 
+TEST(CliFlagAuditTest, MachinesThatCannotBeBuiltExitWithUsage)
+{
+    const std::string cli = std::string(FACSIM_CLI_BIN) + " ";
+    const std::string lib = testing::TempDir() + "/unbuildable.lvpt";
+    const std::pair<std::string, const char *> cases[] = {
+        {"time @espresso --block=3 --max-insts=1000", "powers of two"},
+        {"time @espresso --fac --compare --block=3 --max-insts=1000",
+         "powers of two"},
+        {"time @espresso --block=128 --hierarchy=modern --max-insts=1000",
+         "L2 block (64B) must be at least the L1 block (128B)"},
+        {"time @espresso --hierarchy=modern --mshrs=4000000000",
+         "L1 MSHR entries must be at most 256 (got 4000000000)"},
+        {"mklib @espresso --block=3 --sample-period=10000 --lib=" + lib,
+         "powers of two"},
+        {"farm " + lib + " --block=3", "powers of two"},
+        {"profile @espresso --block=65536 --max-insts=1000",
+         "larger than the cache"},
+        {"profile @espresso --block=3 --max-insts=1000", "powers of two"},
+    };
+    for (const auto &[args, msg] : cases) {
+        std::string out = expectCommandUsageExit(cli + args);
+        EXPECT_NE(out.find(msg), std::string::npos) << args << ": " << out;
+    }
+}
+
 TEST(CliFlagAuditTest, ValidFlagsStillWork)
 {
     std::string out;

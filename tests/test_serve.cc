@@ -738,6 +738,31 @@ TEST(ServeDaemon, InvalidPipelineConfigsGetErrorsNotAborts)
     EXPECT_NE(resp.body.find("powers of two"), std::string::npos)
         << resp.body;
 
+    // Machines whose L1 does not fit under the L2, and MSHR files
+    // nobody could allocate: each would kill the daemon on construction.
+    TimingRequest wide_l1 = smallTimingRequest();
+    wide_l1.pipe = baselineConfig(128);
+    wide_l1.pipe.hierarchy = modernHierarchy();
+    TimingRequest big_l1 = smallTimingRequest();
+    big_l1.pipe = baselineConfig(32);
+    big_l1.pipe.dcache.sizeBytes = 512 * 1024;
+    big_l1.pipe.hierarchy = modernHierarchy();
+    TimingRequest huge_mshr = smallTimingRequest();
+    huge_mshr.pipe.hierarchy = modernHierarchy();
+    huge_mshr.pipe.hierarchy.l1Mshr.entries = 4000000000u;
+    const std::pair<const TimingRequest *, const char *> machines[] = {
+        {&wide_l1, "L2 block (64B) must be at least the L1 block (128B)"},
+        {&big_l1, "must be at least as large as L1"},
+        {&huge_mshr, "L1 MSHR entries must be at most 256"},
+    };
+    for (const auto &[req, msg] : machines) {
+        ASSERT_TRUE(client.exchange(sv::WireKind::Timing,
+                                    encodeTimingBody(*req), &resp, &err))
+            << err;
+        EXPECT_EQ(resp.status, sv::WireStatus::Error);
+        EXPECT_NE(resp.body.find(msg), std::string::npos) << resp.body;
+    }
+
     // The same connection keeps serving real work.
     TimingResult res;
     bool cached = true;

@@ -35,15 +35,17 @@ TEST(PromDump, NamesAreSanitizedWithThePrefix)
 
 TEST(PromDump, EveryKindGetsHelpTypeAndValueLines)
 {
+    uint64_t c = 0;
+    double level = 2.5;
+    obs::DistData d;
     obs::Registry reg;
     obs::Group &g = reg.root().group("t");
-    obs::Counter &c = g.counter("events", "things that happened");
+    g.counter("events", "things that happened", &c);
     ++c;
     ++c;
-    obs::Scalar &s = g.scalar("level", "current level");
-    s.set(2.5);
-    g.formula("twice", "level doubled", [&] { return s.value() * 2; });
-    obs::Distribution &d = g.distribution("lat", "latencies");
+    g.formula("level", "current level", [&] { return level; });
+    g.formula("twice", "level doubled", [&] { return level * 2; });
+    g.distribution("lat", "latencies", [&] { return d; });
     d.sample(1.0);
     d.sample(3.0);
 
@@ -66,9 +68,9 @@ TEST(PromDump, EveryKindGetsHelpTypeAndValueLines)
 
 TEST(PromDump, HistogramBucketsAreCumulativeWithInf)
 {
+    obs::Histogram h(0.0, 10.0, 2);
     obs::Registry reg;
-    obs::Histogram &h =
-        reg.root().group("t").histogram("v", "values", 0.0, 10.0, 2);
+    reg.root().group("t").histogram("v", "values", &h);
     h.sample(-1.0);  // underflow
     h.sample(2.0);   // bucket [0,5)
     h.sample(7.0);   // bucket [5,10)
@@ -90,8 +92,9 @@ TEST(PromDump, HistogramBucketsAreCumulativeWithInf)
 
 TEST(PromDump, HelpTextIsEscaped)
 {
+    uint64_t c = 0;
     obs::Registry reg;
-    reg.root().group("t").counter("c", "line one\nline two \\ end");
+    reg.root().group("t").counter("c", "line one\nline two \\ end", &c);
     std::string p = reg.promDump();
     EXPECT_NE(p.find("line one\\nline two \\\\ end"), std::string::npos);
 }
@@ -102,9 +105,7 @@ TEST(PromDump, HelpTextIsEscaped)
 
 TEST(HistogramPercentile, InterpolatesInsideTheCrossingBucket)
 {
-    obs::Registry reg;
-    obs::Histogram &h =
-        reg.root().group("t").histogram("v", "values", 0.0, 100.0, 10);
+    obs::Histogram h(0.0, 100.0, 10);
     // 100 samples uniform in [0,100): percentiles track the identity.
     for (int i = 0; i < 100; ++i)
         h.sample(i + 0.5);
@@ -116,9 +117,7 @@ TEST(HistogramPercentile, InterpolatesInsideTheCrossingBucket)
 
 TEST(HistogramPercentile, EdgeMassSaturatesAtTheRange)
 {
-    obs::Registry reg;
-    obs::Histogram &h =
-        reg.root().group("t").histogram("v", "values", 0.0, 10.0, 2);
+    obs::Histogram h(0.0, 10.0, 2);
     EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);  // empty
     h.sample(-5.0);
     EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);  // all underflow -> lo
@@ -134,11 +133,12 @@ TEST(HistogramPercentile, EdgeMassSaturatesAtTheRange)
 
 TEST(StatsSampler, ParsesARealRegistryDump)
 {
+    uint64_t c = 1;
+    obs::DistData d;
     obs::Registry reg;
     obs::Group &g = reg.root().group("serve");
-    obs::Counter &c = g.counter("requests", "requests");
-    ++c;
-    obs::Distribution &d = g.distribution("lat", "latencies");
+    g.counter("requests", "requests", &c);
+    g.distribution("lat", "latencies", [&] { return d; });
     d.sample(4.0);
     d.sample(8.0);
 
@@ -222,10 +222,10 @@ TEST(Prof, ScopesAccumulateAndResetClears)
     {
         FACSIM_PROF_SCOPE(Drain);
     }
-    obs::ProfTally t = obs::profSnapshot(obs::ProfPhase::Drain);
+    obs::DistData t = obs::profSnapshot(obs::ProfPhase::Drain);
     EXPECT_EQ(t.count, 2u);
-    EXPECT_GE(t.sumUs, 0.0);
-    EXPECT_GE(t.maxUs, t.minUs);
+    EXPECT_GE(t.sum, 0.0);
+    EXPECT_GE(t.max, t.min);
     EXPECT_EQ(obs::profSnapshot(obs::ProfPhase::CacheSave).count, 0u);
 
     obs::profReset();

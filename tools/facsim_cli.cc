@@ -292,29 +292,6 @@ isWorkload(const std::string &target)
     return !target.empty() && target[0] == '@';
 }
 
-/** Cross-flag rules; each fires only for verbs reading both flags. */
-void
-checkOptions(const CliOptions &o, const std::string &target)
-{
-    if (!o.predictor.empty() && o.agi)
-        fatal("usage: --predictor/--fac are mutually exclusive with --agi "
-              "(each selects the whole organisation)");
-    if (!o.ckptSave.empty() && !o.ckptRestore.empty())
-        fatal("usage: --ckpt-save and --ckpt-restore are mutually "
-              "exclusive");
-    const bool ckpt = !o.ckptSave.empty() || !o.ckptRestore.empty();
-    if (ckpt && (o.sampling.enabled() || o.compare))
-        fatal("usage: checkpointing (--ckpt-save/--ckpt-restore) cannot "
-              "be combined with --sample-period or --compare");
-    if (ckpt && !isWorkload(target))
-        fatal("usage: checkpoints require a built-in @workload target");
-    if (std::string bad = o.sampling.check(); !bad.empty())
-        fatal("usage: %s", bad.c_str());
-    if (o.fuzz.minItems > o.fuzz.maxItems)
-        fatal("usage: --min-items (%u) exceeds --max-items (%u)",
-              o.fuzz.minItems, o.fuzz.maxItems);
-}
-
 BuildOptions
 buildOf(const CliOptions &o)
 {
@@ -357,6 +334,53 @@ pipeOf(const CliOptions &o, bool baseline = false)
         c = baselineConfig(o.block);
     c.hierarchy = hierarchyOf(o);
     return c;
+}
+
+/** The L1 `profile` measures FAC against: 16 KB, direct-mapped. */
+CacheConfig
+profileCacheOf(const CliOptions &o)
+{
+    return CacheConfig{16 * 1024, o.block, 1, 6};
+}
+
+/**
+ * Cross-flag rules, each firing only for verbs reading both flags, then
+ * the machine @p verb would build from them.
+ */
+void
+checkOptions(const CliOptions &o, const std::string &target, Verb verb)
+{
+    if (!o.predictor.empty() && o.agi)
+        fatal("usage: --predictor/--fac are mutually exclusive with --agi "
+              "(each selects the whole organisation)");
+    if (!o.ckptSave.empty() && !o.ckptRestore.empty())
+        fatal("usage: --ckpt-save and --ckpt-restore are mutually "
+              "exclusive");
+    const bool ckpt = !o.ckptSave.empty() || !o.ckptRestore.empty();
+    if (ckpt && (o.sampling.enabled() || o.compare))
+        fatal("usage: checkpointing (--ckpt-save/--ckpt-restore) cannot "
+              "be combined with --sample-period or --compare");
+    if (ckpt && !isWorkload(target))
+        fatal("usage: checkpoints require a built-in @workload target");
+    if (std::string bad = o.sampling.check(); !bad.empty())
+        fatal("usage: %s", bad.c_str());
+    if (o.fuzz.minItems > o.fuzz.maxItems)
+        fatal("usage: --min-items (%u) exceeds --max-items (%u)",
+              o.fuzz.minItems, o.fuzz.maxItems);
+    // The machine the flags describe must be buildable: a geometry no
+    // component can model is a usage error, never a panic mid-run.
+    std::string bad;
+    if (verb & (Time | Mklib | Farm)) {
+        bad = pipeOf(o).check();
+        if (bad.empty() && o.compare)
+            bad = pipeOf(o, true).check();
+    } else if (verb == Profile) {
+        bad = profileCacheOf(o).check("data cache");
+        if (bad.empty())
+            bad = facConfigFor(profileCacheOf(o)).check();
+    }
+    if (!bad.empty())
+        fatal("usage: %s", bad.c_str());
 }
 
 /**
@@ -866,7 +890,7 @@ printProfile(Profiler &prof)
 int
 cmdProfile(const std::string &target, const CliOptions &o)
 {
-    FacConfig fc = facConfigFor(CacheConfig{16 * 1024, o.block, 1, 6});
+    FacConfig fc = facConfigFor(profileCacheOf(o));
     Profiler prof;
     prof.addFacConfig(fc);
 
@@ -1181,6 +1205,6 @@ main(int argc, char **argv)
     if (*verb->operand && target.empty())
         fatal("usage: %s needs a target %s", command.c_str(),
               verb->operand);
-    checkOptions(o, target);
+    checkOptions(o, target, verb->bit);
     return verb->run(target, o);
 }
