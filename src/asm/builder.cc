@@ -15,24 +15,10 @@ AsmBuilder::r3(Op op, uint8_t rd, uint8_t rs, uint8_t rt)
 void
 AsmBuilder::i3(Op op, uint8_t rt, uint8_t rs, int32_t imm)
 {
-    FACSIM_ASSERT(imm >= 0 && imm <= 0xffff,
-                  "logical immediate %d out of range", imm);
+    const isa::ImmRange r = isa::immRange(isa::of(op).shape);
+    FACSIM_ASSERT(imm >= r.lo && imm <= r.hi,
+                  "%s immediate %d out of range", opName(op), imm);
     p.append(Inst{.op = op, .rs = rs, .rt = rt, .imm = imm});
-}
-
-void
-AsmBuilder::addi(uint8_t rt, uint8_t rs, int32_t imm)
-{
-    FACSIM_ASSERT(imm >= -32768 && imm <= 32767,
-                  "addi immediate %d out of range", imm);
-    p.append(Inst{.op = Op::ADDI, .rs = rs, .rt = rt, .imm = imm});
-}
-
-void
-AsmBuilder::lui(uint8_t rt, int32_t imm16)
-{
-    FACSIM_ASSERT(imm16 >= 0 && imm16 <= 0xffff, "lui immediate range");
-    p.append(Inst{.op = Op::LUI, .rt = rt, .imm = imm16});
 }
 
 void

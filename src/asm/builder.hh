@@ -54,13 +54,13 @@ class AsmBuilder
     void srav(uint8_t rd, uint8_t rs, uint8_t rt) { r3(Op::SRAV, rd, rs, rt); }
 
     // --- integer ALU, immediate form --------------------------------------
-    void addi(uint8_t rt, uint8_t rs, int32_t imm);
+    void addi(uint8_t rt, uint8_t rs, int32_t i) { i3(Op::ADDI, rt, rs, i); }
     void andi(uint8_t rt, uint8_t rs, int32_t imm);
     void ori(uint8_t rt, uint8_t rs, int32_t imm) { i3(Op::ORI, rt, rs, imm); }
     void xori(uint8_t rt, uint8_t rs, int32_t imm);
     void slti(uint8_t rt, uint8_t rs, int32_t imm);
     void sltiu(uint8_t rt, uint8_t rs, int32_t imm);
-    void lui(uint8_t rt, int32_t imm16);
+    void lui(uint8_t rt, int32_t imm16) { i3(Op::LUI, rt, 0, imm16); }
     void sll(uint8_t rd, uint8_t rs, int32_t shamt);
     void srl(uint8_t rd, uint8_t rs, int32_t shamt);
     void sra(uint8_t rd, uint8_t rs, int32_t shamt);

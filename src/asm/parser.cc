@@ -360,234 +360,110 @@ handleDirective(ParseState &st, const std::string &dir,
     }
 }
 
-void
-emitMem(ParseState &st, const std::string &mn, const std::string &data_op,
-        const std::string &mem_op)
+/** Expand a pseudo-op (li, la, move, b); false if @p mn is none. */
+bool
+handlePseudo(ParseState &st, const std::string &mn,
+             const std::vector<std::string> &ops)
 {
-    static const std::map<std::string, Op> mem_ops = {
-        {"lb", Op::LB}, {"lbu", Op::LBU}, {"lh", Op::LH},
-        {"lhu", Op::LHU}, {"lw", Op::LW}, {"sb", Op::SB},
-        {"sh", Op::SH}, {"sw", Op::SW}, {"lwc1", Op::LWC1},
-        {"ldc1", Op::LDC1}, {"swc1", Op::SWC1}, {"sdc1", Op::SDC1},
-    };
-    Op op = mem_ops.at(mn);
-    uint8_t data = isFpMem(op) ? needFpReg(st, data_op)
-                               : needIntReg(st, data_op);
-    MemOperand m = parseMemOperand(st, mem_op);
-
-    if (!m.gpSym.empty()) {
-        SymId sym = needSym(st, m.gpSym);
-        uint32_t idx = st.prog.append(
-            Inst{.op = op, .amode = AMode::RegConst, .rs = reg::gp,
-                 .rt = data, .imm = 0});
-        st.prog.addFixup({Fixup::Kind::GpRel, idx, sym, m.gpAddend});
-        return;
-    }
-    if (m.amode == AMode::PostInc &&
-        (op == Op::LH || op == Op::LHU || op == Op::SH)) {
-        st.fail("post-increment is not encodable for halfword accesses");
-    }
-    st.prog.append(Inst{.op = op, .amode = m.amode, .rd = m.index,
-                        .rs = m.base, .rt = data, .imm = m.imm});
-}
-
-void
-handleInstruction(ParseState &st, const std::string &mn,
-                  const std::vector<std::string> &ops)
-{
-    AsmBuilder &as = st.as;
-
     auto need = [&](size_t n) {
         if (ops.size() != n)
             st.fail(mn + " takes " + std::to_string(n) + " operand(s)");
     };
-    auto ireg = [&](size_t i) { return needIntReg(st, ops[i]); };
-    auto freg = [&](size_t i) { return needFpReg(st, ops[i]); };
-    auto imm16 = [&](size_t i) { return needInt(st, ops[i], -32768,
-                                                65535); };
-
-    // Three-register integer ALU.
-    static const std::map<std::string, Op> alu3 = {
-        {"add", Op::ADD}, {"sub", Op::SUB}, {"and", Op::AND},
-        {"or", Op::OR}, {"xor", Op::XOR}, {"nor", Op::NOR},
-        {"slt", Op::SLT}, {"sltu", Op::SLTU}, {"mul", Op::MUL},
-        {"div", Op::DIV}, {"rem", Op::REM}, {"sllv", Op::SLLV},
-        {"srlv", Op::SRLV}, {"srav", Op::SRAV},
-    };
-    if (auto it = alu3.find(mn); it != alu3.end()) {
-        need(3);
-        st.prog.append(Inst{.op = it->second, .rd = ireg(0),
-                            .rs = ireg(1), .rt = ireg(2)});
-        return;
-    }
-
-    // Immediate ALU.
-    static const std::map<std::string, Op> alui = {
-        {"addi", Op::ADDI}, {"andi", Op::ANDI}, {"ori", Op::ORI},
-        {"xori", Op::XORI}, {"slti", Op::SLTI}, {"sltiu", Op::SLTIU},
-    };
-    if (auto it = alui.find(mn); it != alui.end()) {
-        need(3);
-        st.prog.append(Inst{.op = it->second, .rs = ireg(1),
-                            .rt = ireg(0), .imm = imm16(2)});
-        return;
-    }
-
-    // Shifts by immediate.
-    static const std::map<std::string, Op> shifts = {
-        {"sll", Op::SLL}, {"srl", Op::SRL}, {"sra", Op::SRA},
-    };
-    if (auto it = shifts.find(mn); it != shifts.end()) {
-        need(3);
-        st.prog.append(Inst{.op = it->second, .rd = ireg(0),
-                            .rs = ireg(1),
-                            .imm = needInt(st, ops[2], 0, 31)});
-        return;
-    }
-
-    // Memory operations.
-    static const char *mem_names[] = {
-        "lb", "lbu", "lh", "lhu", "lw", "sb", "sh", "sw",
-        "lwc1", "ldc1", "swc1", "sdc1",
-    };
-    for (const char *m : mem_names) {
-        if (mn == m) {
-            need(2);
-            emitMem(st, mn, ops[0], ops[1]);
-            return;
-        }
-    }
-
-    // Branches.
-    static const std::map<std::string, Op> br2 = {
-        {"beq", Op::BEQ}, {"bne", Op::BNE},
-    };
-    if (auto it = br2.find(mn); it != br2.end()) {
-        need(3);
-        uint8_t rs = ireg(0), rt = ireg(1);
-        uint32_t idx = st.prog.append(Inst{.op = it->second, .rs = rs,
-                                           .rt = rt});
-        st.prog.addFixup({Fixup::Kind::Branch, idx, st.label(ops[2]), 0});
-        return;
-    }
-    static const std::map<std::string, Op> br1 = {
-        {"blez", Op::BLEZ}, {"bgtz", Op::BGTZ}, {"bltz", Op::BLTZ},
-        {"bgez", Op::BGEZ},
-    };
-    if (auto it = br1.find(mn); it != br1.end()) {
-        need(2);
-        uint8_t rs = ireg(0);
-        uint32_t idx = st.prog.append(Inst{.op = it->second, .rs = rs});
-        st.prog.addFixup({Fixup::Kind::Branch, idx, st.label(ops[1]), 0});
-        return;
-    }
-    if (mn == "bc1t" || mn == "bc1f") {
-        need(1);
-        uint32_t idx = st.prog.append(
-            Inst{.op = mn == "bc1t" ? Op::BC1T : Op::BC1F});
-        st.prog.addFixup({Fixup::Kind::Branch, idx, st.label(ops[0]), 0});
-        return;
-    }
-
-    // Jumps.
-    if (mn == "j" || mn == "b" || mn == "jal") {
-        need(1);
-        uint32_t idx = st.prog.append(
-            Inst{.op = mn == "jal" ? Op::JAL : Op::J});
-        st.prog.addFixup({Fixup::Kind::Jump, idx, st.label(ops[0]), 0});
-        return;
-    }
-    if (mn == "jr") {
-        need(1);
-        as.jr(ireg(0));
-        return;
-    }
-    if (mn == "jalr") {
-        if (ops.size() == 1)
-            as.jalr(reg::ra, ireg(0));
-        else if (ops.size() == 2)
-            as.jalr(ireg(0), ireg(1));
-        else
-            st.fail("jalr takes 1 or 2 operands");
-        return;
-    }
-
-    // Floating point.
-    static const std::map<std::string, Op> fp3 = {
-        {"add.d", Op::ADD_D}, {"sub.d", Op::SUB_D},
-        {"mul.d", Op::MUL_D}, {"div.d", Op::DIV_D},
-    };
-    if (auto it = fp3.find(mn); it != fp3.end()) {
-        need(3);
-        st.prog.append(Inst{.op = it->second, .rd = freg(0),
-                            .rs = freg(1), .rt = freg(2)});
-        return;
-    }
-    static const std::map<std::string, Op> fp2 = {
-        {"sqrt.d", Op::SQRT_D}, {"abs.d", Op::ABS_D},
-        {"neg.d", Op::NEG_D}, {"mov.d", Op::MOV_D},
-        {"cvt.d.w", Op::CVT_D_W}, {"cvt.w.d", Op::CVT_W_D},
-    };
-    if (auto it = fp2.find(mn); it != fp2.end()) {
-        need(2);
-        st.prog.append(Inst{.op = it->second, .rd = freg(0),
-                            .rs = freg(1)});
-        return;
-    }
-    static const std::map<std::string, Op> fpc = {
-        {"c.eq.d", Op::C_EQ_D}, {"c.lt.d", Op::C_LT_D},
-        {"c.le.d", Op::C_LE_D},
-    };
-    if (auto it = fpc.find(mn); it != fpc.end()) {
-        need(2);
-        st.prog.append(Inst{.op = it->second, .rs = freg(0),
-                            .rt = freg(1)});
-        return;
-    }
-    if (mn == "mtc1") {
-        need(2);
-        as.mtc1(needFpReg(st, ops[1]), ireg(0));
-        return;
-    }
-    if (mn == "mfc1") {
-        need(2);
-        as.mfc1(ireg(0), needFpReg(st, ops[1]));
-        return;
-    }
-
-    // Pseudo-ops.
     if (mn == "li") {
         need(2);
-        as.li(ireg(0), needInt(st, ops[1], INT32_MIN, INT32_MAX));
-        return;
-    }
-    if (mn == "lui") {
+        st.as.li(needIntReg(st, ops[0]),
+                 needInt(st, ops[1], INT32_MIN, INT32_MAX));
+    } else if (mn == "la") {
         need(2);
-        as.lui(ireg(0), needInt(st, ops[1], 0, 65535));
-        return;
-    }
-    if (mn == "la") {
+        st.as.la(needIntReg(st, ops[0]), needSym(st, ops[1]));
+    } else if (mn == "move") {
         need(2);
-        as.la(ireg(0), needSym(st, ops[1]));
-        return;
+        st.as.move(needIntReg(st, ops[0]), needIntReg(st, ops[1]));
+    } else if (mn == "b") {
+        need(1);
+        uint32_t idx = st.prog.append(Inst{.op = Op::J});
+        st.prog.addFixup({Fixup::Kind::Jump, idx, st.label(ops[0]), 0});
+    } else {
+        return false;
     }
-    if (mn == "move") {
-        need(2);
-        as.move(ireg(0), ireg(1));
-        return;
-    }
-    if (mn == "nop") {
-        need(0);
-        as.nop();
-        return;
-    }
-    if (mn == "halt") {
-        need(0);
-        as.halt();
+    return true;
+}
+
+void
+handleInstruction(ParseState &st, const std::string &mn,
+                  std::vector<std::string> ops)
+{
+    static const std::map<std::string, Op> mnemonics = [] {
+        std::map<std::string, Op> m;
+        for (unsigned o = 0; o < static_cast<unsigned>(Op::NumOps); ++o)
+            m.emplace(isa::info[o].mnemonic, static_cast<Op>(o));
+        return m;
+    }();
+    auto it = mnemonics.find(mn);
+    if (it == mnemonics.end()) {
+        if (!handlePseudo(st, mn, ops))
+            st.fail("unknown mnemonic '" + mn + "'");
         return;
     }
 
-    st.fail("unknown mnemonic '" + mn + "'");
+    const Op op = it->second;
+    const isa::Shape shape = isa::of(op).shape;
+    const isa::Operands want = isa::operandsOf(shape);
+    // "jalr rs" links through $ra.
+    if (op == Op::JALR && ops.size() == 1)
+        ops.insert(ops.begin(), "$ra");
+    if (ops.size() != want.n)
+        st.fail(mn + " takes " + std::to_string(want.n) + " operand(s)");
+
+    using O = isa::Operand;
+    Inst in{.op = op};
+    std::optional<Fixup> fixup;
+    for (unsigned i = 0; i < want.n; ++i) {
+        const std::string &t = ops[i];
+        switch (want.at[i]) {
+          case O::IntRd: in.rd = needIntReg(st, t); break;
+          case O::IntRs: in.rs = needIntReg(st, t); break;
+          case O::IntRt: in.rt = needIntReg(st, t); break;
+          case O::FpRd: in.rd = needFpReg(st, t); break;
+          case O::FpRs: in.rs = needFpReg(st, t); break;
+          case O::FpRt: in.rt = needFpReg(st, t); break;
+          case O::Imm: case O::Hex: {
+            const isa::ImmRange r = isa::immRange(shape);
+            in.imm = needInt(st, t, r.lo, r.hi);
+            break;
+          }
+          case O::Branch:
+            fixup = Fixup{Fixup::Kind::Branch, 0, st.label(t), 0};
+            break;
+          case O::Target:
+            fixup = Fixup{Fixup::Kind::Jump, 0, st.label(t), 0};
+            break;
+          case O::Data:
+            in.rt = isFpMem(op) ? needFpReg(st, t) : needIntReg(st, t);
+            break;
+          case O::Address: {
+            const MemOperand m = parseMemOperand(st, t);
+            if (!m.gpSym.empty()) {
+                in.rs = reg::gp;
+                fixup = Fixup{Fixup::Kind::GpRel, 0, needSym(st, m.gpSym),
+                              m.gpAddend};
+                break;
+            }
+            if (m.amode == AMode::PostInc && isa::of(op).pi < 0)
+                st.fail("post-increment is not encodable for " + mn);
+            in.amode = m.amode;
+            in.rd = m.index;
+            in.rs = m.base;
+            in.imm = m.imm;
+            break;
+          }
+        }
+    }
+    const uint32_t idx = st.prog.append(in);
+    if (fixup) {
+        fixup->instIndex = idx;
+        st.prog.addFixup(*fixup);
+    }
 }
 
 } // anonymous namespace

@@ -11,6 +11,11 @@
  * direct-target successors ("superblocks"), so straight-line code and
  * hot loops run without even a block-cache lookup between blocks.
  *
+ * The handler kinds come from the ISA's FACSIM_ISA rows (isa/inst.hh),
+ * and translation fills each record by the row's operand shape, so an
+ * opcode's only emulator-side statement is its handler body in
+ * cpu/emu_exec.inc.
+ *
  * See docs/INTERNALS.md ("Threaded emulator core") for the dispatch
  * selection, the invalidation rules and the batched-warmup argument.
  */
@@ -18,6 +23,7 @@
 #ifndef FACSIM_CPU_EMU_BLOCK_HH
 #define FACSIM_CPU_EMU_BLOCK_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -64,48 +70,64 @@ struct EmuTranslationStats
 };
 
 /**
- * Handler kinds, one per specialized handler. Memory operations are
- * specialized per addressing mode (_RC = base+constant, _RR =
- * base+index-register, _PI = post-increment) so the mode is resolved
- * at translation time, not per execution. ENDBLOCK is the synthetic
- * terminator appended to blocks that end by size cap (or by running
- * off the end of text) rather than at a control transfer.
+ * Handler kinds, one per specialized handler, generated from the
+ * FACSIM_ISA rows in Op order: a row's emu column gives one kind named
+ * after the op, or for a memory row one kind per addressing mode
+ * (_RC = base+constant, _RR = base+index-register, _PI =
+ * post-increment), so the mode is resolved at translation time, not
+ * per execution. ENDBLOCK is the synthetic terminator appended to
+ * blocks that end by size cap (or by running off the end of text)
+ * rather than at a control transfer.
  *
- * The X-macro keeps the enum and the computed-goto label table in the
- * dispatch loops structurally in sync (same order, same names).
+ * FACSIM_EMU_KINDS expands FACSIM_EMU_KIND(kind) once per kind, in
+ * order: the includer defines FACSIM_EMU_KIND first. That keeps the
+ * enum and the computed-goto label table in the dispatch loops
+ * structurally in sync (same order, same names).
  */
-#define FACSIM_EMU_KINDS(X)                                                  \
-    X(NOP) X(HALT)                                                           \
-    X(ADD) X(SUB) X(AND) X(OR) X(XOR) X(NOR) X(SLT) X(SLTU)                  \
-    X(MUL) X(DIV) X(REM)                                                     \
-    X(SLL) X(SRL) X(SRA) X(SLLV) X(SRLV) X(SRAV)                             \
-    X(ADDI) X(ANDI) X(ORI) X(XORI) X(SLTI) X(SLTIU) X(LUI)                   \
-    X(LB_RC) X(LB_RR) X(LB_PI)                                               \
-    X(LBU_RC) X(LBU_RR) X(LBU_PI)                                            \
-    X(LH_RC) X(LH_RR) X(LH_PI)                                               \
-    X(LHU_RC) X(LHU_RR) X(LHU_PI)                                            \
-    X(LW_RC) X(LW_RR) X(LW_PI)                                               \
-    X(SB_RC) X(SB_RR) X(SB_PI)                                               \
-    X(SH_RC) X(SH_RR) X(SH_PI)                                               \
-    X(SW_RC) X(SW_RR) X(SW_PI)                                               \
-    X(LWC1_RC) X(LWC1_RR) X(LWC1_PI)                                         \
-    X(LDC1_RC) X(LDC1_RR) X(LDC1_PI)                                         \
-    X(SWC1_RC) X(SWC1_RR) X(SWC1_PI)                                         \
-    X(SDC1_RC) X(SDC1_RR) X(SDC1_PI)                                         \
-    X(BEQ) X(BNE) X(BLEZ) X(BGTZ) X(BLTZ) X(BGEZ) X(BC1T) X(BC1F)            \
-    X(J) X(JAL) X(JR) X(JALR)                                                \
-    X(ADD_D) X(SUB_D) X(MUL_D) X(DIV_D) X(SQRT_D) X(ABS_D) X(NEG_D)          \
-    X(MOV_D) X(CVT_D_W) X(CVT_W_D) X(C_EQ_D) X(C_LT_D) X(C_LE_D)             \
-    X(MTC1) X(MFC1)                                                          \
-    X(ENDBLOCK)
+#define FACSIM_EMU_KINDS_One(op) FACSIM_EMU_KIND(op)
+#define FACSIM_EMU_KINDS_PerMode(op)                                        \
+    FACSIM_EMU_KIND(op##_RC) FACSIM_EMU_KIND(op##_RR) FACSIM_EMU_KIND(op##_PI)
+#define FACSIM_EMU_KINDS_ROW(op, mn, shape, code, fn, pi, flags, size,      \
+                             unit, emu)                                     \
+    FACSIM_EMU_KINDS_##emu(op)
+#define FACSIM_EMU_KINDS                                                    \
+    FACSIM_ISA(FACSIM_EMU_KINDS_ROW) FACSIM_EMU_KIND(ENDBLOCK)
 
 enum class EmuKind : uint8_t
 {
-#define FACSIM_EMU_KIND_ENUM(k) k,
-    FACSIM_EMU_KINDS(FACSIM_EMU_KIND_ENUM)
-#undef FACSIM_EMU_KIND_ENUM
+#define FACSIM_EMU_KIND(k) k,
+    FACSIM_EMU_KINDS
+#undef FACSIM_EMU_KIND
     NumKinds
 };
+
+/**
+ * The handler kind running @p op in addressing mode @p mode: the op's
+ * first kind, plus the mode for memory ops (their kinds follow AMode
+ * order).
+ */
+constexpr EmuKind
+emuKindOf(Op op, AMode mode)
+{
+    constexpr auto first = [] {
+        std::array<uint8_t, static_cast<size_t>(Op::NumOps)> t{};
+        unsigned k = 0;
+        for (size_t o = 0; o < t.size(); ++o) {
+            t[o] = static_cast<uint8_t>(k);
+            k += isa::info[o].emu == isa::Emu::PerMode ? 3 : 1;
+        }
+        return t;
+    }();
+    const unsigned k = first[static_cast<size_t>(op)];
+    return static_cast<EmuKind>(
+        isa::of(op).emu == isa::Emu::PerMode
+            ? k + static_cast<unsigned>(mode) : k);
+}
+
+static_assert(emuKindOf(Op::LUI, AMode::RegConst) == EmuKind::LUI &&
+              emuKindOf(Op::LW, AMode::RegReg) == EmuKind::LW_RR &&
+              emuKindOf(Op::SDC1, AMode::PostInc) == EmuKind::SDC1_PI &&
+              emuKindOf(Op::MFC1, AMode::RegConst) == EmuKind::MFC1);
 
 /**
  * One pre-bound handler record. Field meanings depend on the kind:

@@ -254,9 +254,9 @@ Emulator::runBlocksThreaded(uint64_t max_insts, WarmCtx *wc)
     // table must be rebound before dispatching here (jumping to a
     // foreign function's label is undefined behaviour).
     static const void *const kLabels[] = {
-#define FACSIM_EMU_LABEL(k) &&L_##k,
-        FACSIM_EMU_KINDS(FACSIM_EMU_LABEL)
-#undef FACSIM_EMU_LABEL
+#define FACSIM_EMU_KIND(k) &&L_##k,
+        FACSIM_EMU_KINDS
+#undef FACSIM_EMU_KIND
     };
     if (labels_ != kLabels) {
         labels_ = kLabels;

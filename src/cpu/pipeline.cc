@@ -181,40 +181,34 @@ Pipeline::bind(const Inst &in) const
     if (isControl(in.op))
         t.kind = Kind::Control;  // links (JAL/JALR) are due at issue+1
 
-    switch (in.op) {
-      case Op::NOP:
-        t.kind = Kind::Nop;
+    using S = isa::Shape;
+    switch (isa::of(in.op).shape) {
+      case S::None:
+        t.kind = in.op == Op::HALT ? Kind::Halt : Kind::Nop;
         break;
-      case Op::HALT:
-        t.kind = Kind::Halt;
+      case S::J: case S::Jal: case S::Lui: case S::Mem:
         break;
-      case Op::J: case Op::JAL: case Op::LUI:
-        break;
-      case Op::BC1T: case Op::BC1F:
+      case S::Bc1:
         t.src[0] = fpccSlot;
         break;
-      case Op::BLEZ: case Op::BGTZ: case Op::BLTZ: case Op::BGEZ:
-      case Op::JR: case Op::JALR:
-      case Op::SLL: case Op::SRL: case Op::SRA:
-      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
-      case Op::SLTI: case Op::SLTIU:
+      case S::Br1: case S::Jr: case S::Jalr: case S::Shift: case S::ImmS:
+      case S::ImmU:
         t.src[0] = ireg(in.rs);
         break;
-      case Op::MTC1:
+      case S::Mtc1:
         t.src[0] = ireg(in.rt);
         break;
-      case Op::MFC1:
-      case Op::SQRT_D: case Op::ABS_D: case Op::NEG_D: case Op::MOV_D:
-      case Op::CVT_D_W: case Op::CVT_W_D:
+      case S::Mfc1: case S::Fp2:
         t.src[0] = freg(in.rs);
         break;
-      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
+      case S::FpCmp:
+        t.cc = fpccSlot;
+        [[fallthrough]];
+      case S::Fp3:
         t.src[0] = freg(in.rs);
         t.src[1] = freg(in.rt);
         break;
-      default:
-        // Two-source integer ALU operations and BEQ/BNE.
+      case S::R3: case S::Br2:
         t.src[0] = ireg(in.rs);
         t.src[1] = ireg(in.rt);
         break;
@@ -229,31 +223,21 @@ Pipeline::bind(const Inst &in) const
         t.lat = static_cast<uint8_t>(lat);
         t.busy = static_cast<uint8_t>(busy);
     };
-    switch (in.op) {
-      case Op::MUL:
-        set(fuIntMulDiv, cfg.intMulLat, 1);
-        break;
-      case Op::DIV: case Op::REM:
+    switch (isa::of(in.op).unit) {
+      case isa::Unit::IntAlu: set(fuIntAlu, cfg.intAluLat, 1); break;
+      case isa::Unit::IntMul: set(fuIntMulDiv, cfg.intMulLat, 1); break;
+      case isa::Unit::IntDiv:
         set(fuIntMulDiv, cfg.intDivLat, cfg.intDivLat);
         break;
-      case Op::MUL_D:
-        set(fuFpMulDiv, cfg.fpMulLat, 1);
-        break;
-      case Op::DIV_D:
+      case isa::Unit::FpAdd: set(fuFpAdd, cfg.fpAddLat, 1); break;
+      case isa::Unit::FpMul: set(fuFpMulDiv, cfg.fpMulLat, 1); break;
+      case isa::Unit::FpDiv:
         set(fuFpMulDiv, cfg.fpDivLat, cfg.fpDivLat);
         break;
-      case Op::SQRT_D:
+      case isa::Unit::FpSqrt:
         set(fuFpMulDiv, cfg.fpSqrtLat, cfg.fpSqrtLat);
         break;
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        t.cc = fpccSlot;
-        [[fallthrough]];
-      case Op::ADD_D: case Op::SUB_D: case Op::ABS_D: case Op::NEG_D:
-      case Op::MOV_D: case Op::CVT_D_W: case Op::CVT_W_D:
-        set(fuFpAdd, cfg.fpAddLat, 1);
-        break;
-      default:
-        set(fuIntAlu, cfg.intAluLat, 1);
+      case isa::Unit::Mem:
         break;
     }
     return t;

@@ -8,85 +8,46 @@ namespace facsim
 std::string
 disasm(const Inst &in, uint32_t pc)
 {
-    const char *n = opName(in.op);
-    switch (in.op) {
-      case Op::NOP:
-      case Op::HALT:
-        return n;
-
-      case Op::SLL: case Op::SRL: case Op::SRA:
-        return strprintf("%s %s,%s,%d", n, regName(in.rd), regName(in.rs),
-                         in.imm);
-
-      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR: case Op::XOR:
-      case Op::NOR: case Op::SLLV: case Op::SRLV: case Op::SRAV:
-      case Op::SLT: case Op::SLTU: case Op::MUL: case Op::DIV:
-      case Op::REM:
-        return strprintf("%s %s,%s,%s", n, regName(in.rd), regName(in.rs),
-                         regName(in.rt));
-
-      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
-      case Op::SLTI: case Op::SLTIU:
-        return strprintf("%s %s,%s,%d", n, regName(in.rt), regName(in.rs),
-                         in.imm);
-
-      case Op::LUI:
-        return strprintf("%s %s,0x%x", n, regName(in.rt), in.imm);
-
-      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU: case Op::LW:
-      case Op::SB: case Op::SH: case Op::SW:
-      case Op::LWC1: case Op::LDC1: case Op::SWC1: case Op::SDC1: {
-        std::string data = isFpMem(in.op) ? strprintf("f%d", in.rt)
-                                          : std::string(regName(in.rt));
-        switch (in.amode) {
-          case AMode::RegConst:
-            return strprintf("%s %s,%d(%s)", n, data.c_str(), in.imm,
-                             regName(in.rs));
-          case AMode::RegReg:
-            return strprintf("%s %s,(%s+%s)", n, data.c_str(),
-                             regName(in.rs), regName(in.rd));
-          case AMode::PostInc:
-            return strprintf("%s %s,(%s)%+d", n, data.c_str(),
-                             regName(in.rs), in.imm);
+    if (in.op >= Op::NumOps)
+        return "??? ???";
+    using O = isa::Operand;
+    const isa::Operands ops = isa::operandsOf(isa::of(in.op).shape);
+    std::string out = opName(in.op);
+    std::string note;
+    for (unsigned i = 0; i < ops.n; ++i) {
+        out += i == 0 ? " " : ",";
+        switch (ops.at[i]) {
+          case O::IntRd: out += regName(in.rd); break;
+          case O::IntRs: out += regName(in.rs); break;
+          case O::IntRt: out += regName(in.rt); break;
+          case O::FpRd: out += strprintf("f%d", in.rd); break;
+          case O::FpRs: out += strprintf("f%d", in.rs); break;
+          case O::FpRt: out += strprintf("f%d", in.rt); break;
+          case O::Imm: out += strprintf("%d", in.imm); break;
+          case O::Hex: out += strprintf("0x%x", in.imm); break;
+          case O::Branch:
+            out += strprintf("%d", in.imm);
+            note = strprintf("  # -> 0x%08x",
+                             pc + 4 + (static_cast<uint32_t>(in.imm) << 2));
+            break;
+          case O::Target:
+            out += strprintf("0x%08x", static_cast<uint32_t>(in.imm) << 2);
+            break;
+          case O::Data:
+            out += isFpMem(in.op) ? strprintf("f%d", in.rt)
+                                  : std::string(regName(in.rt));
+            break;
+          case O::Address:
+            if (in.amode == AMode::RegConst)
+                out += strprintf("%d(%s)", in.imm, regName(in.rs));
+            else if (in.amode == AMode::RegReg)
+                out += strprintf("(%s+%s)", regName(in.rs), regName(in.rd));
+            else
+                out += strprintf("(%s)%+d", regName(in.rs), in.imm);
+            break;
         }
-        return n;
-      }
-
-      case Op::BEQ: case Op::BNE:
-        return strprintf("%s %s,%s,%d  # -> 0x%08x", n, regName(in.rs),
-                         regName(in.rt), in.imm,
-                         pc + 4 + (static_cast<uint32_t>(in.imm) << 2));
-      case Op::BLEZ: case Op::BGTZ: case Op::BLTZ: case Op::BGEZ:
-        return strprintf("%s %s,%d  # -> 0x%08x", n, regName(in.rs),
-                         in.imm,
-                         pc + 4 + (static_cast<uint32_t>(in.imm) << 2));
-      case Op::BC1T: case Op::BC1F:
-        return strprintf("%s %d  # -> 0x%08x", n, in.imm,
-                         pc + 4 + (static_cast<uint32_t>(in.imm) << 2));
-
-      case Op::J: case Op::JAL:
-        return strprintf("%s 0x%08x", n,
-                         static_cast<uint32_t>(in.imm) << 2);
-      case Op::JR:
-        return strprintf("%s %s", n, regName(in.rs));
-      case Op::JALR:
-        return strprintf("%s %s,%s", n, regName(in.rd), regName(in.rs));
-
-      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
-        return strprintf("%s f%d,f%d,f%d", n, in.rd, in.rs, in.rt);
-      case Op::SQRT_D: case Op::ABS_D: case Op::MOV_D: case Op::NEG_D:
-      case Op::CVT_D_W: case Op::CVT_W_D:
-        return strprintf("%s f%d,f%d", n, in.rd, in.rs);
-      case Op::C_EQ_D: case Op::C_LT_D: case Op::C_LE_D:
-        return strprintf("%s f%d,f%d", n, in.rs, in.rt);
-      case Op::MTC1:
-        return strprintf("%s %s,f%d", n, regName(in.rt), in.rd);
-      case Op::MFC1:
-        return strprintf("%s %s,f%d", n, regName(in.rd), in.rs);
-
-      default:
-        return strprintf("%s ???", n);
     }
+    return out + note;
 }
 
 } // namespace facsim

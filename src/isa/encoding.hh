@@ -13,6 +13,11 @@
  * Post-increment/decrement loads and stores get their own primary opcodes
  * in I format, with imm16 as the signed stride applied to the base register
  * after the access (post-decrement is simply a negative stride).
+ *
+ * Each opcode's codes and operand shape come from its FACSIM_ISA row
+ * (isa/inst.hh); the shape fixes the format and which slots carry which
+ * fields. Unused slots are reserved and must be zero, so every valid
+ * word is the encoding of exactly one instruction.
  */
 
 #ifndef FACSIM_ISA_ENCODING_HH
@@ -28,8 +33,9 @@ namespace facsim
 /**
  * Encode a decoded instruction to its 32-bit machine word.
  *
- * @param inst the instruction; immediates must fit their fields
- *        (panics otherwise — the assembler guarantees this).
+ * @param inst the instruction; the immediate must lie in its shape's
+ *        range (isa::immRange; panics otherwise — the assembler
+ *        guarantees this).
  * @return the machine word.
  */
 uint32_t encode(const Inst &inst);
@@ -39,7 +45,8 @@ uint32_t encode(const Inst &inst);
  *
  * @param word the machine word.
  * @param inst output instruction, valid only when true is returned.
- * @retval true if the word is a valid encoding, false otherwise.
+ * @retval true if the word is the encoding of an instruction (reserved
+ *         fields zero), false otherwise.
  */
 bool decode(uint32_t word, Inst &inst);
 

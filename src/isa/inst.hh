@@ -8,6 +8,11 @@
  * Instructions are represented in two forms: a packed 32-bit machine word
  * (see encoding.hh) and this decoded struct, which the emulator and the
  * timing pipeline operate on.
+ *
+ * The FACSIM_ISA table below is the one statement of each opcode: its
+ * mnemonic, operand shape, encoding, class flags, access size, unit
+ * class and emulator handler kinds. docs/INTERNALS.md ("Adding an
+ * opcode") lists what else a new opcode needs.
  */
 
 #ifndef FACSIM_ISA_INST_HH
@@ -49,39 +54,117 @@ constexpr uint8_t fp = 30;   ///< frame pointer
 constexpr uint8_t ra = 31;   ///< return address
 } // namespace reg
 
-/** Operation codes for the decoded instruction form. */
+/**
+ * The ISA, one row per opcode. Every other statement of an opcode's
+ * facts is generated from these rows: the Op enum, the class flags,
+ * the mnemonic, the access size, the encoder and decoder, the
+ * assembler's mnemonic lookup, the disassembler, the emulator's
+ * handler kinds and the pipeline's operand, unit and latency binding.
+ * Only the handler bodies (cpu/emu_exec.inc) and cosim's independent
+ * RefModel (verify/cosim.cc) state an opcode's semantics.
+ *
+ * Columns:
+ *  - op, mnemonic: the Op enumerator and its assembly name;
+ *  - shape: the operand shape (isa::Shape), which fixes the fields the
+ *    instruction uses, its assembly syntax, its bit layout and its
+ *    immediate range;
+ *  - code, fn: the primary opcode and the funct code. SPECIAL (0x00)
+ *    and COP1 (0x11) rows put fn in bits 5:0; one-register branches
+ *    put it in the rt slot (the REGIMM opcode extension). A memory
+ *    row's code is its reg+const primary and fn its MEMX funct;
+ *  - pi: a memory row's post-increment primary, -1 for none;
+ *  - flags: opclass::* bits;
+ *  - size: bytes a memory row accesses, 0 for the rest;
+ *  - unit: the functional-unit class (isa::Unit), which the pipeline
+ *    maps to its configured unit, latency and occupancy;
+ *  - emu: One for one emulator handler kind named after the op,
+ *    PerMode for a memory row's _RC/_RR/_PI kinds.
+ *
+ * The row order is the Op order, and Op values are on disk (checkpoints,
+ * fetched records, golden execution records): append a new row just
+ * before NumOps, or bump checkpointVersion.
+ */
+// clang-format off
+#define FACSIM_ISA(X)                                                        \
+    X(NOP, "nop", None, 0x00, 0x00, -1, 0, 0, IntAlu, One)                   \
+    X(HALT, "halt", None, 0x00, 0x3f, -1, 0, 0, IntAlu, One)                 \
+    /* Integer ALU, register form. */                                       \
+    X(ADD, "add", R3, 0x00, 0x20, -1, 0, 0, IntAlu, One)                     \
+    X(SUB, "sub", R3, 0x00, 0x22, -1, 0, 0, IntAlu, One)                     \
+    X(AND, "and", R3, 0x00, 0x24, -1, 0, 0, IntAlu, One)                     \
+    X(OR, "or", R3, 0x00, 0x25, -1, 0, 0, IntAlu, One)                       \
+    X(XOR, "xor", R3, 0x00, 0x26, -1, 0, 0, IntAlu, One)                     \
+    X(NOR, "nor", R3, 0x00, 0x27, -1, 0, 0, IntAlu, One)                     \
+    X(SLL, "sll", Shift, 0x00, 0x00, -1, 0, 0, IntAlu, One)                  \
+    X(SRL, "srl", Shift, 0x00, 0x02, -1, 0, 0, IntAlu, One)                  \
+    X(SRA, "sra", Shift, 0x00, 0x03, -1, 0, 0, IntAlu, One)                  \
+    X(SLLV, "sllv", R3, 0x00, 0x04, -1, 0, 0, IntAlu, One)                   \
+    X(SRLV, "srlv", R3, 0x00, 0x06, -1, 0, 0, IntAlu, One)                   \
+    X(SRAV, "srav", R3, 0x00, 0x07, -1, 0, 0, IntAlu, One)                   \
+    X(SLT, "slt", R3, 0x00, 0x2a, -1, 0, 0, IntAlu, One)                     \
+    X(SLTU, "sltu", R3, 0x00, 0x2b, -1, 0, 0, IntAlu, One)                   \
+    X(MUL, "mul", R3, 0x00, 0x18, -1, 0, 0, IntMul, One)                     \
+    X(DIV, "div", R3, 0x00, 0x1a, -1, 0, 0, IntDiv, One)                     \
+    X(REM, "rem", R3, 0x00, 0x1b, -1, 0, 0, IntDiv, One)                     \
+    /* Integer ALU, immediate form. */                                      \
+    X(ADDI, "addi", ImmS, 0x08, 0x00, -1, 0, 0, IntAlu, One)                 \
+    X(ANDI, "andi", ImmU, 0x0c, 0x00, -1, 0, 0, IntAlu, One)                 \
+    X(ORI, "ori", ImmU, 0x0d, 0x00, -1, 0, 0, IntAlu, One)                   \
+    X(XORI, "xori", ImmU, 0x0e, 0x00, -1, 0, 0, IntAlu, One)                 \
+    X(SLTI, "slti", ImmS, 0x0a, 0x00, -1, 0, 0, IntAlu, One)                 \
+    X(SLTIU, "sltiu", ImmS, 0x0b, 0x00, -1, 0, 0, IntAlu, One)               \
+    X(LUI, "lui", Lui, 0x0f, 0x00, -1, 0, 0, IntAlu, One)                    \
+    /* Memory (Inst::amode selects the addressing mode). */                 \
+    X(LB, "lb", Mem, 0x20, 0x00, 0x16, load, 1, Mem, PerMode)                \
+    X(LBU, "lbu", Mem, 0x24, 0x01, 0x17, load, 1, Mem, PerMode)              \
+    X(LH, "lh", Mem, 0x21, 0x02, -1, load, 2, Mem, PerMode)                  \
+    X(LHU, "lhu", Mem, 0x25, 0x03, -1, load, 2, Mem, PerMode)                \
+    X(LW, "lw", Mem, 0x23, 0x04, 0x26, load, 4, Mem, PerMode)                \
+    X(SB, "sb", Mem, 0x28, 0x05, 0x27, store, 1, Mem, PerMode)               \
+    X(SH, "sh", Mem, 0x29, 0x06, -1, store, 2, Mem, PerMode)                 \
+    X(SW, "sw", Mem, 0x2b, 0x07, 0x2e, store, 4, Mem, PerMode)               \
+    X(LWC1, "lwc1", Mem, 0x31, 0x08, 0x32, load | fpMem, 4, Mem, PerMode)    \
+    X(LDC1, "ldc1", Mem, 0x35, 0x09, 0x36, load | fpMem, 8, Mem, PerMode)    \
+    X(SWC1, "swc1", Mem, 0x39, 0x0a, 0x3a, store | fpMem, 4, Mem, PerMode)   \
+    X(SDC1, "sdc1", Mem, 0x3d, 0x0b, 0x3e, store | fpMem, 8, Mem, PerMode)   \
+    /* Control. */                                                          \
+    X(BEQ, "beq", Br2, 0x04, 0x00, -1, branch, 0, IntAlu, One)               \
+    X(BNE, "bne", Br2, 0x05, 0x00, -1, branch, 0, IntAlu, One)               \
+    X(BLEZ, "blez", Br1, 0x06, 0x00, -1, branch, 0, IntAlu, One)             \
+    X(BGTZ, "bgtz", Br1, 0x07, 0x00, -1, branch, 0, IntAlu, One)             \
+    X(BLTZ, "bltz", Br1, 0x01, 0x00, -1, branch, 0, IntAlu, One)             \
+    X(BGEZ, "bgez", Br1, 0x01, 0x01, -1, branch, 0, IntAlu, One)             \
+    X(J, "j", J, 0x02, 0x00, -1, jump, 0, IntAlu, One)                       \
+    X(JAL, "jal", Jal, 0x03, 0x00, -1, jump, 0, IntAlu, One)                 \
+    X(JR, "jr", Jr, 0x00, 0x08, -1, jump, 0, IntAlu, One)                    \
+    X(JALR, "jalr", Jalr, 0x00, 0x09, -1, jump, 0, IntAlu, One)              \
+    X(BC1T, "bc1t", Bc1, 0x13, 0x00, -1, branch, 0, IntAlu, One)             \
+    X(BC1F, "bc1f", Bc1, 0x12, 0x00, -1, branch, 0, IntAlu, One)             \
+    /* Floating point (operands name FP registers; all arithmetic is */     \
+    /* double precision, .s exists only at the memory interface). */        \
+    X(ADD_D, "add.d", Fp3, 0x11, 0x00, -1, fp, 0, FpAdd, One)                \
+    X(SUB_D, "sub.d", Fp3, 0x11, 0x01, -1, fp, 0, FpAdd, One)                \
+    X(MUL_D, "mul.d", Fp3, 0x11, 0x02, -1, fp, 0, FpMul, One)                \
+    X(DIV_D, "div.d", Fp3, 0x11, 0x03, -1, fp, 0, FpDiv, One)                \
+    X(SQRT_D, "sqrt.d", Fp2, 0x11, 0x04, -1, fp, 0, FpSqrt, One)             \
+    X(ABS_D, "abs.d", Fp2, 0x11, 0x05, -1, fp, 0, FpAdd, One)                \
+    X(NEG_D, "neg.d", Fp2, 0x11, 0x07, -1, fp, 0, FpAdd, One)                \
+    X(MOV_D, "mov.d", Fp2, 0x11, 0x06, -1, fp, 0, FpAdd, One)                \
+    X(CVT_D_W, "cvt.d.w", Fp2, 0x11, 0x20, -1, fp, 0, FpAdd, One)            \
+    X(CVT_W_D, "cvt.w.d", Fp2, 0x11, 0x24, -1, fp, 0, FpAdd, One)            \
+    X(C_EQ_D, "c.eq.d", FpCmp, 0x11, 0x32, -1, fp, 0, FpAdd, One)            \
+    X(C_LT_D, "c.lt.d", FpCmp, 0x11, 0x3c, -1, fp, 0, FpAdd, One)            \
+    X(C_LE_D, "c.le.d", FpCmp, 0x11, 0x3e, -1, fp, 0, FpAdd, One)            \
+    X(MTC1, "mtc1", Mtc1, 0x11, 0x38, -1, 0, 0, IntAlu, One)                 \
+    X(MFC1, "mfc1", Mfc1, 0x11, 0x39, -1, 0, 0, IntAlu, One)
+// clang-format on
+
+/** Operation codes for the decoded instruction form (FACSIM_ISA). */
 enum class Op : uint8_t
 {
-    NOP,
-    HALT,
-
-    // Integer ALU, register form.
-    ADD, SUB, AND, OR, XOR, NOR,
-    SLL, SRL, SRA, SLLV, SRLV, SRAV,
-    SLT, SLTU,
-    MUL, DIV, REM,
-
-    // Integer ALU, immediate form.
-    ADDI, ANDI, ORI, XORI, SLTI, SLTIU, LUI,
-
-    // Memory operations (amode selects the addressing mode).
-    LB, LBU, LH, LHU, LW,
-    SB, SH, SW,
-    LWC1, LDC1, SWC1, SDC1,
-
-    // Control.
-    BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ,
-    J, JAL, JR, JALR,
-    BC1T, BC1F,
-
-    // Floating point (operands name FP registers; all arithmetic is
-    // double precision internally, .s ops exist only at the memory
-    // interface).
-    ADD_D, SUB_D, MUL_D, DIV_D, SQRT_D, ABS_D, NEG_D, MOV_D,
-    CVT_D_W, CVT_W_D,
-    C_EQ_D, C_LT_D, C_LE_D,
-    MTC1, MFC1,
-
+#define FACSIM_ISA_OP(op, ...) op,
+    FACSIM_ISA(FACSIM_ISA_OP)
+#undef FACSIM_ISA_OP
     NumOps
 };
 
@@ -202,26 +285,12 @@ enum : uint8_t
     control = branch | jump,
 };
 
-constexpr auto table = [] {
-    std::array<uint8_t, static_cast<size_t>(Op::NumOps)> t{};
-    auto set = [&](std::initializer_list<Op> ops, uint8_t f) {
-        for (Op op : ops)
-            t[static_cast<size_t>(op)] |= f;
-    };
-    set({Op::LB, Op::LBU, Op::LH, Op::LHU, Op::LW, Op::LWC1, Op::LDC1},
-        load);
-    set({Op::SB, Op::SH, Op::SW, Op::SWC1, Op::SDC1}, store);
-    set({Op::BEQ, Op::BNE, Op::BLEZ, Op::BGTZ, Op::BLTZ, Op::BGEZ,
-         Op::BC1T, Op::BC1F},
-        branch);
-    set({Op::J, Op::JAL, Op::JR, Op::JALR}, jump);
-    set({Op::ADD_D, Op::SUB_D, Op::MUL_D, Op::DIV_D, Op::SQRT_D,
-         Op::ABS_D, Op::NEG_D, Op::MOV_D, Op::CVT_D_W, Op::CVT_W_D,
-         Op::C_EQ_D, Op::C_LT_D, Op::C_LE_D},
-        fp);
-    set({Op::LWC1, Op::LDC1, Op::SWC1, Op::SDC1}, fpMem);
-    return t;
-}();
+/** Class flags by opcode (the rows' flags column). */
+constexpr std::array<uint8_t, static_cast<size_t>(Op::NumOps)> table = {
+#define FACSIM_ISA_FLAGS(op, mn, shape, code, fn, pi, flags, ...) flags,
+    FACSIM_ISA(FACSIM_ISA_FLAGS)
+#undef FACSIM_ISA_FLAGS
+};
 } // namespace opclass
 
 /** Class flags (opclass::*) of @p op. */
@@ -270,6 +339,147 @@ inline constexpr bool isFpMem(Op op)
 {
     return opFlags(op) & opclass::fpMem;
 }
+
+namespace isa
+{
+
+/**
+ * Operand shapes. A shape fixes which Inst fields an opcode uses, its
+ * assembly operands, its bit layout and the range of its immediate.
+ */
+enum class Shape : uint8_t
+{
+    None,   ///< no operands (NOP, HALT)
+    R3,     ///< rd, rs, rt
+    Shift,  ///< rd, rs, shift amount (rs travels in the rt slot)
+    ImmS,   ///< rt, rs, signed 16-bit immediate
+    ImmU,   ///< rt, rs, unsigned 16-bit immediate
+    Lui,    ///< rt, unsigned 16-bit upper half
+    Mem,    ///< data rt, base rs, offset/stride imm or index rd
+    Br2,    ///< rs, rt, word displacement
+    Br1,    ///< rs, word displacement (fn in the rt slot)
+    Bc1,    ///< word displacement (tests the FP condition code)
+    J,      ///< absolute word target
+    Jal,    ///< absolute word target, links $ra
+    Jr,     ///< rs
+    Jalr,   ///< rd (link), rs
+    Fp3,    ///< fd, fs, ft (rd, rs, rt)
+    Fp2,    ///< fd, fs
+    FpCmp,  ///< fs, ft; writes the FP condition code
+    Mtc1,   ///< int rt -> FP rd
+    Mfc1,   ///< FP rs -> int rd
+};
+
+/** Functional-unit classes; the pipeline maps each to its timing. */
+enum class Unit : uint8_t
+{
+    IntAlu, IntMul, IntDiv, FpAdd, FpMul, FpDiv, FpSqrt, Mem
+};
+
+/** Emulator handler kinds per row: one, or one per addressing mode. */
+enum class Emu : uint8_t
+{
+    One, PerMode
+};
+
+/** One FACSIM_ISA row, minus the flags (opclass::table). */
+struct OpInfo
+{
+    const char *mnemonic;
+    Shape shape;
+    uint8_t code;  ///< primary opcode (memory: the reg+const primary)
+    uint8_t fn;    ///< funct, REGIMM extension or MEMX funct
+    int8_t pi;     ///< post-increment primary, -1 for none
+    uint8_t size;  ///< bytes accessed (memory rows)
+    Unit unit;
+    Emu emu;
+};
+
+constexpr OpInfo info[] = {
+#define FACSIM_ISA_INFO(op, mn, shape, code, fn, pi, flags, size, unit,     \
+                        emu)                                                \
+    {mn, Shape::shape, code, fn, pi, size, Unit::unit, Emu::emu},
+    FACSIM_ISA(FACSIM_ISA_INFO)
+#undef FACSIM_ISA_INFO
+};
+
+/** The row of @p op. */
+inline constexpr const OpInfo &
+of(Op op)
+{
+    return info[static_cast<size_t>(op)];
+}
+
+/** Inclusive range of a shape's immediate (Inst::imm). */
+struct ImmRange
+{
+    int32_t lo, hi;
+};
+
+constexpr ImmRange
+immRange(Shape s)
+{
+    switch (s) {
+      case Shape::Shift:
+        return {0, 31};
+      case Shape::ImmU: case Shape::Lui:
+        return {0, 0xffff};
+      case Shape::J: case Shape::Jal:
+        return {0, (1 << 26) - 1};
+      default:
+        return {-32768, 32767};
+    }
+}
+
+/** One assembly operand (the parser's and disasm's syntax). */
+enum class Operand : uint8_t
+{
+    IntRd, IntRs, IntRt,  ///< integer register
+    FpRd, FpRs, FpRt,     ///< FP register
+    Imm,                  ///< decimal immediate
+    Hex,                  ///< immediate, shown in hex (LUI)
+    Branch,               ///< branch label / word displacement
+    Target,               ///< jump label / absolute word target
+    Data,                 ///< memory data register (FP for fpMem)
+    Address,              ///< memory operand in any addressing mode
+};
+
+/** A shape's assembly operands, in source order. */
+struct Operands
+{
+    unsigned n;
+    Operand at[3];
+};
+
+constexpr Operands
+operandsOf(Shape s)
+{
+    using O = Operand;
+    switch (s) {
+      case Shape::None: return {0, {}};
+      case Shape::R3: return {3, {O::IntRd, O::IntRs, O::IntRt}};
+      case Shape::Shift: return {3, {O::IntRd, O::IntRs, O::Imm}};
+      case Shape::ImmS: case Shape::ImmU:
+        return {3, {O::IntRt, O::IntRs, O::Imm}};
+      case Shape::Lui: return {2, {O::IntRt, O::Hex}};
+      case Shape::Mem: return {2, {O::Data, O::Address}};
+      case Shape::Br2: return {3, {O::IntRs, O::IntRt, O::Branch}};
+      case Shape::Br1: return {2, {O::IntRs, O::Branch}};
+      case Shape::Bc1: return {1, {O::Branch}};
+      case Shape::J: case Shape::Jal: return {1, {O::Target}};
+      case Shape::Jr: return {1, {O::IntRs}};
+      case Shape::Jalr: return {2, {O::IntRd, O::IntRs}};
+      case Shape::Fp3: return {3, {O::FpRd, O::FpRs, O::FpRt}};
+      case Shape::Fp2: return {2, {O::FpRd, O::FpRs}};
+      case Shape::FpCmp: return {2, {O::FpRs, O::FpRt}};
+      case Shape::Mtc1: return {2, {O::IntRt, O::FpRd}};
+      case Shape::Mfc1: return {2, {O::IntRd, O::FpRs}};
+    }
+    return {0, {}};
+}
+
+} // namespace isa
+
 /** Number of bytes accessed by a memory operation. */
 unsigned memAccessSize(Op op);
 
@@ -282,25 +492,24 @@ unsigned memAccessSize(Op op);
 inline int
 intDest(const Inst &inst)
 {
+    using S = isa::Shape;
     int d = -1;
-    switch (inst.op) {
-      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR: case Op::XOR:
-      case Op::NOR: case Op::SLL: case Op::SRL: case Op::SRA:
-      case Op::SLLV: case Op::SRLV: case Op::SRAV: case Op::SLT:
-      case Op::SLTU: case Op::MUL: case Op::DIV: case Op::REM:
-      case Op::JALR: case Op::MFC1:
+    switch (isa::of(inst.op).shape) {
+      case S::R3: case S::Shift: case S::Jalr: case S::Mfc1:
         d = inst.rd;
         break;
-      case Op::ADDI: case Op::ANDI: case Op::ORI: case Op::XORI:
-      case Op::SLTI: case Op::SLTIU: case Op::LUI:
-      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU: case Op::LW:
+      case S::ImmS: case S::ImmU: case S::Lui:
         d = inst.rt;
         break;
-      case Op::JAL:
+      case S::Mem:
+        if (isLoad(inst.op) && !isFpMem(inst.op))
+            d = inst.rt;
+        break;
+      case S::Jal:
         d = reg::ra;
         break;
       default:
-        return -1;
+        break;
     }
     return d == reg::zero ? -1 : d;
 }
@@ -309,13 +518,12 @@ intDest(const Inst &inst)
 inline int
 fpDest(const Inst &inst)
 {
-    switch (inst.op) {
-      case Op::ADD_D: case Op::SUB_D: case Op::MUL_D: case Op::DIV_D:
-      case Op::SQRT_D: case Op::ABS_D: case Op::NEG_D: case Op::MOV_D:
-      case Op::CVT_D_W: case Op::CVT_W_D: case Op::MTC1:
+    using S = isa::Shape;
+    switch (isa::of(inst.op).shape) {
+      case S::Fp3: case S::Fp2: case S::Mtc1:
         return inst.rd;
-      case Op::LWC1: case Op::LDC1:
-        return inst.rt;
+      case S::Mem:
+        return isLoad(inst.op) && isFpMem(inst.op) ? inst.rt : -1;
       default:
         return -1;
     }

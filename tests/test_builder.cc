@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/builder.hh"
+#include "isa/encoding.hh"
 
 namespace facsim
 {
@@ -112,6 +113,21 @@ TEST(BuilderDeathTest, RangeChecks)
     EXPECT_DEATH(as.addi(reg::t0, reg::t0, 40000), "out of range");
     EXPECT_DEATH(as.lw(reg::t0, 100000, reg::sp), "out of range");
     EXPECT_DEATH(as.lwPost(reg::t0, reg::zero, 4), "post-increment");
+    EXPECT_DEATH(as.slti(reg::t0, reg::t1, 40000), "out of range");
+    EXPECT_DEATH(as.andi(reg::t0, reg::t1, -1), "out of range");
+}
+
+TEST(Builder, SignedCompareImmediateRoundTrips)
+{
+    Program p;
+    AsmBuilder as(p);
+    as.slti(reg::t0, reg::t1, -1);
+    as.sltiu(reg::t2, reg::t3, -32768);
+    for (uint32_t i = 0; i < p.numInsts(); ++i) {
+        Inst back;
+        ASSERT_TRUE(decode(encode(p.inst(i)), back));
+        EXPECT_EQ(back, p.inst(i));
+    }
 }
 
 TEST(BuilderDeathTest, LabelMisuse)

@@ -110,6 +110,10 @@ TEST(Encoding, InvalidWordsRejected)
     EXPECT_FALSE(decode(0xfc000000u, out));
     // MEMX with funct >= 12.
     EXPECT_FALSE(decode((0x1cu << 26) | 13u, out));
+    // HALT's funct with nonzero register and shift fields.
+    EXPECT_FALSE(decode(0x00077effu, out));
+    // LUI with a nonzero rs field.
+    EXPECT_FALSE(decode(0x3c7053c0u, out));
 }
 
 // ---------------------------------------------------------------------
@@ -143,7 +147,9 @@ randomCanonical(Rng &rng)
     static const Op br2[] = {Op::BEQ, Op::BNE};
     static const Op br1[] = {Op::BLEZ, Op::BGTZ, Op::BLTZ, Op::BGEZ};
 
-    switch (rng.range(12)) {
+    static const Op fpc[] = {Op::C_EQ_D, Op::C_LT_D, Op::C_LE_D};
+
+    switch (rng.range(19)) {
       case 0:
         return Inst{.op = alu_r[rng.range(std::size(alu_r))], .rd = r5(),
                     .rs = r5(), .rt = r5()};
@@ -185,9 +191,27 @@ randomCanonical(Rng &rng)
       case 10:
         return Inst{.op = fp2[rng.range(std::size(fp2))], .rd = r5(),
                     .rs = r5()};
-      default:
+      case 11:
         return Inst{.op = rng.chance(0.5) ? Op::J : Op::JAL,
                     .imm = static_cast<int32_t>(rng.range(1u << 26))};
+      case 12:
+        return Inst{.op = Op::HALT};
+      case 13:
+        return Inst{.op = Op::LUI, .rt = r5(), .imm = imm16u()};
+      case 14:
+        return Inst{.op = rng.chance(0.5) ? Op::BC1T : Op::BC1F,
+                    .imm = imm16s()};
+      case 15:
+        return rng.chance(0.5)
+            ? Inst{.op = Op::JR, .rs = r5()}
+            : Inst{.op = Op::JALR, .rd = r5(), .rs = r5()};
+      case 16:
+        return Inst{.op = fpc[rng.range(std::size(fpc))], .rs = r5(),
+                    .rt = r5()};
+      case 17:
+        return Inst{.op = Op::MTC1, .rd = r5(), .rt = r5()};
+      default:
+        return Inst{.op = Op::MFC1, .rd = r5(), .rs = r5()};
     }
 }
 
@@ -202,6 +226,25 @@ TEST(EncodingProperty, RandomRoundTrip)
             << "op=" << opName(in.op) << " word=" << std::hex << word;
         EXPECT_EQ(in, out) << "op=" << opName(in.op);
     }
+}
+
+TEST(EncodingProperty, RandomWordsDecodeOnlyCanonically)
+{
+    // A word decodes only if it is the encoding of what it decodes to:
+    // reserved fields must be zero, so no two words name one
+    // instruction.
+    Rng rng(0x5eed);
+    unsigned accepted = 0;
+    for (int i = 0; i < 200000; ++i) {
+        const uint32_t word = static_cast<uint32_t>(rng.next());
+        Inst out;
+        if (!decode(word, out))
+            continue;
+        ++accepted;
+        ASSERT_EQ(encode(out), word)
+            << std::hex << word << " decoded as " << opName(out.op);
+    }
+    EXPECT_GT(accepted, 0u);
 }
 
 } // anonymous namespace

@@ -306,6 +306,18 @@ TEST(ParserDeathTest, Errors)
     Program p5;
     EXPECT_EXIT(parseAsm(".data\nx: .word 1\nx: .word 2", p5),
                 ::testing::ExitedWithCode(1), "duplicate");
+    // Immediates outside what the opcode's 16-bit field holds: signed
+    // for addi/slti/sltiu, unsigned for andi/ori/xori/lui.
+    for (const char *src : {"addi $t0, $zero, 40000",
+                            "slti $t0, $t1, 32768",
+                            "sltiu $t0, $t1, -32769",
+                            "andi $t1, $t0, -1", "ori $t1, $t0, 65536",
+                            "xori $t1, $t0, -2", "lui $t1, -1"}) {
+        Program pi;
+        EXPECT_EXIT(parseAsm(src, pi), ::testing::ExitedWithCode(1),
+                    "line 1")
+            << src;
+    }
 }
 
 } // anonymous namespace
