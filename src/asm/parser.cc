@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "asm/builder.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
 
@@ -316,6 +317,9 @@ handleDirective(ParseState &st, const std::string &dir,
             st.fail(".align takes one operand");
         st.nextAlign = static_cast<uint32_t>(
             needInt(st, ops[0], 1, 4096));
+        // The linker rounds addresses up with a power-of-two mask.
+        if (!isPow2(st.nextAlign))
+            st.fail(".align must be a power of two (got " + ops[0] + ")");
         return;
     }
     if (st.section == ParseState::Section::Text)

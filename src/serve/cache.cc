@@ -36,11 +36,11 @@ ResultCache::lookup(const CacheKey &key, std::string *payload)
     std::lock_guard<std::mutex> lk(mu_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-        ++misses_;
+        ++stats_.misses;
         return false;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
+    ++stats_.hits;
     *payload = it->second->payload;
     return true;
 }
@@ -60,55 +60,29 @@ ResultCache::insert(const CacheKey &key, const std::string &payload)
         return;
     lru_.push_front(Entry{key, payload});
     index_[key] = lru_.begin();
-    bytes_ += payload.size();
+    stats_.bytes += payload.size();
+    ++stats_.entries;
     evictLocked();
 }
 
 void
 ResultCache::evictLocked()
 {
-    while (budget_ && bytes_ > budget_ && !lru_.empty()) {
+    while (budget_ && stats_.bytes > budget_ && !lru_.empty()) {
         const Entry &victim = lru_.back();
-        bytes_ -= victim.payload.size();
+        stats_.bytes -= victim.payload.size();
+        --stats_.entries;
         index_.erase(victim.key);
         lru_.pop_back();
-        ++evictions_;
+        ++stats_.evictions;
     }
 }
 
-uint64_t
-ResultCache::hits() const
+ResultCacheStats
+ResultCache::stats() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return hits_;
-}
-
-uint64_t
-ResultCache::misses() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return misses_;
-}
-
-uint64_t
-ResultCache::evictions() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return evictions_;
-}
-
-uint64_t
-ResultCache::bytes() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return bytes_;
-}
-
-uint64_t
-ResultCache::entries() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return lru_.size();
+    return stats_;
 }
 
 bool
@@ -148,7 +122,7 @@ ResultCache::load(const std::string &path)
         std::lock_guard<std::mutex> lk(mu_);
         lru_.clear();
         index_.clear();
-        bytes_ = 0;
+        stats_.bytes = stats_.entries = 0;
         return false;
     };
 
@@ -177,16 +151,10 @@ ResultCache::load(const std::string &path)
 void
 ResultCache::registerStats(obs::Group &g)
 {
-    g.formula("hits", "requests answered from the cache",
-              [this] { return static_cast<double>(hits()); });
-    g.formula("misses", "requests that had to run",
-              [this] { return static_cast<double>(misses()); });
-    g.formula("evictions", "entries evicted under the byte budget",
-              [this] { return static_cast<double>(evictions()); });
-    g.formula("bytes", "resident payload bytes",
-              [this] { return static_cast<double>(bytes()); });
-    g.formula("entries", "resident entries",
-              [this] { return static_cast<double>(entries()); });
+    ResultCacheStats::statFields([&](auto m, const fields::Meta &meta) {
+        g.formula(meta.key, meta.desc,
+                  [this, m] { return static_cast<double>(stats().*m); });
+    });
 }
 
 } // namespace facsim::serve

@@ -35,6 +35,7 @@
 #include <unordered_map>
 
 #include "obs/stats.hh"
+#include "util/fields.hh"
 
 namespace facsim::serve
 {
@@ -64,6 +65,24 @@ struct CacheKeyHash
     size_t operator()(const CacheKey &k) const;
 };
 
+/**
+ * The result cache's counters (list: see util/fields.hh). Each is
+ * registered as a formula under the cache's stats group, read under
+ * the cache's lock at dump time.
+ */
+#define FACSIM_RESULT_CACHE_STATS(X)                                        \
+    X(uint64_t, hits, Sum, "", "hits", "requests answered from the cache")  \
+    X(uint64_t, misses, Sum, "", "misses", "requests that had to run")      \
+    X(uint64_t, evictions, Sum, "", "evictions",                            \
+      "entries evicted under the byte budget")                              \
+    X(uint64_t, bytes, Sum, "", "bytes", "resident payload bytes")          \
+    X(uint64_t, entries, Sum, "", "entries", "resident entries")
+
+struct ResultCacheStats
+{
+    FACSIM_STATS_FIELDS(ResultCacheStats, FACSIM_RESULT_CACHE_STATS)
+};
+
 /** LRU + byte-budget result cache with disk persistence. */
 class ResultCache
 {
@@ -85,11 +104,8 @@ class ResultCache
      */
     void insert(const CacheKey &key, const std::string &payload);
 
-    uint64_t hits() const;
-    uint64_t misses() const;
-    uint64_t evictions() const;
-    uint64_t bytes() const;
-    uint64_t entries() const;
+    /** A consistent snapshot of every counter. */
+    ResultCacheStats stats() const;
 
     /**
      * Persist every entry to @p path, atomically (util/sealed.hh):
@@ -106,7 +122,7 @@ class ResultCache
     bool load(const std::string &path);
 
     /**
-     * Register hit/miss/eviction/occupancy stats under @p g
+     * Register every ResultCacheStats counter under @p g
      * (conventionally "cache"). Values are read at dump time; the
      * cache must outlive the dump.
      */
@@ -123,10 +139,7 @@ class ResultCache
 
     mutable std::mutex mu_;
     uint64_t budget_;
-    uint64_t bytes_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t evictions_ = 0;
+    ResultCacheStats stats_;
     /** Most-recently-used at the front. */
     std::list<Entry> lru_;
     std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>

@@ -72,41 +72,38 @@ ServeClient::exchange(WireKind kind, const std::string &body,
 }
 
 bool
-ServeClient::ping(std::string *err)
+ServeClient::call(WireKind kind, const std::string &body,
+                  ResponseEnvelope *resp, std::string *err)
 {
-    ResponseEnvelope resp;
-    if (!exchange(WireKind::Ping, "", &resp, err))
+    if (!exchange(kind, body, resp, err))
         return false;
-    if (resp.status != WireStatus::Ok) {
-        *err = resp.body;
+    if (resp->status != WireStatus::Ok) {
+        *err = resp->body;
         return false;
     }
     return true;
+}
+
+bool
+ServeClient::ping(std::string *err)
+{
+    ResponseEnvelope resp;
+    return call(WireKind::Ping, "", &resp, err);
 }
 
 bool
 ServeClient::shutdown(std::string *err)
 {
     ResponseEnvelope resp;
-    if (!exchange(WireKind::Shutdown, "", &resp, err))
-        return false;
-    if (resp.status != WireStatus::Ok) {
-        *err = resp.body;
-        return false;
-    }
-    return true;
+    return call(WireKind::Shutdown, "", &resp, err);
 }
 
 bool
 ServeClient::stats(std::string *json, std::string *prom, std::string *err)
 {
     ResponseEnvelope resp;
-    if (!exchange(WireKind::Stats, "", &resp, err))
+    if (!call(WireKind::Stats, "", &resp, err))
         return false;
-    if (resp.status != WireStatus::Ok) {
-        *err = resp.body;
-        return false;
-    }
     ser::TryReader r(resp.body.data(), resp.body.size());
     std::string j = r.str();
     std::string p = r.str();
@@ -121,22 +118,22 @@ ServeClient::stats(std::string *json, std::string *prom, std::string *err)
     return true;
 }
 
+template <class Req, class Res>
 bool
-ServeClient::profile(const ProfileRequest &req, ProfileResult *res,
-                     bool *cached, std::string *err)
+ServeClient::experiment(WireKind kind, const Req &req, Res *res,
+                        bool *cached, std::string *err)
 {
+    // Bodies are the request codec's layouts: each struct's field list.
     ser::Writer w;
-    encodeProfileRequest(w, req);
+    ser::put(w, req);
     ResponseEnvelope resp;
-    if (!exchange(WireKind::Profile, w.data(), &resp, err))
+    if (!call(kind, w.data(), &resp, err))
         return false;
-    if (resp.status != WireStatus::Ok) {
-        *err = resp.body;
-        return false;
-    }
     ser::TryReader r(resp.body.data(), resp.body.size());
-    if (!decodeProfileResult(r, res) || !r.atEnd()) {
-        *err = "malformed profile result";
+    ser::get(r, *res);
+    if (!r.ok() || !r.atEnd()) {
+        *err = kind == WireKind::Timing ? "malformed timing result"
+                                        : "malformed profile result";
         return false;
     }
     if (cached)
@@ -145,26 +142,17 @@ ServeClient::profile(const ProfileRequest &req, ProfileResult *res,
 }
 
 bool
+ServeClient::profile(const ProfileRequest &req, ProfileResult *res,
+                     bool *cached, std::string *err)
+{
+    return experiment(WireKind::Profile, req, res, cached, err);
+}
+
+bool
 ServeClient::timing(const TimingRequest &req, TimingResult *res,
                     bool *cached, std::string *err)
 {
-    ser::Writer w;
-    encodeTimingRequest(w, req);
-    ResponseEnvelope resp;
-    if (!exchange(WireKind::Timing, w.data(), &resp, err))
-        return false;
-    if (resp.status != WireStatus::Ok) {
-        *err = resp.body;
-        return false;
-    }
-    ser::TryReader r(resp.body.data(), resp.body.size());
-    if (!decodeTimingResult(r, res) || !r.atEnd()) {
-        *err = "malformed timing result";
-        return false;
-    }
-    if (cached)
-        *cached = resp.cached;
-    return true;
+    return experiment(WireKind::Timing, req, res, cached, err);
 }
 
 } // namespace facsim::serve

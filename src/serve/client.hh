@@ -52,6 +52,14 @@ class ServeClient
     /** @} */
 
   private:
+    /** exchange(), with an Error response turned into false + *err. */
+    bool call(WireKind kind, const std::string &body,
+              ResponseEnvelope *resp, std::string *err);
+    /** The one typed exchange behind profile() and timing(). */
+    template <class Req, class Res>
+    bool experiment(WireKind kind, const Req &req, Res *res, bool *cached,
+                    std::string *err);
+
     int rfd_, wfd_;
     bool owns_;
     uint64_t nextId_ = 1;

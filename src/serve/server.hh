@@ -2,27 +2,33 @@
  * @file
  * The experiment-serving daemon: a long-running process that owns
  * prebuilt workload images, accepts experiment requests over the
- * framed wire protocol (serve/wire.hh), schedules cache misses on the
- * Runner thread pool and answers repeats from a persistent result
+ * framed wire protocol (serve/wire.hh), runs cache misses on a pool of
+ * `--jobs` worker threads and answers repeats from a persistent result
  * cache (serve/cache.hh).
  *
  * Front ends: a unix-domain listening socket (`--socket`) and a stdio
  * mode (`--stdio`, frames on fd 0/1) for tests, CI and ssh-style
  * tunnelling. Both speak the identical protocol.
  *
- * Request path: each connection gets a reader thread. Ping, Shutdown,
- * protocol errors and *cache hits* are answered inline on that thread
- * — a hit costs one cache probe plus one frame write, microseconds,
- * which is what makes warm repeats orders of magnitude faster than
- * cold runs. Misses are queued; a single scheduler thread drains the
- * queue in batches through Runner::forEachIndex (`--jobs` workers),
- * encodes each result once, inserts it into the cache and replies.
+ * Request path: each connection gets a reader thread, which lives as
+ * long as the connection: at EOF or an error it drops the connection
+ * and is joined by the accept loop, and the socket closes once no
+ * queued job still holds it. Ping, Shutdown, protocol errors and
+ * *cache hits* are answered inline on the reader — a hit costs one
+ * cache probe plus one frame write, microseconds, which is what makes
+ * warm repeats orders of magnitude faster than cold runs. Profile and
+ * Timing requests share one admission path (decode, check, key,
+ * probe); a miss is queued and wakes the most recently idle worker,
+ * which pops it, runs it, encodes the result once, inserts it into the
+ * cache and replies.
+ * The workers start once with the daemon; after start-up the only
+ * threads it creates are the readers.
  *
  * Graceful drain: SIGINT/SIGTERM (a lock-free flag every bounded wait
- * in the daemon re-checks) or a Shutdown
- * request stops the accept loop and new frame reads, lets queued and
- * in-flight experiments finish and their responses flush, persists the
- * cache (`--cache-file`), dumps the stats registry (`--stats-out`) and
+ * in the daemon re-checks) or a Shutdown request stops the accept loop
+ * and new frame reads, waits for the readers still alive, lets the
+ * workers empty the queue and flush the responses, persists the cache
+ * (`--cache-file`), dumps the stats registry (`--stats-out`) and
  * exits 0.
  *
  * Live telemetry (docs/INTERNALS.md "Live telemetry"): a
@@ -49,7 +55,7 @@ struct ServerOptions
     std::string socketPath;
     /** Serve one connection on stdin/stdout instead of a socket. */
     bool stdio = false;
-    /** Runner worker threads for cache misses (0 = all hardware). */
+    /** Worker threads for cache misses (0 = all hardware threads). */
     unsigned jobs = 1;
     /** Result-cache byte budget (0 = unbounded). */
     uint64_t cacheBytes = 256ull << 20;

@@ -71,6 +71,16 @@ runProfile(const ProfileRequest &req)
     return res;
 }
 
+std::string
+TimingRequest::check() const
+{
+    if (std::string bad = sampling.check(); !bad.empty())
+        return "incoherent sampling parameters: " + bad;
+    if (std::string bad = pipe.check(); !bad.empty())
+        return "invalid pipeline configuration: " + bad;
+    return {};
+}
+
 TimingResult
 runTiming(const TimingRequest &req)
 {

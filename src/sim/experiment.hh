@@ -139,6 +139,14 @@ struct TimingRequest
     size_t historyRing = 0;
 
     /**
+     * Empty when the sampling parameters are coherent and the pipeline
+     * configuration can be built, else the first problem found, naming
+     * which of the two is at fault. Never aborts — the experiment
+     * daemon rejects requests with it.
+     */
+    std::string check() const;
+
+    /**
      * Wire order (request codec). trace and historyRing are absent on
      * purpose: see sim/request_codec.hh.
      */
@@ -195,6 +203,20 @@ struct TimingResult
 
 /** Run one workload through the timing pipeline. */
 TimingResult runTiming(const TimingRequest &req);
+
+/** @{ @name runProfile()/runTiming() by request type (generic callers) */
+inline ProfileResult
+runExperiment(const ProfileRequest &req)
+{
+    return runProfile(req);
+}
+
+inline TimingResult
+runExperiment(const TimingRequest &req)
+{
+    return runTiming(req);
+}
+/** @} */
 
 } // namespace facsim
 

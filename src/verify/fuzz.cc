@@ -8,6 +8,7 @@
 #include "sim/runner.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/serialize.hh"
 
 namespace facsim::verify
 {
@@ -156,17 +157,6 @@ unsigned
 fpMemSize(uint8_t sel)
 {
     return (sel % 4) < 2 ? 4 : 8;  // lwc1/swc1 : ldc1/sdc1
-}
-
-uint64_t
-fnv1a(uint64_t h, const void *data, size_t len)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 } // anonymous namespace
@@ -458,14 +448,14 @@ programDigest(const std::vector<FuzzItem> &items)
     Program p;
     AsmBuilder as(p);
     materialize(as, items);
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = ser::fnv1a(nullptr, 0);  // the FNV-1a offset basis
     for (uint32_t i = 0; i < p.numInsts(); ++i) {
         const Inst &in = p.inst(i);
         const uint8_t head[5] = {static_cast<uint8_t>(in.op),
                                  static_cast<uint8_t>(in.amode),
                                  in.rd, in.rs, in.rt};
-        h = fnv1a(h, head, sizeof(head));
-        h = fnv1a(h, &in.imm, sizeof(in.imm));
+        h = ser::fnv1a(head, sizeof(head), h);
+        h = ser::fnv1a(&in.imm, sizeof(in.imm), h);
     }
     return h;
 }
@@ -659,9 +649,9 @@ runFuzzBatch(const FuzzOptions &opt)
     batch.wallSeconds = rep.wallSeconds;
 
     // Fold per-case digests in index order: identical for any --jobs.
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = ser::fnv1a(nullptr, 0);  // the FNV-1a offset basis
     for (const FuzzCaseOutcome &o : slots) {
-        h = fnv1a(h, &o.digest, sizeof(o.digest));
+        h = ser::fnv1a(&o.digest, sizeof(o.digest), h);
         batch.simInsts += o.simInsts;
         if (o.diverged) {
             ++batch.divergingCases;
@@ -674,7 +664,7 @@ runFuzzBatch(const FuzzOptions &opt)
     if (opt.predictor != "fac") {
         for (const FuzzConfig &fc : fuzzConfigMatrix(opt.predictor)) {
             const uint64_t fp = configFingerprint(fc.pipe);
-            h = fnv1a(h, &fp, sizeof(fp));
+            h = ser::fnv1a(&fp, sizeof(fp), h);
         }
     }
     batch.digest = h;

@@ -306,6 +306,11 @@ TEST(ParserDeathTest, Errors)
     Program p5;
     EXPECT_EXIT(parseAsm(".data\nx: .word 1\nx: .word 2", p5),
                 ::testing::ExitedWithCode(1), "duplicate");
+    // The linker aligns with a power-of-two mask: .align 3 would place
+    // x at an odd address and fault the first lw of it.
+    Program p6;
+    EXPECT_EXIT(parseAsm(".data\na: .byte 1\n.align 3\nx: .word 7", p6),
+                ::testing::ExitedWithCode(1), "line 3");
     // Immediates outside what the opcode's 16-bit field holds: signed
     // for addi/slti/sltiu, unsigned for andi/ori/xori/lui.
     for (const char *src : {"addi $t0, $zero, 40000",

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -390,14 +392,14 @@ TEST(ServeCache, HitAfterMissReturnsTheExactPayload)
     sv::CacheKey key{1, 0, 111, 222};
     std::string out;
     EXPECT_FALSE(cache.lookup(key, &out));
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
 
     cache.insert(key, "payload-bytes");
     EXPECT_TRUE(cache.lookup(key, &out));
     EXPECT_EQ(out, "payload-bytes");
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.entries(), 1u);
-    EXPECT_EQ(cache.bytes(), 13u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(cache.stats().bytes, 13u);
 }
 
 TEST(ServeCache, FingerprintMismatchIsNeverServed)
@@ -429,15 +431,15 @@ TEST(ServeCache, LruEvictionUnderByteBudget)
     cache.insert({1, 0, 0, 1}, ten);
     cache.insert({1, 0, 0, 2}, ten);
     cache.insert({1, 0, 0, 3}, ten);
-    EXPECT_EQ(cache.entries(), 3u);
+    EXPECT_EQ(cache.stats().entries, 3u);
 
     // Touch key 1 so key 2 is the LRU victim.
     std::string out;
     EXPECT_TRUE(cache.lookup({1, 0, 0, 1}, &out));
     cache.insert({1, 0, 0, 4}, ten);
 
-    EXPECT_EQ(cache.entries(), 3u);
-    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.stats().entries, 3u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_TRUE(cache.lookup({1, 0, 0, 1}, &out));
     EXPECT_FALSE(cache.lookup({1, 0, 0, 2}, &out));
     EXPECT_TRUE(cache.lookup({1, 0, 0, 3}, &out));
@@ -446,7 +448,7 @@ TEST(ServeCache, LruEvictionUnderByteBudget)
     // A payload larger than the whole budget is not cached at all.
     cache.insert({1, 0, 0, 5}, std::string(31, 'y'));
     EXPECT_FALSE(cache.lookup({1, 0, 0, 5}, &out));
-    EXPECT_LE(cache.bytes(), 30u);
+    EXPECT_LE(cache.stats().bytes, 30u);
 }
 
 TEST(ServeCache, PersistsAcrossSaveAndLoad)
@@ -459,7 +461,7 @@ TEST(ServeCache, PersistsAcrossSaveAndLoad)
 
     sv::ResultCache b(1 << 20);
     ASSERT_TRUE(b.load(path));
-    EXPECT_EQ(b.entries(), 2u);
+    EXPECT_EQ(b.stats().entries, 2u);
     std::string out;
     EXPECT_TRUE(b.lookup({1, 0, 10, 11}, &out));
     EXPECT_EQ(out, "profile-result");
@@ -471,7 +473,7 @@ TEST(ServeCache, CorruptOrMissingFilesStartCold)
 {
     sv::ResultCache c(1 << 20);
     EXPECT_FALSE(c.load(tmpPath("does-not-exist.facsimrc")));
-    EXPECT_EQ(c.entries(), 0u);
+    EXPECT_EQ(c.stats().entries, 0u);
 
     const std::string path = tmpPath("corrupt.facsimrc");
     sv::ResultCache a(1 << 20);
@@ -489,7 +491,7 @@ TEST(ServeCache, CorruptOrMissingFilesStartCold)
 
     sv::ResultCache b(1 << 20);
     EXPECT_FALSE(b.load(path));
-    EXPECT_EQ(b.entries(), 0u);
+    EXPECT_EQ(b.stats().entries, 0u);
 
     // Garbage that is not even a container.
     const std::string junk = tmpPath("junk.facsimrc");
@@ -498,7 +500,7 @@ TEST(ServeCache, CorruptOrMissingFilesStartCold)
     std::fclose(f);
     sv::ResultCache d(1 << 20);
     EXPECT_FALSE(d.load(junk));
-    EXPECT_EQ(d.entries(), 0u);
+    EXPECT_EQ(d.stats().entries, 0u);
 }
 
 namespace
@@ -852,6 +854,89 @@ TEST(ServeDaemon, InvalidProfileConfigsGetErrorsNotAborts)
     encodeProfileResult(want, runProfile(smallProfileRequest()));
     EXPECT_EQ(got.data(), want.data());
     ASSERT_TRUE(client.shutdown(&err)) << err;
+    EXPECT_EQ(daemon.join(), 0);
+}
+
+TEST(ServeDaemon, IdleWorkerTakesAQueuedMiss)
+{
+    sv::ServerOptions opts;
+    opts.socketPath = tmpPath("idle.sock");
+    opts.jobs = 2;
+    DaemonFixture daemon(opts);
+    std::string err;
+
+    // A: a timing miss that keeps one worker busy for about 1.7 s
+    // (espresso at scale 80, 25M instructions, on a 4-core Xeon host).
+    TimingRequest slow = smallTimingRequest();
+    slow.build.scale = 80;
+    slow.maxInsts = 25000000;
+    int fd_a = connectWithRetry(opts.socketPath);
+    ASSERT_GE(fd_a, 0);
+    sv::ServeClient a(fd_a);
+    ASSERT_TRUE(sv::writeFrame(
+        fd_a, sv::encodeRequest(sv::WireKind::Timing, 1,
+                                encodeTimingBody(slow))));
+    usleep(100 * 1000);
+
+    // B: a profile miss of 1,000 instructions. The idle worker runs it
+    // at once, so its reply comes while A is still running.
+    ProfileRequest quick = smallProfileRequest();
+    quick.maxInsts = 1000;
+    int fd_b = connectWithRetry(opts.socketPath);
+    ASSERT_GE(fd_b, 0);
+    sv::ServeClient b(fd_b);
+    ProfileResult res;
+    bool cached = true;
+    ASSERT_TRUE(b.profile(quick, &res, &cached, &err)) << err;
+    EXPECT_FALSE(cached);
+    struct pollfd p = {fd_a, POLLIN, 0};
+    EXPECT_EQ(::poll(&p, 1, 0), 0)
+        << "the quick miss waited for the slow one";
+
+    std::string payload;
+    ASSERT_EQ(sv::readFrame(fd_a, &payload, &err), sv::FrameRead::Frame)
+        << err;
+    sv::ResponseEnvelope resp;
+    ASSERT_TRUE(sv::decodeResponse(payload, &resp, &err)) << err;
+    EXPECT_EQ(resp.status, sv::WireStatus::Ok) << resp.body;
+    EXPECT_EQ(resp.reqId, 1u);
+    ASSERT_TRUE(b.shutdown(&err)) << err;
+    EXPECT_EQ(daemon.join(), 0);
+}
+
+TEST(ServeDaemon, ClosedConnectionsReleaseTheirDescriptors)
+{
+    sv::ServerOptions opts;
+    opts.socketPath = tmpPath("fds.sock");
+    DaemonFixture daemon(opts);
+    std::string err;
+
+    // The daemon runs in this process, so its sockets are ours to count.
+    auto open_fds = [] {
+        auto it = std::filesystem::directory_iterator("/proc/self/fd");
+        return std::distance(it, std::filesystem::directory_iterator());
+    };
+    auto ping_and_close = [&] {
+        int fd = connectWithRetry(opts.socketPath);
+        ASSERT_GE(fd, 0);
+        sv::ServeClient c(fd);
+        ASSERT_TRUE(c.ping(&err)) << err;
+    };
+    ping_and_close();  // the daemon is listening
+    const auto base = open_fds();
+    for (int i = 0; i < 64; ++i)
+        ping_and_close();
+    auto now = open_fds();
+    for (int i = 0; i < 100 && now > base + 2; ++i) {
+        usleep(20 * 1000);
+        now = open_fds();
+    }
+    EXPECT_LE(now, base + 2) << "closed connections kept their sockets";
+
+    int fd = connectWithRetry(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    sv::ServeClient c(fd);
+    ASSERT_TRUE(c.shutdown(&err)) << err;
     EXPECT_EQ(daemon.join(), 0);
 }
 
