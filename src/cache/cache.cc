@@ -1,5 +1,8 @@
 #include "cache/cache.hh"
 
+#include <bitset>
+#include <cstring>
+
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -23,6 +26,17 @@ CacheConfig::check(const char *what) const
         return strprintf("%s too small for its associativity "
                          "(size=%u block=%u assoc=%u needs at least one "
                          "set)", what, sizeBytes, blockBytes, assoc);
+    if (sizeBytes / blockBytes > maxLines)
+        return strprintf("%s of %u lines exceeds the %llu-line limit "
+                         "(size=%u block=%u)", what, sizeBytes / blockBytes,
+                         static_cast<unsigned long long>(maxLines),
+                         sizeBytes, blockBytes);
+    if (assoc > assocCap)
+        return strprintf("%s associativity must be at most %u (got %u)",
+                         what, assocCap, assoc);
+    if (missLatency > latencyCap)
+        return strprintf("%s miss latency must be at most %u cycles "
+                         "(got %u)", what, latencyCap, missLatency);
     return {};
 }
 
@@ -144,6 +158,102 @@ Cache::wayOf(uint32_t addr) const
             return static_cast<int>(w);
     }
     return -1;
+}
+
+void
+Cache::putLines(ser::Writer &w) const
+{
+    w.u64(lines.size());
+    std::string packed(lines.size() * 4, '\0');
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const Line &l = lines[i];
+        uint32_t word =
+            l.tag << 2 | (l.dirty ? 2u : 0u) | (l.valid ? 1u : 0u);
+        std::memcpy(&packed[i * 4], &word, 4);
+    }
+    w.bytes(packed.data(), packed.size());
+    if (cfg.assoc == 1)
+        return;
+
+    // Valid lines carry distinct timestamps (each touch takes a fresh
+    // clock value), so a line's rank is the count of older valid ways.
+    std::string ranks(lines.size(), '\0');
+    for (size_t base = 0; base < lines.size(); base += cfg.assoc) {
+        for (uint32_t a = 0; a < cfg.assoc; ++a) {
+            const Line &l = lines[base + a];
+            if (!l.valid)
+                continue;
+            uint32_t older = 0;
+            for (uint32_t b = 0; b < cfg.assoc; ++b) {
+                const Line &o = lines[base + b];
+                older += o.valid && o.lastUse < l.lastUse;
+            }
+            ranks[base + a] = static_cast<char>(older);
+        }
+    }
+    w.bytes(ranks.data(), ranks.size());
+}
+
+void
+Cache::getLines(ser::TryReader &r)
+{
+    uint64_t n = r.u64();
+    if (n != lines.size()) {
+        r.fail(strprintf("cache lines: %llu entries stored, %zu in this "
+                         "machine",
+                         static_cast<unsigned long long>(n), lines.size()));
+        return;
+    }
+    const uint32_t tag_max = 0xffffffffu >> setShift_;
+    for (size_t i = 0; i < lines.size(); ++i) {
+        uint32_t word = r.u32();
+        Line &l = lines[i];
+        l.valid = word & 1;
+        l.dirty = word & 2;
+        l.tag = word >> 2;
+        l.lastUse = 0;
+        // A line is never invalidated, so an invalid one is all zero.
+        if (l.tag > tag_max || (!l.valid && word != 0)) {
+            r.fail(strprintf("cache line %zu holds %08x, which no access "
+                             "leaves behind", i, word));
+            return;
+        }
+    }
+    if (cfg.assoc == 1)
+        return;
+
+    for (size_t base = 0; base < lines.size(); base += cfg.assoc) {
+        uint32_t valid = 0;
+        for (uint32_t a = 0; a < cfg.assoc; ++a)
+            valid += lines[base + a].valid;
+        // Each valid line took at least one tick of the clock.
+        if (valid > useClock) {
+            r.fail(strprintf("cache set %zu: %u valid lines after %llu "
+                             "accesses", base / cfg.assoc, valid,
+                             static_cast<unsigned long long>(useClock)));
+            return;
+        }
+        std::bitset<CacheConfig::assocCap> seen;
+        for (uint32_t a = 0; a < cfg.assoc; ++a) {
+            Line &l = lines[base + a];
+            uint8_t rank = r.u8();
+            if (!r.ok())
+                return;
+            // The ranks of a set's valid lines are 0..valid-1, once each.
+            bool bad = l.valid ? rank >= valid || seen[rank] : rank != 0;
+            if (bad) {
+                r.fail(strprintf("cache set %zu: LRU rank %u of way %u is "
+                                 "not a recency order of its %u valid "
+                                 "line(s)",
+                                 base / cfg.assoc, rank, a, valid));
+                return;
+            }
+            if (l.valid) {
+                seen[rank] = true;
+                l.lastUse = rank + 1;
+            }
+        }
+    }
 }
 
 } // namespace facsim

@@ -36,6 +36,23 @@ struct CacheConfig
     uint32_t assoc = 1;
     unsigned missLatency = 6;  ///< cycles; consumed by the pipeline
 
+    /**
+     * Most lines one cache may hold. The tag array is allocated whole
+     * at construction, so a larger geometry is refused by check()
+     * rather than left to exhaust host memory.
+     */
+    static constexpr uint64_t maxLines = uint64_t{1} << 20;
+    /** Largest associativity: the saved form ranks a way in one byte. */
+    static constexpr uint32_t assocCap = 256;
+    /**
+     * Longest latency, in cycles, of any one step of the memory side: a
+     * cache miss, an L2 hit, a DRAM access or a TLB miss. Together with
+     * HierarchyConfig::dramIntervalCap it keeps one access inside the
+     * pipeline's 100k-cycle deadlock watchdog, so a slow memory is
+     * timed rather than mistaken for a hang.
+     */
+    static constexpr unsigned latencyCap = 4096;
+
     /** Block-offset field width B. */
     unsigned blockBits() const { return log2i(blockBytes); }
     /** Total set-field width S (2^S bytes spanned by index+offset). */
@@ -49,8 +66,10 @@ struct CacheConfig
 
     /**
      * Empty when the geometry is coherent — size/block/assoc powers of
-     * two, block at least one word and no larger than the cache, and
-     * enough sets for the associativity — else what is wrong with it.
+     * two, block at least one word and no larger than the cache, enough
+     * sets for the associativity, at most maxLines lines and assocCap
+     * ways, a miss latency of at most latencyCap — else what is wrong
+     * with it.
      * Never aborts: the experiment daemon rejects requests with it.
      * @param what label for the error message ("L2 cache", ...).
      */
@@ -110,14 +129,18 @@ class Cache
      */
     int wayOf(uint32_t addr) const;
 
-    /** Saved state: tag state, LRU clock and statistics. */
+    /**
+     * Saved state: the LRU clock, the packed tag array (PackedLines)
+     * and statistics. Checkpoints and live-point warm state both use
+     * this one encoding.
+     */
     template <class V>
     static void
     fields(V &&v)
     {
-        v(ser::Table{"cache lines", &Cache::lines}, &Cache::useClock,
-          &Cache::reads_, &Cache::writes_, &Cache::readMisses_,
-          &Cache::writeMisses_, &Cache::writebacks_);
+        v(&Cache::useClock, PackedLines{}, &Cache::reads_,
+          &Cache::writes_, &Cache::readMisses_, &Cache::writeMisses_,
+          &Cache::writebacks_);
     }
 
     /** Geometry this cache was built with. */
@@ -144,14 +167,25 @@ class Cache
         bool valid = false;
         bool dirty = false;
         uint64_t lastUse = 0;  ///< LRU timestamp
-
-        template <class V>
-        static void
-        fields(V &&v)
-        {
-            v(&Line::tag, &Line::valid, &Line::dirty, &Line::lastUse);
-        }
     };
+
+    /**
+     * The tag array's saved form: the line count, then one u32 per
+     * line, tag << 2 | dirty << 1 | valid (a tag has at most 30 bits,
+     * as a block holds at least one word). An associative cache then
+     * adds one byte per line: its LRU rank among the valid lines of its
+     * set, 0 the least recent (0 for an invalid line). Lines keep their
+     * way positions, and restore rebuilds lastUse in each set's rank
+     * order, which is all that hit, victim and wayOf() decisions ever
+     * compare.
+     */
+    struct PackedLines
+    {
+        void put(ser::Writer &w, const Cache &c) const { c.putLines(w); }
+        void get(ser::TryReader &r, Cache &c) const { c.getLines(r); }
+    };
+    void putLines(ser::Writer &w) const;
+    void getLines(ser::TryReader &r);
 
     /** Index of the first line of the set containing @p addr. */
     uint32_t

@@ -16,21 +16,29 @@ std::string
 HierarchyConfig::check(const CacheConfig &l1) const
 {
     const bool has_l2 = depth == HierarchyDepth::L2;
+    constexpr unsigned lat_cap = CacheConfig::latencyCap;
     const struct
     {
         const char *name;
-        unsigned value;
+        unsigned value, cap;
         bool used;
-    } queues[] = {
-        {"L1 MSHR entries", l1Mshr.entries, true},
-        {"L1 writeback slots", l1WbEntries, true},
-        {"L2 MSHR entries", l2Mshr.entries, has_l2},
-        {"L2 writeback slots", l2WbEntries, has_l2},
+        const char *unit;
+    } bounds[] = {
+        {"L1 MSHR entries", l1Mshr.entries, queueCap, true, ""},
+        {"L1 writeback slots", l1WbEntries, queueCap, true, ""},
+        {"L2 MSHR entries", l2Mshr.entries, queueCap, has_l2, ""},
+        {"L2 writeback slots", l2WbEntries, queueCap, has_l2, ""},
+        {"L2 hit latency", l2HitLatency, lat_cap, has_l2, " cycles"},
+        {"DRAM latency", dram.latency, lat_cap, has_l2, " cycles"},
+        {"DRAM issue interval", dram.issueInterval, dramIntervalCap, has_l2,
+         " cycles"},
+        {"TLB miss penalty", tlbMissPenalty, lat_cap, tlbEnabled,
+         " cycles"},
     };
-    for (const auto &q : queues)
-        if (q.used && q.value > queueCap)
-            return strprintf("%s must be at most %u (got %u)", q.name,
-                             queueCap, q.value);
+    for (const auto &b : bounds)
+        if (b.used && b.value > b.cap)
+            return strprintf("%s must be at most %u%s (got %u)", b.name,
+                             b.cap, b.unit, b.value);
     if (has_l2) {
         if (std::string err = l2.check("L2 cache"); !err.empty())
             return err;

@@ -91,11 +91,23 @@ struct HierarchyConfig
 
     /** Most MSHR entries or writeback slots at any level. */
     static constexpr unsigned queueCap = 256;
+    /**
+     * Most cycles between DRAM request starts. With every latency at
+     * CacheConfig::latencyCap, an access that has its MSHR pays at most
+     * a TLB miss, the L2 lookup, a DRAM channel queued behind every
+     * MSHR and writeback slot and the DRAM access: 3 * 4096 +
+     * 3 * 256 * 64 = 61440 cycles, inside the pipeline's 100k-cycle
+     * deadlock watchdog. (Waiting for a free MSHR is not bounded by
+     * this: a program's own stream of misses sets it.)
+     */
+    static constexpr unsigned dramIntervalCap = 64;
 
     /**
      * Empty when the parameters are coherent below the L1 @p l1 — an
      * L2 at least as large as the L1 and with blocks at least as
-     * large, queues of at most queueCap entries — else what is wrong.
+     * large, queues of at most queueCap entries, latencies of at most
+     * CacheConfig::latencyCap and a DRAM issue interval of at most
+     * dramIntervalCap — else what is wrong.
      */
     std::string check(const CacheConfig &l1) const;
 

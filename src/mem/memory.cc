@@ -4,6 +4,8 @@
 #include <cstring>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace facsim
 {
 
@@ -48,12 +50,24 @@ Memory::pagePtr(uint32_t addr)
         return p;
     auto it = pages.find(pn);
     if (it == pages.end()) {
+        if (!window_.empty())
+            absentPage(addr);
         auto page = std::make_unique<uint8_t[]>(pageBytes);
         std::memset(page.get(), 0, pageBytes);
         it = pages.emplace(pn, std::move(page)).first;
     }
+    if (watcher_)
+        watcher_->pageTouched(pn, it->second.get());
     pageCache[pn % pageCacheSlots] = {pn, it->second.get()};
     return it->second.get();
+}
+
+void
+Memory::absentPage(uint32_t addr) const
+{
+    fatal("%s does not hold page %05x (address %08x): the run left the "
+          "pages its window saved", window_.c_str(), addr / pageBytes,
+          addr);
 }
 
 uint8_t
@@ -149,14 +163,12 @@ Memory::saveState(ser::Writer &w) const
     std::sort(pns.begin(), pns.end());
 
     w.u64(pns.size());
-    for (uint32_t pn : pns) {
-        w.u32(pn);
-        w.bytes(pages.at(pn).get(), pageBytes);
-    }
+    for (uint32_t pn : pns)
+        putPage(w, pn, pages.at(pn).get());
 }
 
 void
-Memory::loadState(ser::Reader &r)
+Memory::readPages(ser::Reader &r, bool ascending)
 {
     clear();
     uint64_t n = r.u64();
@@ -164,14 +176,28 @@ Memory::loadState(ser::Reader &r)
     for (uint64_t i = 0; i < n; ++i) {
         uint32_t pn = r.u32();
         // saveState writes strictly ascending page numbers.
-        if (i > 0 && pn <= prev)
+        if (ascending && i > 0 && pn <= prev)
             r.fail(strprintf("memory page %08x stored after page %08x",
                              pn, prev));
         prev = pn;
         auto page = std::make_unique<uint8_t[]>(pageBytes);
         r.bytes(page.get(), pageBytes);
-        pages.emplace(pn, std::move(page));
+        if (!pages.emplace(pn, std::move(page)).second)
+            r.fail(strprintf("memory page %08x stored twice", pn));
     }
+}
+
+void
+Memory::loadState(ser::Reader &r)
+{
+    readPages(r, true);
+}
+
+void
+Memory::loadWindow(ser::Reader &r, std::string window)
+{
+    readPages(r, false);
+    window_ = std::move(window);
 }
 
 } // namespace facsim

@@ -12,6 +12,11 @@
  * cache thrashes on, so the common case is one tag compare in a
  * 64-slot array and a memcpy — no hash lookup and no cross-TU call.
  *
+ * A memory restored from a live-point window (loadWindow) holds only
+ * the pages that window touches; any other page is absent, and touching
+ * it is fatal. That check sits on the slow path, where an untouched
+ * page would otherwise be allocated, so the fast path is unchanged.
+ *
  * Thread-safety: each Memory instance is confined to one simulation;
  * concurrent access to *distinct* instances is safe (no shared state),
  * concurrent access to one instance is not (reads allocate pages and
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -161,20 +167,29 @@ class Memory
     /** Total bytes of touched pages (the memory-usage statistic). */
     uint64_t memUsageBytes() const { return pages.size() * pageBytes; }
 
-    /** Drop all contents and usage accounting. */
+    /** Drop all contents and usage accounting; every page is present. */
     void
     clear()
     {
         pages.clear();
-        for (PageSlot &s : pageCache)
-            s = PageSlot{};
+        window_.clear();
+        flushPageCache();
     }
 
     /**
      * Serialize every touched page, sorted by page number so the
-     * encoding is independent of hash-map iteration order.
+     * encoding is independent of hash-map iteration order: a u64
+     * count, then one putPage() record per page.
      */
     void saveState(ser::Writer &w) const;
+
+    /** Append one page record, its number then its bytes, to @p w. */
+    static void
+    putPage(ser::Writer &w, uint32_t pn, const uint8_t *page)
+    {
+        w.u32(pn);
+        w.bytes(page, pageBytes);
+    }
 
     /**
      * Replace all contents with state saved by saveState; the restored
@@ -183,8 +198,52 @@ class Memory
      */
     void loadState(ser::Reader &r);
 
+    /**
+     * Replace all contents with the pages of one live-point window
+     * (saveState's layout, records in any order, each page once) and
+     * mark every other page absent: touching one is fatal, naming
+     * @p window and the page, never a silent read of zeros.
+     */
+    void loadWindow(ser::Reader &r, std::string window);
+
+    /** Sees the pages the slow path resolves, see watchPages(). */
+    class PageWatcher
+    {
+      public:
+        virtual ~PageWatcher() = default;
+        /**
+         * Page @p pn is about to be accessed; @p page still holds its
+         * content from before that access.
+         */
+        virtual void pageTouched(uint32_t pn, const uint8_t *page) = 0;
+    };
+
+    /**
+     * Report every page accessed from now on to @p w (nullptr stops
+     * the reports). The page-pointer cache is flushed, so the next
+     * access to each page takes the slow path and is reported before
+     * it reads or writes; a page is reported again whenever it falls
+     * out of that cache.
+     */
+    void
+    watchPages(PageWatcher *w)
+    {
+        watcher_ = w;
+        flushPageCache();
+    }
+
   private:
     uint8_t *pagePtr(uint32_t addr);
+    /** Replace all contents with the page records that follow in @p r. */
+    void readPages(ser::Reader &r, bool ascending);
+    [[noreturn]] void absentPage(uint32_t addr) const;
+
+    void
+    flushPageCache()
+    {
+        for (PageSlot &s : pageCache)
+            s = PageSlot{};
+    }
 
     /**
      * Direct-mapped cache slot over the page map. The sentinel page
@@ -218,6 +277,9 @@ class Memory
     std::unordered_map<uint32_t, std::unique_ptr<uint8_t[]>> pages;
 
     std::array<PageSlot, pageCacheSlots> pageCache{};
+    /** The live-point window restored by loadWindow, else empty. */
+    std::string window_;
+    PageWatcher *watcher_ = nullptr;
 };
 
 } // namespace facsim

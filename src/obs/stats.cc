@@ -411,7 +411,7 @@ Registry::writeFile(const std::string &path) const
     bool json = path.size() >= 5 &&
         path.compare(path.size() - 5, 5, ".json") == 0;
     std::string err;
-    if (!ser::writeFileAtomic(path, json ? jsonDump() : textDump(), &err))
+    if (!ser::writeFileAtomic(path, {json ? jsonDump() : textDump()}, &err))
         fatal("cannot write stats dump: %s", err.c_str());
 }
 

@@ -46,7 +46,7 @@ ResultCache::lookup(const CacheKey &key, std::string *payload)
 }
 
 void
-ResultCache::insert(const CacheKey &key, const std::string &payload)
+ResultCache::insert(const CacheKey &key, std::string payload)
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = index_.find(key);
@@ -58,9 +58,10 @@ ResultCache::insert(const CacheKey &key, const std::string &payload)
     }
     if (budget_ && payload.size() > budget_)
         return;
-    lru_.push_front(Entry{key, payload});
+    const size_t bytes = payload.size();
+    lru_.push_front(Entry{key, std::move(payload)});
     index_[key] = lru_.begin();
-    stats_.bytes += payload.size();
+    stats_.bytes += bytes;
     ++stats_.entries;
     evictLocked();
 }
@@ -141,7 +142,7 @@ ResultCache::load(const std::string &path)
         std::string payload = r.str();
         if (!r.ok())
             return reject("truncated entry list");
-        insert(key, payload);
+        insert(key, std::move(payload));
     }
     if (!r.atEnd())
         return reject("trailing bytes after the last entry");

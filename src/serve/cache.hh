@@ -102,7 +102,7 @@ class ResultCache
      * least-recently-used entries until the budget holds. A payload
      * larger than the whole budget is not cached at all.
      */
-    void insert(const CacheKey &key, const std::string &payload);
+    void insert(const CacheKey &key, std::string payload);
 
     /** A consistent snapshot of every counter. */
     ResultCacheStats stats() const;

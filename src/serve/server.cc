@@ -509,7 +509,7 @@ Server::writeStatsSnapshot()
         text = json ? registry_.jsonDump() : registry_.textDump();
     }
     std::string err;
-    if (!ser::writeFileAtomic(opts_.statsOut, text, &err))
+    if (!ser::writeFileAtomic(opts_.statsOut, {text}, &err))
         warn("cannot write stats snapshot: %s", err.c_str());
 }
 

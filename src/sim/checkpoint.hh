@@ -44,9 +44,11 @@ namespace facsim
 /**
  * Container format version written by this build. v2: FetchedInst
  * serializes its fetch cycle and the pipeline its dynamic-sequence
- * counter (observability-layer per-instruction records).
+ * counter (observability-layer per-instruction records). v3: every
+ * cache's tag array is packed (Cache::fields(): one u32 per line plus
+ * a one-byte LRU rank per line of an associative cache).
  */
-constexpr uint32_t checkpointVersion = 2;
+constexpr uint32_t checkpointVersion = 3;
 
 /** What a checkpoint file contains. */
 enum class CheckpointKind : uint8_t

@@ -1,6 +1,8 @@
 #include "sim/lvpt.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include "sim/config.hh"
 #include "util/logging.hh"
@@ -18,6 +20,120 @@ const ser::SealedFormat format{"FACSIMLV", lvptLibraryVersion,
 
 /** Bytes per index record: startInst, offset, size. */
 constexpr size_t indexRecordBytes = 24;
+
+/**
+ * The library pass's entry bytes. Entries go straight into one body
+ * buffer, in order. An entry stays open while its window runs: as the
+ * memory's page watcher it appends each page the window touches, with
+ * the content from before that first touch, which is the content at
+ * the snapshot. Its page count is patched when the window closes.
+ * Windows overlap when the period is shorter than a window; a younger
+ * entry then fills a side buffer until it becomes the oldest open one
+ * and joins the body.
+ */
+class EntryWriter final : public Memory::PageWatcher
+{
+  public:
+    /** Where a closed entry sits in the body. */
+    struct Placed
+    {
+        uint64_t startInst;
+        uint64_t offset;
+        uint64_t size;
+    };
+
+    EntryWriter(Memory &mem, uint64_t window) : mem_(mem), window_(window)
+    {
+    }
+
+    // The memory holds this object's address while a window is open.
+    EntryWriter(const EntryWriter &) = delete;
+    EntryWriter &operator=(const EntryWriter &) = delete;
+
+    /**
+     * Open the entry of the snapshot at instruction @p start;
+     * @p state(w) writes its emulator and warm-structure state.
+     */
+    template <class F>
+    void
+    open(uint64_t start, F &&state)
+    {
+        Open &e = open_.emplace_back();
+        e.start = start;
+        e.end = start + window_;
+        e.direct = open_.size() == 1;
+        ser::Writer &w = out(e);
+        e.at = w.size();
+        state(w);
+        e.countAt = w.size();
+        w.u64(0);
+        mem_.watchPages(this);
+    }
+
+    /** Instruction at which the oldest open window ends (or none). */
+    uint64_t
+    nextClose() const
+    {
+        return open_.empty() ? UINT64_MAX : open_.front().end;
+    }
+
+    /** Close every window that ends at or before instruction @p now. */
+    void
+    closeUpTo(uint64_t now)
+    {
+        while (!open_.empty() && open_.front().end <= now) {
+            const Open &e = open_.front();
+            body_.patchU64(e.countAt, e.pages.size());
+            placed_.push_back({e.start, e.at, body_.size() - e.at});
+            open_.pop_front();
+            if (open_.empty()) {
+                mem_.watchPages(nullptr);
+                break;
+            }
+            Open &n = open_.front();
+            const size_t at = body_.size();
+            body_.bytes(n.side.data().data(), n.side.size());
+            n.side = ser::Writer();
+            n.direct = true;
+            n.at += at;
+            n.countAt += at;
+        }
+    }
+
+    void
+    pageTouched(uint32_t pn, const uint8_t *page) override
+    {
+        for (Open &e : open_) {
+            auto it = std::lower_bound(e.pages.begin(), e.pages.end(), pn);
+            if (it != e.pages.end() && *it == pn)
+                continue;
+            e.pages.insert(it, pn);
+            Memory::putPage(out(e), pn, page);
+        }
+    }
+
+    const std::string &body() const { return body_.data(); }
+    const std::vector<Placed> &placed() const { return placed_; }
+
+  private:
+    struct Open
+    {
+        uint64_t start = 0, end = 0;
+        bool direct = false;  ///< writes into the body, not side
+        ser::Writer side;
+        size_t at = 0;       ///< entry start, in its buffer
+        size_t countAt = 0;  ///< page-count placeholder, in its buffer
+        std::vector<uint32_t> pages;  ///< saved so far, ascending
+    };
+
+    ser::Writer &out(Open &e) { return e.direct ? body_ : e.side; }
+
+    Memory &mem_;
+    const uint64_t window_;
+    ser::Writer body_;
+    std::deque<Open> open_;
+    std::vector<Placed> placed_;
+};
 
 } // namespace
 
@@ -64,55 +180,70 @@ buildLvptLibrary(const std::string &path, const LvptBuildRequest &req)
 
     Machine m(workload(req.workload), req.build);
     Pipeline pipe(req.pipe, m.emulator());
+    const SamplingConfig &s = req.sampling;
+    EntryWriter entries(m.memory(),
+                        s.warmup + s.detail + lvptWindowSlack);
 
-    // One blob per sample unit: architectural state plus the warmed
-    // structures, taken where the unit's detailed warmup begins. The
-    // pipeline only ever fast-forwards here, so it is quiescent at
-    // every snapshot (the saveWarmState precondition).
-    std::vector<std::pair<uint64_t, std::string>> blobs;
+    // One entry per sample unit, opened where the unit's detailed
+    // warmup begins. The pipeline only ever fast-forwards here, so it
+    // is quiescent at every snapshot (the saveWarmState precondition).
+    // Fast-forward stops at each snapshot and at each window's end.
     auto total = [&]() { return pipe.fastForwardedInsts(); };
+    uint64_t next = 0;
     while (!pipe.done() && (req.maxInsts == 0 || total() < req.maxInsts)) {
-        ser::Writer ew;
-        ser::put(ew, m.emulator());
-        m.memory().saveState(ew);
-        pipe.saveWarmState(ew);
-        blobs.emplace_back(total(), ew.data());
-
-        uint64_t want = req.sampling.period;
-        if (req.maxInsts && total() + want > req.maxInsts)
-            want = req.maxInsts - total();
-        if (pipe.fastForward(want) == 0)
+        if (total() == next) {
+            entries.open(total(), [&](ser::Writer &w) {
+                ser::put(w, m.emulator());
+                pipe.saveWarmState(w);
+            });
+            next += s.period;
+        }
+        uint64_t until = std::min(next, entries.nextClose());
+        if (req.maxInsts)
+            until = std::min(until, req.maxInsts);
+        if (pipe.fastForward(until - total()) == 0)
             break;
+        entries.closeUpTo(total());
+    }
+    const uint64_t covered = total();
+    // The farm runs every window in full, so the last windows run on
+    // past the sampled span (and past maxInsts) until they close.
+    while (entries.nextClose() != UINT64_MAX) {
+        if (pipe.done() ||
+            pipe.fastForward(entries.nextClose() - total()) == 0) {
+            entries.closeUpTo(UINT64_MAX);
+            break;
+        }
+        entries.closeUpTo(total());
     }
 
-    // Compose the container: header, index, blobs, checksum trailer.
+    // The header and index go in front of the entry bytes, which are
+    // written to the file where they are, never copied behind them.
+    const std::vector<EntryWriter::Placed> &placed = entries.placed();
     const LvptIdentity id{BuildIdentity::of(m),
                           warmStateFingerprint(req.pipe),
                           configFingerprint(req.pipe)};
     ser::Writer w = ser::sealedWriter(format);
     ser::put(w, id);
     ser::put(w, req.sampling);
-    w.u64(total());
-    w.u64(blobs.size());
-
-    uint64_t offset = w.data().size() + indexRecordBytes * blobs.size();
-    for (const auto &b : blobs) {
-        w.u64(b.first);
-        w.u64(offset);
-        w.u64(b.second.size());
-        offset += b.second.size();
+    w.u64(covered);
+    w.u64(placed.size());
+    const uint64_t base = w.size() + indexRecordBytes * placed.size();
+    for (const EntryWriter::Placed &e : placed) {
+        w.u64(e.startInst);
+        w.u64(base + e.offset);
+        w.u64(e.size);
     }
-    for (const auto &b : blobs)
-        w.bytes(b.second.data(), b.second.size());
 
+    const std::string &body = entries.body();
     std::string err;
-    if (!ser::writeSealed(path, w, &err))
+    if (!ser::writeSealed(path, w, &err, body))
         fatal("cannot write live-point library: %s", err.c_str());
 
     LvptBuildResult res;
-    res.entries = blobs.size();
-    res.totalInsts = total();
-    res.libraryBytes = w.data().size();
+    res.entries = placed.size();
+    res.totalInsts = covered;
+    res.libraryBytes = w.size() + body.size() + sizeof(uint64_t);
     return res;
 }
 
@@ -179,8 +310,9 @@ LvptLibrary::restoreEntry(size_t i, Machine &m, Pipeline &pipe) const
 
     ser::Reader r(data_.data() + e.offset, e.size, "live-point entry");
     ser::get(r, m.emulator());
-    m.memory().loadState(r);
     pipe.loadWarmState(r);
+    m.memory().loadWindow(
+        r, strprintf("live-point entry %zu of '%s'", i, path_.c_str()));
     r.expectEnd();
 }
 

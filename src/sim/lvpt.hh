@@ -8,9 +8,9 @@
  * before it. A *live-point library* pays that cost exactly once per
  * workload: a single functional-warming pass over the program writes
  * one checkpoint per sample unit ("live-point"), each carrying the
- * architectural state (Emulator registers + touched Memory pages) plus
- * the warmed large structures (I-cache, data hierarchy, BTB) at the
- * point where that unit's detailed warmup would begin. Afterwards,
+ * architectural state (Emulator registers + the window's Memory
+ * pages) plus the warmed large structures (I-cache, data hierarchy,
+ * BTB) at the point where that unit's detailed warmup would begin. Afterwards,
  * every sample unit is an independent millisecond-scale job: restore,
  * run `warmup` unmeasured detailed instructions, measure `detail`
  * instructions, record the (cycles, insts) pair. A multi-config sweep
@@ -30,6 +30,14 @@
  * program windows from the same warm state, so per-window cost
  * differences cancel the window-to-window workload variation and the
  * speedup CI comes out far narrower than two independent estimates.
+ *
+ * What an entry carries: the emulator state, the warm structures
+ * (packed through Cache::fields(), as in checkpoints) and only the
+ * memory pages its window touches — those the pass sees accessed in
+ * [start, start + warmup + detail + lvptWindowSlack), each saved with
+ * its content at the snapshot. A restored entry treats every other
+ * page as absent: a run that leaves the window dies naming the entry
+ * and the page, instead of reading zeros.
  *
  * Container: magic "FACSIMLV", a library format version, the identity
  * header, the sampling parameters the pass used, the entry index
@@ -60,9 +68,22 @@ namespace facsim
  * additionally records configFingerprint() of the full PipelineConfig
  * that ran the creation pass, so tooling can tell *which* timing config
  * cut a library even though any geometry-compatible config may consume
- * it.
+ * it. v3: an entry is the emulator state, the packed warm structures,
+ * then only its window's memory pages (a u64 count and Memory page
+ * records, in first-touch order).
  */
-constexpr uint32_t lvptLibraryVersion = 2;
+constexpr uint32_t lvptLibraryVersion = 3;
+
+/**
+ * Instructions a restored live-point may execute beyond warmup +
+ * detail. Each of the farm's two run() calls may issue up to
+ * widthCap - 1 instructions past its bound, and fetch executes up to
+ * fetchBufferCap instructions ahead of issue. The caps, not one
+ * config's values, set it, so every config check() accepts stays
+ * inside the pages a library saved.
+ */
+constexpr uint64_t lvptWindowSlack =
+    PipelineConfig::fetchBufferCap + 2 * PipelineConfig::widthCap;
 
 /**
  * Fingerprint of the PipelineConfig fields that shape the functionally
@@ -152,7 +173,8 @@ class LvptLibrary
      * (warm structures). @p m must have been built from identity(); @p
      * pipe must be freshly constructed with a config whose
      * warmStateFingerprint matches. Fatal — naming the entry — when the
-     * entry's framing is damaged or its payload does not parse.
+     * entry's framing is damaged or its payload does not parse. @p m's
+     * memory then holds only the entry's window (Memory::loadWindow).
      */
     void restoreEntry(size_t i, Machine &m, Pipeline &pipe) const;
 
@@ -165,7 +187,7 @@ class LvptLibrary
     };
 
     std::string path_;
-    std::string data_;  ///< whole file (entries are page-sized)
+    std::string data_;  ///< whole file
     LvptIdentity id_;
     SamplingConfig sampling_;
     uint64_t totalInsts_ = 0;

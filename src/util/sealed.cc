@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
+
 #include "util/logging.hh"
 
 namespace facsim::ser
@@ -24,7 +26,12 @@ readFile(const std::string &path, std::string *out)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return false;
-    out->clear();
+    struct stat st;
+    const size_t size = fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode)
+        ? static_cast<size_t>(st.st_size) : 0;
+    out->resize(size);
+    out->resize(std::fread(out->data(), 1, size, f));
+    // Whatever the length did not cover (a file that grew, a pipe).
     char buf[1 << 16];
     size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
@@ -35,7 +42,8 @@ readFile(const std::string &path, std::string *out)
 }
 
 bool
-writeFileAtomic(const std::string &path, std::string_view data,
+writeFileAtomic(const std::string &path,
+                std::initializer_list<std::string_view> parts,
                 std::string *err)
 {
     const std::string tmp = path + ".tmp";
@@ -45,7 +53,10 @@ writeFileAtomic(const std::string &path, std::string_view data,
                          std::strerror(errno));
         return false;
     }
-    bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
+    bool ok = true;
+    for (std::string_view p : parts)
+        ok = ok && (p.empty() ||
+                    std::fwrite(p.data(), 1, p.size(), f) == p.size());
     ok = std::fclose(f) == 0 && ok;
     if (!ok) {
         *err = strprintf("short write to '%s'", tmp.c_str());
@@ -69,10 +80,15 @@ sealedWriter(const SealedFormat &fmt)
 }
 
 bool
-writeSealed(const std::string &path, Writer &w, std::string *err)
+writeSealed(const std::string &path, const Writer &w, std::string *err,
+            std::string_view tail)
 {
-    w.u64(fnv1a(w.data().data(), w.data().size()));
-    return writeFileAtomic(path, w.data(), err);
+    uint64_t sum = fnv1a(w.data().data(), w.size());
+    sum = fnv1a(tail.data(), tail.size(), sum);
+    char trailer[trailerBytes];
+    std::memcpy(trailer, &sum, trailerBytes);
+    return writeFileAtomic(path,
+                           {w.data(), tail, {trailer, trailerBytes}}, err);
 }
 
 std::string

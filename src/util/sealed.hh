@@ -18,6 +18,7 @@
 #define FACSIM_UTIL_SEALED_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -26,15 +27,19 @@
 namespace facsim::ser
 {
 
-/** Read all of @p path into @p out; false when it cannot be read. */
+/**
+ * Read all of @p path into @p out, sized once from the file's length
+ * and filled by one read; false when it cannot be read.
+ */
 bool readFile(const std::string &path, std::string *out);
 
 /**
- * Write @p data to `path.tmp`, then rename it over @p path. On failure
- * returns false with the reason in @p err, removes the temp file and
- * leaves any previous @p path untouched.
+ * Write @p parts, in order, to `path.tmp`, then rename it over @p path.
+ * On failure returns false with the reason in @p err, removes the temp
+ * file and leaves any previous @p path untouched.
  */
-bool writeFileAtomic(const std::string &path, std::string_view data,
+bool writeFileAtomic(const std::string &path,
+                     std::initializer_list<std::string_view> parts,
                      std::string *err);
 
 /** One sealed file format. */
@@ -49,10 +54,13 @@ struct SealedFormat
 Writer sealedWriter(const SealedFormat &fmt);
 
 /**
- * Append the checksum trailer to @p w (from sealedWriter) and write it
- * to @p path atomically; false with @p err on I/O failure.
+ * Write @p w (from sealedWriter), then @p tail, then the checksum
+ * trailer over both to @p path atomically; false with @p err on I/O
+ * failure. The tail is the rest of the body, kept in its own buffer so
+ * a large body built before its header is never copied behind it.
  */
-bool writeSealed(const std::string &path, Writer &w, std::string *err);
+bool writeSealed(const std::string &path, const Writer &w,
+                 std::string *err, std::string_view tail = {});
 
 /**
  * Empty when @p image is a well-formed @p fmt file, else what is wrong

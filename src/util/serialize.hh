@@ -92,6 +92,17 @@ class Writer
     }
 
     const std::string &data() const { return buf_; }
+    size_t size() const { return buf_.size(); }
+
+    /** Overwrite the u64 at @p offset (a placeholder written earlier). */
+    void
+    patchU64(size_t offset, uint64_t v)
+    {
+        FACSIM_ASSERT(offset + 8 <= buf_.size(),
+                      "patch at %zu past the %zu-byte stream", offset,
+                      buf_.size());
+        std::memcpy(&buf_[offset], &v, 8);
+    }
 
   private:
     void

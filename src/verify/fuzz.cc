@@ -34,6 +34,14 @@ constexpr BasePark kBases[] = {
 };
 constexpr unsigned kNumBases = 6;
 
+/**
+ * Seed of both digest folds (programDigest and the batch fold). It is
+ * the FNV-1a offset basis 14695981039346656037 with its last digit
+ * dropped: the value every pinned digest in tests/golden/
+ * fuzz_digests.txt was computed with. Keep it, or every pin moves.
+ */
+constexpr uint64_t kDigestSeed = 1469598103934665603ull;
+
 constexpr uint8_t kTemps[6] = {reg::t0, reg::t1, reg::t2,
                                reg::t3, reg::t4, reg::t5};
 /** Scratch for materialized register+register indices. */
@@ -448,7 +456,7 @@ programDigest(const std::vector<FuzzItem> &items)
     Program p;
     AsmBuilder as(p);
     materialize(as, items);
-    uint64_t h = ser::fnv1a(nullptr, 0);  // the FNV-1a offset basis
+    uint64_t h = kDigestSeed;
     for (uint32_t i = 0; i < p.numInsts(); ++i) {
         const Inst &in = p.inst(i);
         const uint8_t head[5] = {static_cast<uint8_t>(in.op),
@@ -649,7 +657,7 @@ runFuzzBatch(const FuzzOptions &opt)
     batch.wallSeconds = rep.wallSeconds;
 
     // Fold per-case digests in index order: identical for any --jobs.
-    uint64_t h = ser::fnv1a(nullptr, 0);  // the FNV-1a offset basis
+    uint64_t h = kDigestSeed;
     for (const FuzzCaseOutcome &o : slots) {
         h = ser::fnv1a(&o.digest, sizeof(o.digest), h);
         batch.simInsts += o.simInsts;

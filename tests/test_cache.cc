@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "util/rng.hh"
+#include "util/serialize.hh"
 
 namespace facsim
 {
@@ -177,6 +179,114 @@ TEST(CacheDeathTest, ValidateRejectsIncoherentShapes)
                  "powers of two");
     // A coherent shape passes (validate returns normally).
     CacheConfig{1024, 32, 4, 6}.validate();
+}
+
+TEST(CacheConfig, CapsBoundGeometryAndLatency)
+{
+    // 2 GB of 64-byte lines: 32M tag entries, far past the line limit.
+    EXPECT_NE(CacheConfig({1u << 31, 64, 8, 6}).check().find("line limit"),
+              std::string::npos);
+    EXPECT_EQ(CacheConfig({1u << 26, 64, 8, 6}).check(), "");
+    EXPECT_NE(CacheConfig({1 << 20, 32, 512, 6}).check().find(
+                  "associativity must be at most 256"),
+              std::string::npos);
+    EXPECT_NE(CacheConfig({1024, 32, 1, CacheConfig::latencyCap + 1})
+                  .check()
+                  .find("miss latency must be at most 4096"),
+              std::string::npos);
+}
+
+/** Drive @p c with @p n random accesses over a footprint 8x its size. */
+void
+churn(Cache &c, Rng &rng, int n)
+{
+    const uint32_t span = c.config().sizeBytes * 8;
+    for (int i = 0; i < n; ++i) {
+        uint32_t addr = static_cast<uint32_t>(rng.range(span)) & ~3u;
+        if (rng.chance(0.25))
+            c.write(addr);
+        else
+            c.read(addr);
+    }
+}
+
+// The packed encoding keeps way positions and each set's recency
+// order, so a restored cache is indistinguishable from the original:
+// same hits, same victims (the way each fill lands in), same wayOf().
+TEST(CacheState, PackedRestoreMakesTheSameDecisions)
+{
+    const CacheConfig cfg{8 * 1024, 32, 8, 6};  // 32 sets of 8 ways
+    Cache a(cfg);
+    Rng warm(7);
+    churn(a, warm, 20000);
+
+    ser::Writer w;
+    ser::put(w, a);
+    // Clock, line count, a u32 and a rank byte per line, five counters.
+    EXPECT_EQ(w.size(), 8 + 8 + 256 * 5 + 5 * 8u);
+    Cache b(cfg);
+    ser::Reader r(w.data().data(), w.size(), "cache state");
+    ser::get(r, b);
+    r.expectEnd();
+    ser::Writer again;
+    ser::put(again, b);
+    EXPECT_EQ(again.data(), w.data());
+
+    Rng rng(11);
+    const uint32_t span = cfg.sizeBytes * 8;
+    for (int i = 0; i < 50000; ++i) {
+        uint32_t addr = static_cast<uint32_t>(rng.range(span)) & ~3u;
+        bool is_write = rng.chance(0.25);
+        ASSERT_EQ(a.wayOf(addr), b.wayOf(addr)) << "access " << i;
+        CacheAccess x = is_write ? a.write(addr) : a.read(addr);
+        CacheAccess y = is_write ? b.write(addr) : b.read(addr);
+        ASSERT_EQ(x.hit, y.hit) << "access " << i;
+        ASSERT_EQ(x.writeback, y.writeback) << "access " << i;
+        ASSERT_EQ(x.victimAddr, y.victimAddr) << "access " << i;
+        ASSERT_EQ(a.wayOf(addr), b.wayOf(addr)) << "access " << i;
+    }
+    EXPECT_EQ(a.misses(), b.misses());
+    EXPECT_EQ(a.writebacks(), b.writebacks());
+}
+
+TEST(CacheState, DirectMappedLinesAreOneWordEach)
+{
+    Cache a(CacheConfig{1024, 32, 1, 6});
+    Rng rng(3);
+    churn(a, rng, 500);
+    ser::Writer w;
+    ser::put(w, a);
+    EXPECT_EQ(w.size(), 8 + 8 + 32 * 4 + 5 * 8u);
+}
+
+TEST(CacheState, RejectsRanksThatAreNoRecencyOrder)
+{
+    const CacheConfig cfg{1024, 32, 4, 6};  // 8 sets of 4 ways
+    Cache a(cfg);
+    for (uint32_t i = 0; i < 4; ++i)
+        a.read(i * 256);  // fill set 0
+    ser::Writer w;
+    ser::put(w, a);
+    const size_t ranks = 8 + 8 + 32 * 4;
+
+    std::string dup = w.data();
+    dup[ranks + 1] = dup[ranks];  // two ways of set 0 share a rank
+    Cache b(cfg);
+    ser::TryReader r(dup.data(), dup.size());
+    ser::get(r, b);
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("cache set 0: LRU rank"), std::string::npos)
+        << r.error();
+
+    std::string stray = w.data();
+    stray[8 + 8 + 4 * 4] = 4;  // set 1 way 0: invalid, yet state bits set
+    Cache c(cfg);
+    ser::TryReader r2(stray.data(), stray.size());
+    ser::get(r2, c);
+    EXPECT_FALSE(r2.ok());
+    EXPECT_NE(r2.error().find("which no access leaves behind"),
+              std::string::npos)
+        << r2.error();
 }
 
 } // anonymous namespace

@@ -383,6 +383,11 @@ TEST(CheckpointDeathTest, RejectsDamagedAndMismatchedFiles)
     const std::string vers = tmpPath("version.ckpt");
     spew(vers, patchAndReseal(data, 8, 99));
     EXPECT_DEATH(restore(vers), "format version 99");
+    // A checkpoint of the previous format (v2, unpacked tag arrays).
+    const std::string v2 = tmpPath("v2.ckpt");
+    spew(v2, patchAndReseal(data, 8, 2));
+    EXPECT_EXIT(restore(v2), testing::ExitedWithCode(1),
+                "stale format version 2; this build reads version 3");
 
     // Kind mismatch: functional restore of a timing file and vice
     // versa.

@@ -4,8 +4,14 @@
  * clean lockstep runs across the FAC configuration matrix, the fault
  * injection hook proving the divergence *reporting* itself works (names
  * the right instruction, PC and register), ddmin minimization, and
- * jobs-invariant batch generation.
+ * jobs-invariant batch generation, and the pinned per-predictor batch
+ * digests of tests/golden/fuzz_digests.txt.
  */
+
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -249,6 +255,75 @@ TEST(Fuzz, PinnedShrunkReproducerStaysClean)
             << "config " << fc.name << ":\n" << res.report;
     }
 }
+
+/** "mode" -> digest from tests/golden/fuzz_digests.txt. */
+std::map<std::string, std::string>
+loadFuzzDigests()
+{
+    std::map<std::string, std::string> g;
+    std::ifstream in(std::string(FACSIM_GOLDEN_DIR) + "/fuzz_digests.txt");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string mode, digest;
+        ls >> mode >> digest;
+        g[mode] = digest;
+    }
+    return g;
+}
+
+/** The predictor modes, kPredictorChoices without its terminator. */
+std::vector<const char *>
+predictorModes()
+{
+    std::vector<const char *> modes;
+    for (const char *const *m = kPredictorChoices; *m; ++m)
+        modes.push_back(*m);
+    return modes;
+}
+
+class FuzzDigest : public ::testing::TestWithParam<const char *>
+{
+};
+
+// The behaviour contract's fuzz pin: the seed-2026, 500-case batch of
+// each predictor mode (what `facsim_cli fuzz --seed=2026 --count=500
+// --predictor=MODE` prints) must fold to the checked-in digest, with
+// no divergence.
+TEST_P(FuzzDigest, Pinned)
+{
+    static const std::map<std::string, std::string> golden =
+        loadFuzzDigests();
+    ASSERT_FALSE(golden.empty()) << "golden file missing or empty";
+    verify::FuzzOptions fo;
+    fo.seed = 2026;
+    fo.count = 500;
+    fo.jobs = 2;
+    fo.predictor = GetParam();
+    verify::FuzzBatchResult b = verify::runFuzzBatch(fo);
+    EXPECT_EQ(b.divergingCases, 0u);
+    char got[17];
+    std::snprintf(got, sizeof(got), "%016llx",
+                  static_cast<unsigned long long>(b.digest));
+    auto it = golden.find(fo.predictor);
+    ASSERT_TRUE(it != golden.end())
+        << "no golden line for mode " << fo.predictor;
+    EXPECT_EQ(it->second, got) << "fuzz digest of " << fo.predictor
+                               << " moved";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , FuzzDigest,
+    ::testing::ValuesIn(predictorModes()),
+    [](const ::testing::TestParamInfo<const char *> &i) {
+        std::string name = i.param;
+        for (char &c : name)
+            if (c == '+')
+                c = '_';
+        return name;
+    });
 
 } // anonymous namespace
 } // namespace facsim

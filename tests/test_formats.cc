@@ -450,7 +450,7 @@ TEST(FormatsTest, ConfigFingerprintsOfThePresets)
 
 TEST(FormatsTest, CheckpointDigests)
 {
-    EXPECT_EQ(checkpointVersion, 2u);
+    EXPECT_EQ(checkpointVersion, 3u);
     BuildOptions b;
     b.policy = CodeGenPolicy::withSupport();
     PipelineConfig cfg = predictorPipelineConfig("fac+stride+waymemo", 32);
@@ -463,16 +463,16 @@ TEST(FormatsTest, CheckpointDigests)
 
     const std::string timing = tmpPath("formats_timing.ckpt");
     saveTimingCheckpoint(timing, m, pipe);
-    EXPECT_EQ(hex(fileDigest(timing)), "0cd914fc257a16da");
+    EXPECT_EQ(hex(fileDigest(timing)), "4a91c51ce1e36696");
 
     const std::string functional = tmpPath("formats_functional.ckpt");
     saveFunctionalCheckpoint(functional, m);
-    EXPECT_EQ(hex(fileDigest(functional)), "b330b3eb0998fb8c");
+    EXPECT_EQ(hex(fileDigest(functional)), "2b59853ea4d938dc");
 }
 
 TEST(FormatsTest, LiveLibraryDigest)
 {
-    EXPECT_EQ(lvptLibraryVersion, 2u);
+    EXPECT_EQ(lvptLibraryVersion, 3u);
     const std::string path = tmpPath("formats.lvpt");
     LvptBuildRequest req;
     req.workload = "espresso";
@@ -483,7 +483,7 @@ TEST(FormatsTest, LiveLibraryDigest)
     req.maxInsts = 60000;
     LvptBuildResult res = buildLvptLibrary(path, req);
     EXPECT_EQ(res.entries, 3u);
-    EXPECT_EQ(hex(fileDigest(path)), "bddc79dde0483b04");
+    EXPECT_EQ(hex(fileDigest(path)), "6d0146c9cdd84a78");
 }
 
 TEST(FormatsTest, ResultCacheFileDigest)

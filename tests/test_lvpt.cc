@@ -3,9 +3,12 @@
  * Live-point library tests (sim/lvpt.hh): a farm sweep over a library
  * reproduces the serial sampler's estimates exactly, is bitwise
  * deterministic for any job count, and the matched-pair speedup CI is
- * narrower than the independent one; damaged, stale or mismatched
- * libraries die with clear fatal messages (death tests), including a
- * damaged entry that only fails once the farm reaches it.
+ * narrower than the independent one; an entry holds only its window's
+ * pages (overlapping windows each their own snapshot, wide enough for
+ * the widest machine) and a run that leaves them dies naming the entry
+ * and the page; damaged, stale or mismatched libraries die with clear
+ * fatal messages (death tests), including a damaged entry that only
+ * fails once the farm reaches it.
  */
 
 #include <cstdio>
@@ -219,6 +222,127 @@ TEST(LvptTest, MatchedPairNarrowsTheSpeedupCi)
               fr.independentSpeedup.halfWidth);
 }
 
+// Windows overlap when the period is shorter than warmup + detail +
+// lvptWindowSlack: each entry must still carry its own window's pages
+// with their content at its own snapshot. Each restored entry measures
+// exactly what a machine fast-forwarded to the same point measures.
+TEST(LvptTest, OverlappingWindowsRestoreTheirOwnSnapshots)
+{
+    SamplingConfig s;
+    s.period = 300;
+    s.detail = 200;
+    s.warmup = 100;
+    // Up to three windows are open at once.
+    ASSERT_GT(s.warmup + s.detail + lvptWindowSlack, 2 * s.period);
+
+    const std::string path = tmpPath("overlap.lvpt");
+    LvptBuildRequest breq;
+    breq.workload = "compress";
+    breq.pipe = baselineConfig(32);
+    breq.sampling = s;
+    breq.maxInsts = 30000;
+    buildLvptLibrary(path, breq);
+    LvptLibrary lib(path);
+    ASSERT_EQ(lib.numEntries(), 100u);
+
+    const PipelineConfig cfg = facPipelineConfig(32);
+    // The farm's measurement: warmup, then detail, from @p pipe.
+    auto measure = [&](Pipeline &pipe) {
+        pipe.run(s.warmup);
+        pipe.run(pipe.stats().insts + s.detail);
+        return std::make_pair(pipe.currentCycle(), pipe.stats().insts);
+    };
+    for (size_t i = 0; i < lib.numEntries(); ++i) {
+        Machine restored(workload("compress"), BuildOptions{});
+        Pipeline a(cfg, restored.emulator());
+        lib.restoreEntry(i, restored, a);
+
+        Machine direct(workload("compress"), BuildOptions{});
+        Pipeline b(cfg, direct.emulator());
+        b.fastForward(lib.entryStartInst(i));
+        ASSERT_EQ(measure(a), measure(b)) << "entry " << i;
+    }
+}
+
+// The slack comes from the config caps, so the widest machine check()
+// accepts measures every window without leaving its pages.
+TEST(LvptTest, WidestMachineStaysInsideEveryWindow)
+{
+    const std::string path = tmpPath("wide.lvpt");
+    buildSmallLib(path);
+    LvptLibrary lib(path);
+
+    FarmRequest req;
+    req.pipe = baselineConfig(32);
+    req.pipe.fetchWidth = req.pipe.issueWidth = PipelineConfig::widthCap;
+    req.pipe.fetchBufferSize = PipelineConfig::fetchBufferCap;
+    req.pipe.numIntAlus = req.pipe.numMemUnits = PipelineConfig::unitCap;
+    req.pipe.numFpAdders = PipelineConfig::unitCap;
+    req.pipe.maxLoadsPerCycle = req.pipe.maxStoresPerCycle =
+        PipelineConfig::widthCap;
+    ASSERT_EQ(req.pipe.check(), "");
+    FarmResult fr = runFarm(lib, req);
+    EXPECT_EQ(fr.windows, lib.numEntries());
+
+    // Whether a run past the window touches a new page is up to the
+    // program, so also check the bound itself: the farm's measurement
+    // executes no instruction beyond warmup + detail + the slack.
+    const SamplingConfig &s = lib.sampling();
+    for (size_t i = 0; i < lib.numEntries(); ++i) {
+        Machine m(workload("espresso"), lib.identity().buildOptions());
+        Pipeline pipe(req.pipe, m.emulator());
+        lib.restoreEntry(i, m, pipe);
+        pipe.run(s.warmup);
+        pipe.run(pipe.stats().insts + s.detail);
+        EXPECT_LE(m.emulator().instCount() - lib.entryStartInst(i),
+                  s.warmup + s.detail + lvptWindowSlack)
+            << "entry " << i;
+    }
+}
+
+// An entry holds the pages its window touches, not the whole memory of
+// the machine at its snapshot (their content is checked by the farm
+// reproducing the serial sampler above).
+TEST(LvptTest, EntriesHoldOnlyTheirWindowsPages)
+{
+    const std::string path = tmpPath("pages.lvpt");
+    buildSmallLib(path);
+    LvptLibrary lib(path);
+
+    // The machine the pass ran, at entry 5's snapshot.
+    Machine full(workload("espresso"), BuildOptions{});
+    Pipeline ff(baselineConfig(32), full.emulator());
+    ff.fastForward(lib.entryStartInst(5));
+
+    Machine m(workload("espresso"), lib.identity().buildOptions());
+    Pipeline pipe(baselineConfig(32), m.emulator());
+    lib.restoreEntry(5, m, pipe);
+    EXPECT_GT(m.memory().pagesTouched(), 0u);
+    EXPECT_LT(m.memory().pagesTouched(), full.memory().pagesTouched());
+}
+
+TEST(LvptDeathTest, LeavingTheWindowNamesTheEntryAndThePage)
+{
+    const std::string path = tmpPath("leave.lvpt");
+    LvptBuildRequest req;
+    req.workload = "compress";
+    req.pipe = baselineConfig(32);
+    req.sampling = smallSampling();
+    req.maxInsts = 100000;
+    buildLvptLibrary(path, req);
+    EXPECT_EXIT(
+        {
+            LvptLibrary lib(path);
+            Machine m(workload("compress"), lib.identity().buildOptions());
+            Pipeline pipe(baselineConfig(32), m.emulator());
+            lib.restoreEntry(1, m, pipe);
+            pipe.run();  // to the end of the program, far past the window
+        },
+        testing::ExitedWithCode(1),
+        "live-point entry 1 of '.*leave.lvpt' does not hold page [0-9a-f]+ "
+        "\\(address [0-9a-f]+\\)");
+}
+
 TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
 {
     const std::string good = tmpPath("good.lvpt");
@@ -243,6 +367,11 @@ TEST(LvptDeathTest, RejectsDamagedAndMismatchedLibraries)
     const std::string vers = tmpPath("version.lvpt");
     spew(vers, patchAndReseal(data, 8, 99));
     EXPECT_DEATH(LvptLibrary{vers}, "stale format version 99");
+    // A library of the previous format (v2, whole memory per entry).
+    const std::string v2 = tmpPath("v2.lvpt");
+    spew(v2, patchAndReseal(data, 8, 2));
+    EXPECT_EXIT(LvptLibrary{v2}, testing::ExitedWithCode(1),
+                "stale format version 2; this build reads version 3");
 
     // Truncated index: the count claims more records than the file can
     // hold (high byte of the count patched, then re-sealed).

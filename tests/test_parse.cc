@@ -280,6 +280,11 @@ TEST(CliFlagAuditTest, MachinesThatCannotBeBuiltExitWithUsage)
          "L2 block (64B) must be at least the L1 block (128B)"},
         {"time @espresso --hierarchy=modern --mshrs=4000000000",
          "L1 MSHR entries must be at most 256 (got 4000000000)"},
+        {"time @compress --hierarchy=modern --dram-lat=200000 "
+         "--max-insts=20000",
+         "DRAM latency must be at most 4096 cycles (got 200000)"},
+        {"time @compress --tlb-penalty=200000 --max-insts=20000",
+         "TLB miss penalty must be at most 4096 cycles (got 200000)"},
         {"mklib @espresso --block=3 --sample-period=10000 --lib=" + lib,
          "powers of two"},
         {"farm " + lib + " --block=3", "powers of two"},

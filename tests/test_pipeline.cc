@@ -15,6 +15,7 @@
 #include "cpu/pipeline.hh"
 #include "link/linker.hh"
 #include "sim/config.hh"
+#include "sim/machine.hh"
 
 namespace facsim
 {
@@ -457,6 +458,39 @@ TEST(PipelineConfigCheck, RejectsWhatThePipelineCannotRun)
                  }),
                  "intDivLat");
 
+    // A memory side slower than the deadlock watchdog allows.
+    EXPECT_PRED2(names,
+                 problem([](auto &c) {
+                     c.dcache.missLatency = CacheConfig::latencyCap + 1;
+                 }),
+                 "miss latency");
+    auto below = [&](const std::function<void(HierarchyConfig &)> &edit) {
+        return problem([&](auto &c) {
+            c.hierarchy = modernHierarchy();
+            edit(c.hierarchy);
+        });
+    };
+    EXPECT_PRED2(names, below([](auto &h) { h.l2HitLatency = 200000; }),
+                 "L2 hit latency");
+    EXPECT_PRED2(names, below([](auto &h) { h.dram.latency = 200000; }),
+                 "DRAM latency");
+    EXPECT_PRED2(names, below([](auto &h) {
+                     h.dram.issueInterval =
+                         HierarchyConfig::dramIntervalCap + 1;
+                 }),
+                 "DRAM issue interval");
+    EXPECT_PRED2(names, below([](auto &h) {
+                     h.tlbEnabled = true;
+                     h.tlbMissPenalty = CacheConfig::latencyCap + 1;
+                 }),
+                 "TLB miss penalty");
+
+    // A geometry whose tag array would not fit in host memory.
+    EXPECT_PRED2(names, below([](auto &h) { h.l2.sizeBytes = 1u << 31; }),
+                 "line limit");
+    EXPECT_PRED2(names, below([](auto &h) { h.l2.assoc = 512; }),
+                 "associativity must be at most 256");
+
     // Incoherent geometry, through CacheConfig::check.
     EXPECT_PRED2(names, problem([](auto &c) { c.dcache.sizeBytes = 1000; }),
                  "powers of two");
@@ -477,6 +511,44 @@ TEST(PipelineConfigCheck, RejectsWhatThePipelineCannotRun)
                  "AGI");
     EXPECT_PRED2(names, problem([](auto &c) { c.fac.blockBits = 4; }),
                  "field widths");
+}
+
+// The memory-side caps exist so a slow memory is timed, not mistaken
+// for a hang: with every latency and queue at its cap, on a small L1
+// that misses and writes back constantly, built-in workloads (what the
+// daemon runs) must not trip the deadlock watchdog, which would panic
+// the daemon's worker.
+TEST(PipelineConfigCheck, MemoryCapsStayInsideTheWatchdog)
+{
+    for (unsigned l1_mshrs : {0u, HierarchyConfig::queueCap}) {
+        PipelineConfig c = baselineConfig(32);
+        c.dcache = CacheConfig{1024, 32, 1, CacheConfig::latencyCap};
+        c.icache.missLatency = CacheConfig::latencyCap;
+        HierarchyConfig &h = c.hierarchy;
+        h = modernHierarchy();
+        h.l1Mshr.entries = l1_mshrs;
+        h.l1WbEntries = HierarchyConfig::queueCap;
+        h.l2 = CacheConfig{1024, 32, 1, 0};
+        h.l2HitLatency = CacheConfig::latencyCap;
+        h.l2Mshr.entries = HierarchyConfig::queueCap;
+        h.l2WbEntries = HierarchyConfig::queueCap;
+        h.dram = DramConfig{CacheConfig::latencyCap,
+                            HierarchyConfig::dramIntervalCap};
+        h.tlbEnabled = true;
+        h.tlbEntries = 1;
+        h.tlbMissPenalty = CacheConfig::latencyCap;
+        c.issueWidth = c.fetchWidth = PipelineConfig::widthCap;
+        c.maxLoadsPerCycle = c.maxStoresPerCycle = PipelineConfig::widthCap;
+        c.numMemUnits = c.numIntAlus = PipelineConfig::unitCap;
+        ASSERT_EQ(c.check(), "");
+        for (const WorkloadInfo &w : allWorkloads()) {
+            Machine m(w, BuildOptions{});
+            Pipeline pipe(c, m.emulator());
+            PipeStats st = pipe.run(30000);
+            EXPECT_GE(st.insts, 30000u) << w.name << ", L1 MSHRs "
+                                        << l1_mshrs;
+        }
+    }
 }
 
 TEST(PipelineDeathTest, ConstructorAssertsTheCheck)

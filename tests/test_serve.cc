@@ -752,10 +752,20 @@ TEST(ServeDaemon, InvalidPipelineConfigsGetErrorsNotAborts)
     TimingRequest huge_mshr = smallTimingRequest();
     huge_mshr.pipe.hierarchy = modernHierarchy();
     huge_mshr.pipe.hierarchy.l1Mshr.entries = 4000000000u;
+    // A DRAM slower than the deadlock watchdog (it would panic the
+    // worker mid-run), and an L2 whose tag array would exhaust memory.
+    TimingRequest slow_dram = smallTimingRequest();
+    slow_dram.pipe.hierarchy = modernHierarchy();
+    slow_dram.pipe.hierarchy.dram.latency = 200000;
+    TimingRequest huge_l2 = smallTimingRequest();
+    huge_l2.pipe.hierarchy = modernHierarchy();
+    huge_l2.pipe.hierarchy.l2.sizeBytes = 1u << 31;
     const std::pair<const TimingRequest *, const char *> machines[] = {
         {&wide_l1, "L2 block (64B) must be at least the L1 block (128B)"},
         {&big_l1, "must be at least as large as L1"},
         {&huge_mshr, "L1 MSHR entries must be at most 256"},
+        {&slow_dram, "DRAM latency must be at most 4096 cycles"},
+        {&huge_l2, "line limit"},
     };
     for (const auto &[req, msg] : machines) {
         ASSERT_TRUE(client.exchange(sv::WireKind::Timing,
